@@ -230,6 +230,11 @@ def reshape(a, shape) -> Tensor:
     return _unary(a, a.data.reshape(shape), lambda g: g.reshape(a.data.shape))
 
 
+def transpose(a, axes) -> Tensor:
+    a = as_tensor(a)
+    return _unary(a, a.data.transpose(axes), lambda g: g.transpose(np.argsort(axes)))
+
+
 def concat(tensors, axis=0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     datas = [np.atleast_1d(t.data) for t in tensors]

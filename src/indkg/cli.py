@@ -24,6 +24,7 @@ from .evaluate import run_link_prediction, run_link_prediction_triples, run_trip
 from .model import load_checkpoint, restore_model, init_model, init_entity_encoder, save_checkpoint
 from .subgraph import extract_enclosing_subgraph
 from .training import (
+    _max_nodes,
     decoder_from_config,
     entity_triple_scorer,
     subgraph_item_scorer,
@@ -65,10 +66,6 @@ def extract_all(graph, triples, k, max_nodes=None, threads: int = 1):
                                chunksize=chunk))
     finally:
         _EXTRACT_CTX = None
-
-
-def _max_nodes(cfg: RunConfig):
-    return cfg.max_nodes if cfg.max_nodes > 0 else None
 
 
 def _dataset_path(cfg: RunConfig) -> str:

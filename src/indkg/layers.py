@@ -2,9 +2,14 @@
 
 All three layers share the same message layout: every stored edge
 (src, dst, rel) yields a forward message src -> dst and an inverse message
-dst -> src, so information reaches both endpoints of the target pair. The
-basis-decomposed layers maintain one logical weight slot per
-(relation, direction); slot index = 2 * rel + direction.
+dst -> src, so information reaches both endpoints of the target pair, and
+each message carries a slot index 2 * rel + direction. Every layer averages
+the messages a node receives per slot (mean normalisation by 1/c).
+
+The basis-decomposed layers never build a per-slot weight: H @ V_b is
+computed once per basis and layer, and each message mixes the basis outputs
+of its source row by the coefficients of its slot, so one pass covers all
+messages whatever the number of slots.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ from .autodiff import (
     reshape,
     segment_sum,
     sigmoid,
+    transpose,
+    tsum,
 )
 from .errors import ShapeMismatch, UnknownCompositionOp
 from .subgraph import Subgraph
@@ -81,31 +88,20 @@ def init_comp_layer(rng, d_in, d_out, num_relations) -> LayerParams:
 
 
 def _message_arrays(sub: Subgraph):
-    """Bidirectional message list: (src, dst, rel, dir) plus 1/c normalization.
+    """Bidirectional message list: (src, dst, slot) plus 1/c normalization.
 
-    c is the number of incoming messages a node receives for one
-    (relation, direction) slot.
+    c is the number of incoming messages a node receives for one slot.
     """
     if len(sub.edges) == 0:
         z = np.empty(0, dtype=np.int64)
-        return z, z, z, z, np.empty(0, dtype=np.float64)
+        return z, z, z, np.empty(0, dtype=np.float64)
     src, dst, rel = sub.edges[:, 0], sub.edges[:, 1], sub.edges[:, 2]
-    m = len(src)
     msrc = np.concatenate([src, dst])
     mdst = np.concatenate([dst, src])
-    mrel = np.concatenate([rel, rel])
-    mdir = np.concatenate([np.full(m, FWD, np.int64), np.full(m, BWD, np.int64)])
-    slot = 2 * mrel + mdir
-    key = mdst * (2 * (int(rel.max()) + 1)) + slot
+    slot = np.concatenate([2 * rel + FWD, 2 * rel + BWD])
+    key = mdst * (int(slot.max()) + 1) + slot
     _, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
-    norm = 1.0 / counts[inverse]
-    return msrc, mdst, mrel, mdir, norm
-
-
-def _slot_weight(P: LayerParams, slot: int) -> Tensor:
-    """Basis-decomposed weight for one (relation, direction) slot."""
-    mixed = matmul(gather_rows(P.coeffs, [slot]), P.bases)  # (1, d_in*d_out)
-    return reshape(mixed, (P.d_in, P.d_out))
+    return msrc, mdst, slot, 1.0 / counts[inverse]
 
 
 def _check_features(sub: Subgraph, H: Tensor, d_in: int):
@@ -114,18 +110,27 @@ def _check_features(sub: Subgraph, H: Tensor, d_in: int):
             f"features {H.shape} do not match ({sub.num_nodes}, {d_in})")
 
 
+def _basis_outputs(H: Tensor, P: LayerParams) -> Tensor:
+    """H @ V_b for every basis b, side by side: (n, B * d_out)."""
+    B = P.bases.shape[0]
+    V = transpose(reshape(P.bases, (B, P.d_in, P.d_out)), (1, 0, 2))
+    return matmul(H, reshape(V, (P.d_in, B * P.d_out)))
+
+
+def _mix(HV: Tensor, rows, C: Tensor) -> Tensor:
+    """W_slot h for each message: the basis outputs of ``rows`` weighted by C."""
+    m, B = C.shape
+    per_basis = reshape(gather_rows(HV, rows), (m, B, HV.shape[1] // B))
+    return tsum(mul(per_basis, reshape(C, (m, B, 1))), axis=1)
+
+
 def rgcn_layer(sub: Subgraph, H: Tensor, P: LayerParams, activation=True) -> Tensor:
     """Basis-decomposed R-GCN convolution with mean aggregation per slot."""
     _check_features(sub, H, P.d_in)
-    n = sub.num_nodes
-    out = matmul(H, P.self_weight)
-    msrc, mdst, mrel, mdir, norm = _message_arrays(sub)
-    for slot in np.unique(2 * mrel + mdir):
-        mask = (2 * mrel + mdir) == slot
-        W = _slot_weight(P, int(slot))
-        msgs = matmul(gather_rows(H, msrc[mask]), W)
-        msgs = mul(msgs, norm[mask][:, None])
-        out = out + segment_sum(msgs, mdst[mask], n)
+    msrc, mdst, slot, norm = _message_arrays(sub)
+    msgs = _mix(_basis_outputs(H, P), msrc, gather_rows(P.coeffs, slot))
+    out = matmul(H, P.self_weight) + segment_sum(
+        mul(msgs, norm[:, None]), mdst, sub.num_nodes)
     return relu(out) if activation else out
 
 
@@ -137,23 +142,16 @@ def rel_att_layer(sub: Subgraph, H: Tensor, P: LayerParams, rel_emb: Tensor,
     sigmoid(a . [W h_j ++ W h_i ++ e_rel ++ e_target]).
     """
     _check_features(sub, H, P.d_in)
-    n = sub.num_nodes
-    out = matmul(H, P.self_weight)
-    msrc, mdst, mrel, mdir, norm = _message_arrays(sub)
-    slots = 2 * mrel + mdir
-    for slot in np.unique(slots):
-        mask = slots == slot
-        m = int(mask.sum())
-        W = _slot_weight(P, int(slot))
-        wh_src = matmul(gather_rows(H, msrc[mask]), W)
-        wh_dst = matmul(gather_rows(H, mdst[mask]), W)
-        e_rel = gather_rows(rel_emb, np.full(m, int(slot) // 2, np.int64))
-        e_tgt = gather_rows(rel_emb, np.full(m, target_rel, np.int64))
-        z = concat([wh_src, wh_dst, e_rel, e_tgt], axis=1)
-        alpha = sigmoid(matmul(z, P.att_a))
-        msgs = mul(wh_src, reshape(alpha, (m, 1)))
-        msgs = mul(msgs, norm[mask][:, None])
-        out = out + segment_sum(msgs, mdst[mask], n)
+    msrc, mdst, slot, norm = _message_arrays(sub)
+    HV = _basis_outputs(H, P)
+    C = gather_rows(P.coeffs, slot)
+    wh_src = _mix(HV, msrc, C)
+    z = concat([wh_src, _mix(HV, mdst, C), gather_rows(rel_emb, slot // 2),
+                gather_rows(rel_emb, np.full(len(slot), target_rel, np.int64))],
+               axis=1)
+    alpha = reshape(sigmoid(matmul(z, P.att_a)), (len(slot), 1))
+    out = matmul(H, P.self_weight) + segment_sum(
+        mul(mul(wh_src, alpha), norm[:, None]), mdst, sub.num_nodes)
     return relu(out) if activation else out
 
 
@@ -182,16 +180,15 @@ def rel_comp_layer(sub: Subgraph, H: Tensor, E_rel: Tensor, P: LayerParams,
         raise ShapeMismatch("composition layer requires d_rel == d_in")
     if op not in COMP_OPS:
         raise UnknownCompositionOp(op)
-    n = sub.num_nodes
     out = matmul(H, P.w_self)
-    msrc, mdst, mrel, mdir, _ = _message_arrays(sub)
+    msrc, mdst, slot, norm = _message_arrays(sub)
     for direction, W in ((FWD, P.w_fwd), (BWD, P.w_bwd)):
-        mask = mdir == direction
+        mask = slot % 2 == direction
         if not mask.any():
             continue
-        hj = gather_rows(H, msrc[mask])
-        er = gather_rows(E_rel, mrel[mask])
-        phi = _compose(hj, er, op)
-        out = out + segment_sum(matmul(phi, W), mdst[mask], n)
+        phi = _compose(gather_rows(H, msrc[mask]),
+                       gather_rows(E_rel, slot[mask] // 2), op)
+        msgs = mul(matmul(phi, W), norm[mask][:, None])
+        out = out + segment_sum(msgs, mdst[mask], sub.num_nodes)
     new_rel = matmul(E_rel, P.w_rel)
     return (relu(out) if activation else out), new_rel

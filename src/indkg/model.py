@@ -270,10 +270,6 @@ class Adam:
             p.grad = None
 
 
-def adam_step(params: dict[str, Tensor], state: Adam) -> None:
-    state.step()
-
-
 def zero_grads(params: dict[str, Tensor]) -> None:
     for p in params.values():
         p.grad = None

@@ -91,13 +91,18 @@ def message_list(sub):
     return out
 
 
-def dense_rgcn(sub, H, P, activation=True):
-    n = H.shape[0]
-    out = H @ P.self_weight.data
-    msgs = message_list(sub)
+def slot_counts(msgs):
+    """Incoming messages per (dst, rel, dir) slot, for mean normalisation."""
     counts = {}
     for s, d, r, direction in msgs:
         counts[(d, r, direction)] = counts.get((d, r, direction), 0) + 1
+    return counts
+
+
+def dense_rgcn(sub, H, P, activation=True):
+    out = H @ P.self_weight.data
+    msgs = message_list(sub)
+    counts = slot_counts(msgs)
     for s, d, r, direction in msgs:
         W = slot_weight_dense(P, 2 * r + direction)
         out[d] += (H[s] @ W) / counts[(d, r, direction)]
@@ -107,9 +112,7 @@ def dense_rgcn(sub, H, P, activation=True):
 def dense_att(sub, H, P, rel_emb, target_rel, activation=True):
     out = H @ P.self_weight.data
     msgs = message_list(sub)
-    counts = {}
-    for s, d, r, direction in msgs:
-        counts[(d, r, direction)] = counts.get((d, r, direction), 0) + 1
+    counts = slot_counts(msgs)
     for s, d, r, direction in msgs:
         W = slot_weight_dense(P, 2 * r + direction)
         z = np.concatenate([H[s] @ W, H[d] @ W, rel_emb[r], rel_emb[target_rel]])
@@ -130,7 +133,9 @@ def corr_oracle(a, b):
 
 def dense_comp(sub, H, E_rel, P, op, activation=True):
     out = H @ P.w_self.data
-    for s, d, r, direction in message_list(sub):
+    msgs = message_list(sub)
+    counts = slot_counts(msgs)
+    for s, d, r, direction in msgs:
         e = E_rel[r]
         if op == "sub":
             phi = H[s] - e
@@ -139,7 +144,7 @@ def dense_comp(sub, H, E_rel, P, op, activation=True):
         else:
             phi = corr_oracle(H[s], e)
         W = P.w_fwd.data if direction == 0 else P.w_bwd.data
-        out[d] += phi @ W
+        out[d] += (phi @ W) / counts[(d, r, direction)]
     new_rel = E_rel @ P.w_rel.data
     return (np.maximum(out, 0.0) if activation else out), new_rel
 

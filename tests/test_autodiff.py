@@ -13,6 +13,7 @@ from indkg.autodiff import (
     segment_sum,
     sigmoid,
     tmean,
+    transpose,
     tsum,
 )
 from indkg.errors import NonFiniteGradient, ShapeMismatch
@@ -103,6 +104,10 @@ def test_concat_reshape():
     b = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
     check(lambda: tsum(concat([a, b], axis=1) * 2.0), a, b)
     check(lambda: tsum(reshape(a, (6,)) * reshape(a, (6,))), a)
+    c = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    w = rng.normal(size=(4, 2, 3))
+    assert transpose(c, (2, 0, 1)).shape == (4, 2, 3)
+    check(lambda: tsum(transpose(c, (2, 0, 1)) * w), c)
 
 
 def test_gather_segment():

@@ -57,10 +57,19 @@ def test_rgcn_no_activation():
 def test_rgcn_isolated_nodes_get_self_term_only():
     sub = empty_subgraph()
     rng = np.random.default_rng(1)
-    P = init_basis_layer(rng, D_IN, D_OUT, R, num_bases=2)
+    P = init_basis_layer(rng, D_IN, D_OUT, R, num_bases=2,
+                         d_rel=3, attention=True)
     H = Tensor(rng.normal(size=(2, D_IN)))
+    self_term = H.data @ P.self_weight.data
     out = rgcn_layer(sub, H, P, activation=False)
-    assert np.allclose(out.data, H.data @ P.self_weight.data, atol=1e-12)
+    assert np.allclose(out.data, self_term, atol=1e-12)
+    rel_emb = Tensor(rng.normal(size=(R, 3)))
+    out = rel_att_layer(sub, H, P, rel_emb, 0, activation=False)
+    assert np.allclose(out.data, self_term, atol=1e-12)
+    C = init_comp_layer(rng, D_IN, D_OUT, R)
+    out, _ = rel_comp_layer(sub, H, Tensor(rng.normal(size=(R, D_IN))), C,
+                            activation=False)
+    assert np.allclose(out.data, H.data @ C.w_self.data, atol=1e-12)
 
 
 def test_rgcn_shape_mismatch():
@@ -185,3 +194,73 @@ def test_layer_gradients():
         lambda: tsum(rel_comp_layer(sub, H, E, C, op="corr")[0]),
         sample_frac=0.5, rng=np.random.default_rng(1))
     assert err < 1e-6
+
+
+def tape_size(out):
+    """Number of distinct tensors reachable from ``out`` through the tape."""
+    seen, stack = set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(parent for parent, _ in node._parents)
+    return len(seen)
+
+
+def chain_subgraph(rels):
+    """Path 0 - 2 - 3 - ... - 1 with one edge per entry of ``rels``."""
+    n = len(rels) + 1
+    order = [0] + list(range(2, n)) + [1]
+    edges = np.array([[order[i], order[i + 1], r] for i, r in enumerate(rels)],
+                     dtype=np.int64)
+    return Subgraph((0, 0, 1), np.arange(n), np.zeros((n, 2), dtype=np.int64),
+                    edges, 2, union_size=n)
+
+
+def test_tape_size_independent_of_slot_count():
+    num_rel = 8
+    rng = np.random.default_rng(7)
+    P = init_basis_layer(rng, D_IN, D_OUT, num_rel, num_bases=2,
+                         d_rel=3, attention=True)
+    rel_emb = Tensor(rng.normal(size=(num_rel, 3)), requires_grad=True)
+    sizes = set()
+    for rels in ([0] * 6, [0, 1, 0, 1, 0, 1], list(range(6))):
+        sub = chain_subgraph(rels)
+        H = Tensor(rng.normal(size=(sub.num_nodes, D_IN)), requires_grad=True)
+        sizes.add((tape_size(rgcn_layer(sub, H, P)),
+                   tape_size(rel_att_layer(sub, H, P, rel_emb, 0))))
+    assert len(sizes) == 1, sizes
+
+
+def star_subgraph(num_leaves, rel=1):
+    """Every leaf 2..num_leaves+1 points at node 0 under the same relation."""
+    n = num_leaves + 2
+    edges = np.array([[leaf, 0, rel] for leaf in range(2, n)], dtype=np.int64)
+    return Subgraph((0, 0, 1), np.arange(n), np.zeros((n, 2), dtype=np.int64),
+                    edges, 2, union_size=n)
+
+
+@pytest.mark.parametrize("kind", ["rgcn", "att", "comp"])
+def test_identical_messages_are_mean_normalised(kind):
+    # N identical messages under one slot must aggregate like a single one
+    rng = np.random.default_rng(8)
+    h_hub, h_other, h_leaf = rng.normal(size=(3, D_IN))
+    if kind == "comp":
+        P = init_comp_layer(rng, D_IN, D_IN, R)
+    else:
+        P = init_basis_layer(rng, D_IN, D_IN, R, num_bases=2,
+                             d_rel=3, attention=kind == "att")
+    rel_emb = Tensor(rng.normal(size=(R, D_IN if kind == "comp" else 3)))
+
+    def hub_output(num_leaves):
+        sub = star_subgraph(num_leaves)
+        H = Tensor(np.vstack([h_hub, h_other] + [h_leaf] * num_leaves))
+        if kind == "rgcn":
+            out = rgcn_layer(sub, H, P, activation=False)
+        elif kind == "att":
+            out = rel_att_layer(sub, H, P, rel_emb, 0, activation=False)
+        else:
+            out, _ = rel_comp_layer(sub, H, rel_emb, P, activation=False)
+        return out.data[0]
+
+    assert np.allclose(hub_output(5), hub_output(1), atol=1e-12)
