@@ -207,9 +207,11 @@ def build_parser() -> argparse.ArgumentParser:
         for key, typ in registry.items():
             if name == "eval" and key == "task":
                 continue  # eval exposes --task above with explicit choices
+            text = f"config key {key} ({typ.__name__})"
+            if key == "threads":
+                text += "; worker processes for the extract stage only"
             p.add_argument(f"--{key}", dest=f"cfg_{key}", default=None,
-                           metavar=typ.__name__.upper(),
-                           help=f"config key {key} ({typ.__name__})")
+                           metavar=typ.__name__.upper(), help=text)
     return parser
 
 

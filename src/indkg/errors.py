@@ -63,7 +63,7 @@ class VersionMismatch(IndkgError):
 
 class CorruptRecord(IndkgError):
     def __init__(self, index):
-        super().__init__(f"record {index}: checksum mismatch")
+        super().__init__(f"record {index}: checksum mismatch or malformed payload")
         self.index = index
 
 

@@ -288,20 +288,12 @@ def _empty_triples():
 
 def _write_triple_block(buf, triples):
     binio.write_varint(buf, len(triples))
-    for h, r, t in np.asarray(triples, dtype=np.int64):
-        binio.write_varint(buf, int(h))
-        binio.write_varint(buf, int(r))
-        binio.write_varint(buf, int(t))
+    binio.write_varints(buf, triples)
 
 
 def _read_triple_block(rd):
     n = rd.read_varint()
-    out = np.empty((n, 3), dtype=np.int64)
-    for i in range(n):
-        out[i, 0] = rd.read_varint()
-        out[i, 1] = rd.read_varint()
-        out[i, 2] = rd.read_varint()
-    return out
+    return rd.read_varints(3 * n).reshape(n, 3)
 
 
 def serialize_dataset(bundle: DatasetBundle) -> bytes:

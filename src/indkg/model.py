@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +33,6 @@ from .errors import (
     ShapeMismatch,
 )
 from .layers import (
-    LayerParams,
     init_basis_layer,
     init_comp_layer,
     rel_att_layer,

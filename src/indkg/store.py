@@ -20,7 +20,7 @@ import zlib
 import numpy as np
 
 from . import binio
-from .errors import CorruptRecord, EmptyStore, IndexOutOfRange, MissingFile
+from .errors import CorruptRecord, EmptyStore, IndexOutOfRange, MissingFile, TruncatedFile
 from .subgraph import CorpusStats, Subgraph
 
 MAGIC = b"IKGS1"
@@ -28,20 +28,11 @@ MAGIC = b"IKGS1"
 
 def encode_record(sub: Subgraph) -> bytes:
     buf = bytearray()
-    binio.write_varint(buf, sub.k)
-    for x in sub.target:
+    for x in (sub.k, *sub.target, sub.union_size, sub.num_nodes):
         binio.write_varint(buf, int(x))
-    binio.write_varint(buf, sub.union_size)
-    binio.write_varint(buf, sub.num_nodes)
-    for g, (dh, dt) in zip(sub.nodes.tolist(), sub.dist_pairs.tolist()):
-        binio.write_varint(buf, int(g))
-        binio.write_varint(buf, int(dh))
-        binio.write_varint(buf, int(dt))
+    binio.write_varints(buf, np.column_stack([sub.nodes, sub.dist_pairs]))
     binio.write_varint(buf, len(sub.edges))
-    for s, d, r in sub.edges.tolist():
-        binio.write_varint(buf, int(s))
-        binio.write_varint(buf, int(d))
-        binio.write_varint(buf, int(r))
+    binio.write_varints(buf, sub.edges)
     payload = bytes(buf)
     crc = bytearray()
     binio.write_u32(crc, zlib.crc32(payload))
@@ -49,6 +40,8 @@ def encode_record(sub: Subgraph) -> bytes:
 
 
 def decode_record(data: bytes, index: int) -> Subgraph:
+    """Decode one record; a bad CRC or a payload that the varints do not fill
+    exactly raises CorruptRecord(index)."""
     if len(data) < 4:
         raise CorruptRecord(index)
     payload, stored = data[:-4], data[-4:]
@@ -56,23 +49,16 @@ def decode_record(data: bytes, index: int) -> Subgraph:
     if zlib.crc32(payload) != rd.read_u32():
         raise CorruptRecord(index)
     rd = binio.Reader(payload)
-    k = rd.read_varint()
-    target = (rd.read_varint(), rd.read_varint(), rd.read_varint())
-    union_size = rd.read_varint()
-    n = rd.read_varint()
-    nodes = np.empty(n, dtype=np.int64)
-    dist_pairs = np.empty((n, 2), dtype=np.int64)
-    for i in range(n):
-        nodes[i] = rd.read_varint()
-        dist_pairs[i, 0] = rd.read_varint()
-        dist_pairs[i, 1] = rd.read_varint()
-    m = rd.read_varint()
-    edges = np.empty((m, 3), dtype=np.int64)
-    for i in range(m):
-        edges[i, 0] = rd.read_varint()
-        edges[i, 1] = rd.read_varint()
-        edges[i, 2] = rd.read_varint()
-    return Subgraph(target, nodes, dist_pairs, edges, k, union_size)
+    try:
+        k, h, r, t, union_size, n = (rd.read_varint() for _ in range(6))
+        node_block = rd.read_varints(3 * n).reshape(n, 3)
+        m = rd.read_varint()
+        edges = rd.read_varints(3 * m).reshape(m, 3)
+    except TruncatedFile as exc:
+        raise CorruptRecord(index) from exc
+    if rd.pos != len(payload):
+        raise CorruptRecord(index)
+    return Subgraph((h, r, t), node_block[:, 0], node_block[:, 1:], edges, k, union_size)
 
 
 class StoreWriter:
@@ -128,7 +114,7 @@ class StoreReader:
         rd = binio.Reader(self._data)
         binio.check_magic(rd, MAGIC)
         self.count = rd.read_u64()
-        self._offsets = [rd.read_u64() for _ in range(self.count)]
+        self._offsets = np.frombuffer(rd.read_bytes(8 * self.count), dtype="<u8").tolist()
         self._end = len(self._data)
 
     def read(self, index: int) -> Subgraph:

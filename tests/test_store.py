@@ -1,6 +1,9 @@
+import zlib
+
 import numpy as np
 import pytest
 
+from indkg.binio import write_u32
 from indkg.errors import (
     BadMagic,
     CorruptRecord,
@@ -49,6 +52,17 @@ def test_record_checksum():
     rec[2] ^= 0xFF
     with pytest.raises(CorruptRecord):
         decode_record(bytes(rec), 0)
+
+
+def test_payload_not_filled_exactly_by_varints():
+    sub = minimal_subgraph()
+    payload = encode_record(sub)[:-4]
+    for bad in (payload[:-1], payload + b"\x00"):
+        crc = bytearray()
+        write_u32(crc, zlib.crc32(bad))
+        with pytest.raises(CorruptRecord) as info:
+            decode_record(bad + bytes(crc), 3)
+        assert info.value.index == 3
 
 
 def test_bad_magic_and_version(tmp_path):
