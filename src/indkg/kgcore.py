@@ -126,26 +126,68 @@ def encode_triples(raw, vocab: Vocab) -> np.ndarray:
     return out
 
 
+def _check_key_space(num_entities: int, num_relations: int) -> None:
+    """Raise ValueError unless every ``triple_keys`` value fits in int64."""
+    ne, nr = int(num_entities), int(num_relations)
+    if ne * ne * nr > 2 ** 63:      # the largest key is E * E * R - 1
+        raise ValueError(
+            f"{ne} entities and {nr} relations need {ne}^2 * {nr} triple keys, "
+            f"more than int64 holds")
+
+
+def triple_keys(triples, num_entities: int, num_relations: int) -> np.ndarray:
+    """One int64 key ``(h * R + r) * E + t`` per row of an (n, 3) id array.
+
+    Keys order like (h, r, t) rows, so a sorted key array answers membership
+    with ``np.searchsorted``.
+    """
+    _check_key_space(num_entities, num_relations)
+    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    return (triples[:, 0] * num_relations + triples[:, 1]) * num_entities + triples[:, 2]
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    # sort + neighbour mask: np.unique is over 10x slower on 60k int64 keys
+    keys = np.sort(keys)
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if len(keys) else keys
+
+
+def _in_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Boolean mask: which ``keys`` occur in the ascending ``sorted_keys``."""
+    if not len(sorted_keys):
+        return np.zeros(len(keys), dtype=bool)
+    # a key past the last one clips onto it and compares unequal
+    return sorted_keys.take(sorted_keys.searchsorted(keys), mode="clip") == keys
+
+
 class IndexedGraph:
     """Immutable adjacency over integer-id triples.
 
     Out- and in-edges are held in CSR form sorted by (neighbor, relation);
     an undirected CSR combining both directions backs distance queries.
-    ``triple_set`` answers membership for *all* triples the graph is meant to
-    know about (used for filtered negative sampling), which may be a superset
-    of the edges present in the adjacency.
+    ``known_keys`` is the sorted, duplicate-free ``triple_keys`` array of
+    *all* triples the graph is meant to know about (used for filtered
+    negative sampling), which may be a superset of the edges present in the
+    adjacency; ``contains`` and ``contains_many`` look triples up in it.
+    The extraction kernels in ``indkg.subgraph`` read the CSR arrays
+    directly.
     """
 
     def __init__(self, triples: np.ndarray, num_entities: int, num_relations: int,
                  known_triples: np.ndarray | None = None):
+        _check_key_space(num_entities, num_relations)
         triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-        if len(triples):
-            if triples[:, [0, 2]].min() < 0 or triples[:, [0, 2]].max() >= num_entities:
-                raise IdOutOfBounds("entity id outside [0, num_entities)")
-            if triples[:, 1].min() < 0 or triples[:, 1].max() >= num_relations:
-                raise IdOutOfBounds("relation id outside [0, num_relations)")
+        known = (triples if known_triples is None
+                 else np.asarray(known_triples, dtype=np.int64).reshape(-1, 3))
+        for arr in (triples, known):
+            if len(arr):
+                if arr[:, [0, 2]].min() < 0 or arr[:, [0, 2]].max() >= num_entities:
+                    raise IdOutOfBounds("entity id outside [0, num_entities)")
+                if arr[:, 1].min() < 0 or arr[:, 1].max() >= num_relations:
+                    raise IdOutOfBounds("relation id outside [0, num_relations)")
         self.num_entities = num_entities
         self.num_relations = num_relations
+        self.known_keys = _sorted_unique(triple_keys(known, num_entities, num_relations))
         # collapse exact duplicates; canonical edge order
         self.triples = np.unique(triples, axis=0) if len(triples) else triples
 
@@ -162,15 +204,21 @@ class IndexedGraph:
         self._und_indptr, self._und_nbr, self._und_rel, self._und_fwd = _build_csr(
             src, dst, rel, num_entities, extra=fwd)
 
-        known = self.triples if known_triples is None else known_triples
-        self.triple_set = frozenset(map(tuple, np.asarray(known, dtype=np.int64).reshape(-1, 3)))
-
     @property
     def num_triples(self) -> int:
         return len(self.triples)
 
     def contains(self, h: int, r: int, t: int) -> bool:
-        return (h, r, t) in self.triple_set
+        return bool(self.contains_many([(h, r, t)])[0])
+
+    def contains_many(self, triples) -> np.ndarray:
+        """Boolean membership of each row of an (n, 3) id array."""
+        triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+        ne, nr = self.num_entities, self.num_relations
+        h, r, t = triples.T
+        in_range = (h >= 0) & (h < ne) & (r >= 0) & (r < nr) & (t >= 0) & (t < ne)
+        # keys of out-of-range rows may alias in-range ones; they are masked off
+        return in_range & _in_sorted(self.known_keys, triple_keys(triples, ne, nr))
 
     def out_edges(self, e: int):
         """(neighbor, relation) pairs for edges e -> neighbor."""
@@ -242,15 +290,16 @@ def _check_duplicates(name, triples):
     return uniq
 
 
-def _check_cross_split(train, other, other_name):
+def _check_cross_split(train, other, other_name, vocab: Vocab):
     if len(other) == 0:
         return
-    train_set = set(map(tuple, np.asarray(train)))
-    dups = [t for t in map(tuple, np.asarray(other)) if t in train_set]
-    if dups:
+    ne, nr = vocab.num_entities, vocab.num_relations
+    dups = np.flatnonzero(_in_sorted(np.sort(triple_keys(train, ne, nr)),
+                                     triple_keys(other, ne, nr)))
+    if len(dups):
         raise DuplicateTriple(
             f"{len(dups)} triple(s) of split {other_name!r} also occur in train, "
-            f"e.g. {dups[0]}")
+            f"e.g. {tuple(np.asarray(other)[dups[0]].tolist())}")
 
 
 def load_raw_dataset(root) -> DatasetBundle:
@@ -277,8 +326,8 @@ def load_raw_dataset(root) -> DatasetBundle:
     support = _check_duplicates("support", encode_triples(support_raw, vocab))
     query = _check_duplicates("query", encode_triples(query_raw, vocab))
     ind_valid = _check_duplicates("ind_valid", encode_triples(ind_valid_raw, vocab))
-    _check_cross_split(train, valid, "valid")
-    _check_cross_split(train, test, "test")
+    _check_cross_split(train, valid, "valid", vocab)
+    _check_cross_split(train, test, "test", vocab)
     return DatasetBundle(vocab, train, valid, test, support, query, ind_valid)
 
 

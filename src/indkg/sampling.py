@@ -121,16 +121,16 @@ class RankingBatch:
 
 
 def _corruption_pool(graph, triple, direction, filtered):
-    h, r, t = triple
-    pool = []
-    for e in range(graph.num_entities):
-        cand = (e, r, t) if direction == "head" else (h, r, e)
-        if cand == triple:
-            continue
-        if filtered and graph.contains(*cand):
-            continue
-        pool.append(cand)
-    return pool
+    """(n, 3) corruptions of one side, in ascending entity id, truth excluded."""
+    ents = np.arange(graph.num_entities, dtype=np.int64)
+    pool = np.empty((len(ents), 3), dtype=np.int64)
+    pool[:] = triple
+    side = 0 if direction == "head" else 2
+    pool[:, side] = ents
+    keep = ents != triple[side]
+    if filtered:
+        keep &= ~graph.contains_many(pool)
+    return pool[keep]
 
 
 def make_ranking_candidates(graph: IndexedGraph, triple, direction: str,
@@ -148,15 +148,14 @@ def make_ranking_candidates(graph: IndexedGraph, triple, direction: str,
     pool = _corruption_pool(graph, triple, direction, filtered=True)
     if len(pool) < num_neg:
         unfiltered = _corruption_pool(graph, triple, direction, filtered=False)
-        if not unfiltered:
+        if not len(unfiltered):
             raise ExhaustedRetries(f"no corruption of {triple} exists")
         log.warning("only %d filtered negatives for %s (%s side); "
                     "falling back to unfiltered pool of %d",
                     len(pool), triple, direction, len(unfiltered))
         pool = unfiltered
-    chosen = [pool[i] for i in rng.choice(len(pool),
-                                          size=min(num_neg, len(pool)),
-                                          replace=False)]
+    picks = rng.choice(len(pool), size=min(num_neg, len(pool)), replace=False)
+    chosen = list(map(tuple, pool[picks].tolist()))
     truth_idx = int(rng.integers(len(chosen) + 1))
     return chosen[:truth_idx] + [triple] + chosen[truth_idx:], truth_idx
 

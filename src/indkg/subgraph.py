@@ -9,7 +9,6 @@ one-hot encodings of the two distances, clamped into k + 2 buckets per side.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +48,65 @@ class Subgraph:
                 and np.array_equal(self.edges, other.edges))
 
 
+def _csr_slices(indptr: np.ndarray, rows: np.ndarray):
+    """Positions of the CSR entries of the non-empty id array ``rows``, and
+    each row's entry count."""
+    starts = indptr[rows]
+    lens = indptr[rows + 1] - starts
+    ends = np.cumsum(lens)
+    return np.arange(ends[-1]) + np.repeat(starts - ends + lens, lens), lens
+
+
+def _masked_entries(graph: IndexedGraph, masked_edge) -> np.ndarray:
+    """Positions in the undirected CSR of a triple's (h -> t, fwd) and
+    (t -> h, bwd) entries: two when the graph holds the triple, else none."""
+    if masked_edge is None:
+        return np.empty(0, dtype=np.int64)
+    mh, mr, mt = masked_edge
+    if not (0 <= mh < graph.num_entities and 0 <= mt < graph.num_entities):
+        return np.empty(0, dtype=np.int64)
+    pos = []
+    for u, v, fwd in ((mh, mt, True), (mt, mh, False)):
+        s, e = graph._und_indptr[u], graph._und_indptr[u + 1]
+        hit = ((graph._und_nbr[s:e] == v) & (graph._und_rel[s:e] == mr)
+               & (graph._und_fwd[s:e] == fwd))
+        pos.append(s + np.flatnonzero(hit))
+    return np.concatenate(pos)
+
+
+def _hop_distances(graph: IndexedGraph, source: int, k: int,
+                   masked_edge: tuple[int, int, int] | None) -> np.ndarray:
+    """Dense undirected hop distances from ``source``: -1 beyond ``k`` hops.
+
+    One level per step: the undirected CSR slices of the whole frontier are
+    gathered at once. ``masked_edge`` drops exactly its own two undirected
+    entries, so a reverse twin (t, r, h) still connects the pair.
+    """
+    masked = _masked_entries(graph, masked_edge)
+    dist = np.full(graph.num_entities, -1, dtype=np.int64)
+    dist[source] = 0
+    frontier = np.array([source], dtype=np.int64)
+    for d in range(1, k + 1):
+        idx, _ = _csr_slices(graph._und_indptr, frontier)
+        # the two masked entries sit in the slices of the triple's endpoints
+        if len(masked) and (dist[masked_edge[0]] == d - 1 or dist[masked_edge[2]] == d - 1):
+            idx = idx[(idx != masked[0]) & (idx != masked[1])]
+        nbr = graph._und_nbr[idx]
+        dist[nbr[dist[nbr] < 0]] = d
+        frontier = np.flatnonzero(dist == d)
+        if not len(frontier):
+            break
+    return dist
+
+
+def _check_query(graph: IndexedGraph, entities, k: int) -> None:
+    for e in entities:
+        if not (0 <= e < graph.num_entities):
+            raise IdOutOfBounds(f"entity {e} outside [0, {graph.num_entities})")
+    if k < 1:
+        raise ValueError("hop budget k must be >= 1")
+
+
 def bfs_distances(graph: IndexedGraph, source: int, k: int,
                   masked_edge: tuple[int, int, int] | None = None) -> dict[int, int]:
     """Undirected hop distances from ``source``, truncated at ``k`` hops.
@@ -56,29 +114,10 @@ def bfs_distances(graph: IndexedGraph, source: int, k: int,
     Every triple acts as a bidirectional edge; ``masked_edge`` suppresses
     that one triple in both traversal directions.
     """
-    if not (0 <= source < graph.num_entities):
-        raise IdOutOfBounds(f"source {source} outside [0, {graph.num_entities})")
-    if k < 1:
-        raise ValueError("hop budget k must be >= 1")
-    mh = mr = mt = -1
-    if masked_edge is not None:
-        mh, mr, mt = masked_edge
-    dist = {source: 0}
-    frontier = deque([source])
-    while frontier:
-        u = frontier.popleft()
-        du = dist[u]
-        if du == k:
-            continue
-        nbrs, rels, fwds = graph.und_edges(u)
-        for v, r, fwd in zip(nbrs.tolist(), rels.tolist(), fwds.tolist()):
-            if masked_edge is not None and r == mr:
-                if (fwd and u == mh and v == mt) or (not fwd and u == mt and v == mh):
-                    continue
-            if v not in dist:
-                dist[v] = du + 1
-                frontier.append(v)
-    return dist
+    _check_query(graph, (source,), k)
+    dist = _hop_distances(graph, source, k, masked_edge)
+    reached = np.flatnonzero(dist >= 0)
+    return dict(zip(reached.tolist(), dist[reached].tolist()))
 
 
 def extract_enclosing_subgraph(graph: IndexedGraph, target: tuple[int, int, int],
@@ -91,39 +130,34 @@ def extract_enclosing_subgraph(graph: IndexedGraph, target: tuple[int, int, int]
     ascending (d_h + d_t, id) order until the cap is met.
     """
     h, r, t = (int(x) for x in target)
-    for e in (h, t):
-        if not (0 <= e < graph.num_entities):
-            raise IdOutOfBounds(f"entity {e} outside [0, {graph.num_entities})")
-    cap = k + 1
-    d_h = bfs_distances(graph, h, k, masked_edge=(h, r, t))
-    d_t = bfs_distances(graph, t, k, masked_edge=(h, r, t))
-    union_size = len(set(d_h) | set(d_t))
+    _check_query(graph, (h, t), k)
+    d_h = _hop_distances(graph, h, k, (h, r, t))
+    d_t = _hop_distances(graph, t, k, (h, r, t))
+    union_size = int(np.count_nonzero((d_h >= 0) | (d_t >= 0)))
 
-    interior = [i for i in d_h
-                if i != h and i != t and i in d_t and d_h[i] + d_t[i] <= k + 1]
-    interior.sort()
+    inner = (d_h >= 0) & (d_t >= 0) & (d_h + d_t <= k + 1)
+    inner[[h, t]] = False
+    interior = np.flatnonzero(inner)
     if max_nodes is not None and len(interior) + 2 > max_nodes:
-        interior.sort(key=lambda i: (d_h[i] + d_t[i], i))
-        interior = sorted(interior[:max(0, max_nodes - 2)])
+        order = np.lexsort((interior, d_h[interior] + d_t[interior]))
+        interior = np.sort(interior[order[:max(0, max_nodes - 2)]])
 
-    nodes = [h] if h == t else [h, t]
-    nodes.extend(interior)
-    nodes_arr = np.asarray(nodes, dtype=np.int64)
-    dist_pairs = np.empty((len(nodes), 2), dtype=np.int64)
-    for li, g in enumerate(nodes):
-        dist_pairs[li, 0] = min(d_h.get(g, cap), cap)
-        dist_pairs[li, 1] = min(d_t.get(g, cap), cap)
+    nodes = np.concatenate([[h] if h == t else [h, t], interior]).astype(np.int64)
+    dist_pairs = np.column_stack([d_h[nodes], d_t[nodes]])
+    dist_pairs[dist_pairs < 0] = k + 1    # reached distances are <= k already
 
-    local = {g: li for li, g in enumerate(nodes)}
-    edges = []
-    for g in nodes:
-        nbrs, rels = graph.out_edges(g)
-        for v, rel in zip(nbrs.tolist(), rels.tolist()):
-            if v in local and not (g == h and v == t and rel == r):
-                edges.append((local[g], local[v], rel))
-    edges_arr = (np.asarray(sorted(set(edges)), dtype=np.int64).reshape(-1, 3)
-                 if edges else np.empty((0, 3), dtype=np.int64))
-    return Subgraph((h, r, t), nodes_arr, dist_pairs, edges_arr, k, union_size)
+    # induced edges: out-slices of the kept nodes whose head is kept too
+    local = np.full(graph.num_entities, -1, dtype=np.int64)
+    local[nodes] = np.arange(len(nodes))
+    idx, lens = _csr_slices(graph._out_indptr, nodes)
+    src = np.repeat(np.arange(len(nodes)), lens)
+    dst = local[graph._out_nbr[idx]]
+    rel = graph._out_rel[idx]
+    keep = (dst >= 0) & ~((src == 0) & (dst == local[t]) & (rel == r))
+    src, dst, rel = src[keep], dst[keep], rel[keep]
+    order = np.lexsort((rel, dst, src))
+    edges = np.column_stack([src[order], dst[order], rel[order]])
+    return Subgraph((h, r, t), nodes, dist_pairs, edges, k, union_size)
 
 
 def label_nodes(sub: Subgraph) -> np.ndarray:

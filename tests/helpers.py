@@ -76,6 +76,66 @@ def enclosing_nodes_oracle(triples, n, target, k):
     return nodes
 
 
+def enclosing_subgraph_oracle(triples, n, target, k, max_nodes=None):
+    """Everything extraction returns, from walk-length distances and the raw
+    triple list: (nodes, dist_pairs, edges, union_size) as plain lists.
+
+    Nodes are h (and t when distinct) followed by the interior in ascending
+    id; a cap keeps the interior nodes first in (d_h + d_t, id) order.
+    Edges are the distinct triples among kept nodes, minus the target, as
+    local (src, dst, rel) in ascending order.
+    """
+    h, r, t = (int(x) for x in target)
+    A = masked_adjacency(triples, n, target)
+    d_h = matrix_power_distances(A, h, k)
+    d_t = matrix_power_distances(A, t, k)
+    union_size = sum(1 for i in range(n) if d_h[i] >= 0 or d_t[i] >= 0)
+    interior = [i for i in range(n)
+                if i not in (h, t) and d_h[i] >= 0 and d_t[i] >= 0
+                and d_h[i] + d_t[i] <= k + 1]
+    if max_nodes is not None and len(interior) + 2 > max_nodes:
+        ranked = sorted(interior, key=lambda i: (d_h[i] + d_t[i], i))
+        interior = sorted(ranked[:max(0, max_nodes - 2)])
+    nodes = ([h] if h == t else [h, t]) + interior
+    dist_pairs = [[int(d[i]) if d[i] >= 0 else k + 1 for d in (d_h, d_t)]
+                  for i in nodes]
+    local = {g: li for li, g in enumerate(nodes)}
+    edges = sorted({(local[a], local[b], rel)
+                    for a, rel, b in np.asarray(triples).tolist()
+                    if a in local and b in local and (a, rel, b) != (h, r, t)})
+    return nodes, dist_pairs, [list(e) for e in edges], union_size
+
+
+# -- negative-sampling oracles ----------------------------------------------
+
+def corruption_pool_oracle(known, num_entities, triple, direction, filtered):
+    """Per-entity loop over one side's corruptions; ``known`` is a set of
+    (h, r, t) tuples."""
+    h, r, t = triple
+    pool = []
+    for e in range(num_entities):
+        cand = (e, r, t) if direction == "head" else (h, r, e)
+        if cand == triple:
+            continue
+        if filtered and cand in known:
+            continue
+        pool.append(cand)
+    return pool
+
+
+def ranking_candidates_oracle(known, num_entities, triple, direction, num_neg, rng):
+    """Reference for ``make_ranking_candidates``: the same draws from the
+    per-entity pool, with the unfiltered fallback."""
+    triple = tuple(int(x) for x in triple)
+    pool = corruption_pool_oracle(known, num_entities, triple, direction, True)
+    if len(pool) < num_neg:
+        pool = corruption_pool_oracle(known, num_entities, triple, direction, False)
+    chosen = [pool[i] for i in rng.choice(len(pool), size=min(num_neg, len(pool)),
+                                          replace=False)]
+    truth_idx = int(rng.integers(len(chosen) + 1))
+    return chosen[:truth_idx] + [triple] + chosen[truth_idx:], truth_idx
+
+
 # -- dense message-passing oracles ------------------------------------------
 
 def slot_weight_dense(P, slot):

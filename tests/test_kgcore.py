@@ -4,6 +4,7 @@ import pytest
 from indkg import kgcore
 from indkg.errors import (
     BadMagic,
+    DuplicateTriple,
     EntityOverlap,
     IdOutOfBounds,
     MalformedLine,
@@ -137,6 +138,64 @@ def test_edge_count_invariant():
     g = kgcore.build_graph(triples, 15, 3)
     total_und = sum(len(g.und_edges(e)[0]) for e in range(15))
     assert total_und == 2 * g.num_triples
+
+
+def test_contains_matches_python_set():
+    rng = np.random.default_rng(14)
+    from helpers import random_triples
+    n, n_rel = 30, 4
+    triples = random_triples(rng, n, n_rel, 0.1)
+    # (0, 1, 0) and (1, 0, 0) share keys with the out-of-range (0, 0, n)
+    # and (0, n_rel, 0) probed below
+    corners = [(0, 0, 0), (n - 1, n_rel - 1, n - 1), (0, n_rel - 1, n - 1),
+               (0, 1, 0), (1, 0, 0)]
+    known = np.vstack([triples, random_triples(rng, n, n_rel, 0.05), corners])
+    for g, members in ((kgcore.build_graph(triples, n, n_rel, known_triples=known), known),
+                       (kgcore.build_graph(triples, n, n_rel), triples)):
+        known_set = set(map(tuple, members.tolist()))
+        probes = np.vstack([
+            members[rng.choice(len(members), 40)],
+            np.column_stack([rng.integers(n, size=400), rng.integers(n_rel, size=400),
+                             rng.integers(n, size=400)]),
+            corners, [(n - 1, 0, 0), (0, 0, n - 1), (n - 1, n_rel - 1, 0)]])
+        expect = [tuple(p) in known_set for p in probes.tolist()]
+        assert any(expect) and not all(expect)
+        assert [g.contains(*p) for p in probes.tolist()] == expect
+        assert g.contains_many(probes).tolist() == expect
+        outside = [(n, 0, 0), (-1, 0, 0), (0, n_rel, 0), (0, 0, n), (0, -1, 0)]
+        assert not any(g.contains(*p) for p in outside)
+        assert not g.contains_many(outside).any()
+        assert g.contains_many(np.empty((0, 3), np.int64)).shape == (0,)
+
+
+def test_triple_key_overflow_raises_before_allocating(monkeypatch):
+    import tracemalloc
+
+    def no_csr(*args, **kwargs):
+        raise AssertionError("adjacency built for an overflowing key space")
+    monkeypatch.setattr(kgcore, "_build_csr", no_csr)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="int64"):
+            kgcore.build_graph([(0, 0, 1)], 2 ** 31, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(ValueError, match="int64"):
+        kgcore.triple_keys(np.zeros((1, 3), np.int64), 2 ** 31 + 1, 2)
+    # E * E * R = 2 ** 63 still fits: the largest key is 2 ** 63 - 1
+    ne, nr = 2 ** 31, 2
+    assert kgcore.triple_keys([(ne - 1, nr - 1, ne - 1)], ne, nr).tolist() == [2 ** 63 - 1]
+
+
+def test_cross_split_duplicate_reported():
+    v = kgcore.build_vocab([("a", "r", "b"), ("b", "r", "c")], valid=[("a", "r", "c")])
+    train = kgcore.encode_triples([("a", "r", "b"), ("b", "r", "c")], v)
+    kgcore._check_cross_split(train, kgcore.encode_triples([("a", "r", "c")], v), "valid", v)
+    with pytest.raises(DuplicateTriple, match=r"1 triple\(s\) of split 'test'.*\(1, 0, 2\)"):
+        kgcore._check_cross_split(
+            train, kgcore.encode_triples([("a", "r", "c"), ("b", "r", "c")], v), "test", v)
 
 
 def _bundles_equal(a, b):

@@ -6,15 +6,17 @@ from indkg.errors import EmptyInput, ExhaustedRetries
 from indkg.kgcore import build_graph
 from indkg.sampling import (
     NegativeSpec,
+    _corruption_pool,
     corrupt_triple,
     make_classification_batch,
     make_ranking_batch,
+    make_ranking_candidates,
     make_train_instance,
     sample_meta_task,
 )
 from indkg.evaluate import compute_rank
 
-from helpers import random_triples
+from helpers import corruption_pool_oracle, random_triples, ranking_candidates_oracle
 
 
 def test_corrupt_only_option():
@@ -150,6 +152,52 @@ def test_ranking_mean_rank_random_scorer():
         scores = rng.normal(size=len(batch.candidates))
         ranks.append(compute_rank(scores, batch.truth_idx))
     assert abs(np.mean(ranks) - 26.0) < 0.5
+
+
+def test_ranking_candidates_match_per_entity_loop():
+    rng = np.random.default_rng(13)
+    for trial in range(12):
+        n = int(rng.integers(3, 70))
+        triples = random_triples(rng, n, 3, float(rng.uniform(0.02, 0.3)))
+        known = np.vstack([triples, random_triples(rng, n, 3, 0.05)])
+        if len(triples) == 0:
+            continue
+        g = build_graph(triples, n, 3, known_triples=known)
+        known_set = set(map(tuple, known.tolist()))
+        targets = [tuple(x) for x in triples[rng.choice(len(triples), 3)].tolist()]
+        targets.append((int(rng.integers(n)), int(rng.integers(3)), int(rng.integers(n))))
+        for i, triple in enumerate(targets):
+            for direction in ("head", "tail"):
+                for filtered in (True, False):
+                    pool = _corruption_pool(g, triple, direction, filtered)
+                    assert pool.dtype == np.int64
+                    assert list(map(tuple, pool.tolist())) == corruption_pool_oracle(
+                        known_set, n, triple, direction, filtered)
+                for num_neg in (1, 5, 50):
+                    seed = (trial, i, num_neg)
+                    got = make_ranking_candidates(g, triple, direction, num_neg,
+                                                  np.random.default_rng(seed))
+                    want = ranking_candidates_oracle(known_set, n, triple, direction,
+                                                     num_neg, np.random.default_rng(seed))
+                    assert got == want
+                    assert all(type(x) is int for c in got[0] for x in c)
+
+
+def test_ranking_candidates_fallback_matches_loop(caplog):
+    # every tail corruption of (0, 0, 1) but (0, 0, 0) is a known triple
+    triples = [(0, 0, t) for t in range(1, 6)]
+    g = build_graph(triples, 6, 1)
+    known_set = set(triples)
+    for direction in ("head", "tail"):
+        with caplog.at_level("WARNING", logger="indkg.sampling"):
+            caplog.clear()
+            got = make_ranking_candidates(g, (0, 0, 1), direction, 3,
+                                          np.random.default_rng(4))
+        want = ranking_candidates_oracle(known_set, 6, (0, 0, 1), direction, 3,
+                                         np.random.default_rng(4))
+        assert got == want
+        fell_back = "falling back to unfiltered pool" in caplog.text
+        assert fell_back == (direction == "tail")
 
 
 def test_meta_task_split_arithmetic():

@@ -5,8 +5,8 @@ from indkg.errors import IdOutOfBounds
 from indkg.kgcore import build_graph
 from indkg.subgraph import bfs_distances, extract_enclosing_subgraph, label_nodes
 
-from helpers import enclosing_nodes_oracle, masked_adjacency, \
-    matrix_power_distances, random_triples
+from helpers import enclosing_nodes_oracle, enclosing_subgraph_oracle, \
+    masked_adjacency, matrix_power_distances, random_triples
 
 
 def test_bfs_chain():
@@ -147,6 +147,80 @@ def test_max_nodes_cap_deterministic():
     kept = capped.nodes[2:].tolist()
     ranked = sorted(sums, key=lambda i: (sums[i], i))
     assert kept == sorted(ranked[:3])
+
+
+def _assert_extraction_matches_oracle(triples, n, n_rel, target, k, max_nodes=None):
+    g = build_graph(triples, n, n_rel)
+    sub = extract_enclosing_subgraph(g, target, k, max_nodes=max_nodes)
+    nodes, dist_pairs, edges, union_size = enclosing_subgraph_oracle(
+        triples, n, target, k, max_nodes)
+    assert sub.nodes.tolist() == nodes
+    assert sub.dist_pairs.tolist() == dist_pairs
+    assert sub.edges.tolist() == edges
+    assert sub.union_size == union_size
+    assert sub.nodes.dtype == sub.dist_pairs.dtype == sub.edges.dtype == np.int64
+    assert sub.edges.shape == (len(edges), 3)
+    return sub
+
+
+def test_extraction_full_oracle_random_graphs():
+    rng = np.random.default_rng(12)
+    for trial in range(40):
+        n = int(rng.integers(4, 30))
+        triples = random_triples(rng, n, 3, float(rng.uniform(0.05, 0.3)))
+        ents = rng.integers(n, size=3)
+        extra = [(int(e), int(rng.integers(3)), int(e)) for e in ents]      # self-loops
+        if len(triples):
+            h, r, t = triples[rng.integers(len(triples))].tolist()
+            extra += [(t, r, h), (h, (r + 1) % 3, t)]   # reverse twin, parallel edge
+        triples = np.vstack([triples.reshape(-1, 3), np.asarray(extra, dtype=np.int64)])
+        g = build_graph(triples, n, 3)
+        targets = [tuple(x) for x in g.triples[rng.choice(g.num_triples, 3)].tolist()]
+        targets.append((int(rng.integers(n)), int(rng.integers(3)), int(rng.integers(n))))
+        for target in targets:
+            for k in (1, 2, 3):
+                for max_nodes in (None, int(rng.integers(1, 8))):
+                    _assert_extraction_matches_oracle(triples, n, 3, target, k, max_nodes)
+
+
+def test_extraction_self_loop_target():
+    # the masked loop (0, 0, 0) goes; the loop under relation 1 stays
+    triples = [(0, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 2), (2, 1, 0), (3, 0, 4)]
+    sub = _assert_extraction_matches_oracle(triples, 5, 2, (0, 0, 0), 2)
+    assert sub.nodes.tolist() == [0, 1, 2]
+    assert sub.head_local == sub.tail_local == 0
+    assert sub.dist_pairs.tolist() == [[0, 0], [1, 1], [1, 1]]
+    assert [0, 0, 1] in sub.edges.tolist() and [0, 0, 0] not in sub.edges.tolist()
+
+
+def test_extraction_reverse_twin_keeps_pair_adjacent():
+    triples = [(0, 0, 1), (1, 0, 0), (1, 1, 2)]
+    sub = _assert_extraction_matches_oracle(triples, 3, 2, (0, 0, 1), 2)
+    assert sub.dist_pairs.tolist() == [[0, 1], [1, 0], [2, 1]]
+    assert sub.edges.tolist() == [[1, 0, 0], [1, 2, 1]]
+
+
+def test_extraction_parallel_edges_under_two_relations():
+    triples = [(0, 0, 1), (0, 1, 1), (1, 0, 2)]
+    sub = _assert_extraction_matches_oracle(triples, 3, 2, (0, 0, 1), 1)
+    assert sub.nodes.tolist() == [0, 1]
+    assert sub.dist_pairs.tolist() == [[0, 1], [1, 0]]
+    assert sub.edges.tolist() == [[0, 1, 1]]
+
+
+def test_extraction_cap_breaks_sum_ties_by_id():
+    # interior 9, 4, 7 and 5 all have d_h + d_t = 2; 6 and 8 have 3
+    h, t = 0, 1
+    triples = [(h, 0, t)]
+    for i in (9, 4, 7, 5):
+        triples += [(h, 0, i), (i, 1, t)]
+    triples += [(h, 0, 6), (6, 0, 8), (8, 0, t)]
+    full = _assert_extraction_matches_oracle(triples, 10, 2, (h, 0, t), 2)
+    assert full.nodes.tolist() == [0, 1, 4, 5, 6, 7, 8, 9]
+    capped = _assert_extraction_matches_oracle(triples, 10, 2, (h, 0, t), 2, max_nodes=4)
+    assert capped.nodes.tolist() == [0, 1, 4, 5]
+    capped = _assert_extraction_matches_oracle(triples, 10, 2, (h, 0, t), 2, max_nodes=7)
+    assert capped.nodes.tolist() == [0, 1, 4, 5, 6, 7, 9]
 
 
 def test_label_shapes_and_anchors():
