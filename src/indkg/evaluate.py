@@ -7,7 +7,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import EmptyInput, EmptyScores, NonFiniteValue, SingleClass
 from .sampling import (
@@ -44,6 +43,18 @@ def ranking_metrics(ranks, hits_at=(1, 5, 10)):
     return mrr, hits
 
 
+def _average_ranks(scores: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``scores`` ascending, tied values sharing their mean rank.
+
+    The ranks are exact half-integers; any NaN score makes every rank NaN.
+    """
+    if np.isnan(scores).any():
+        return np.full(scores.shape, np.nan)
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    # a block of c tied values ending at rank e has mean rank e - (c - 1) / 2
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+
+
 def classification_metrics(scores, labels01):
     """Exact AUC (Mann-Whitney pair count) and grouped-tie average precision.
 
@@ -60,7 +71,7 @@ def classification_metrics(scores, labels01):
     if n_pos == 0 or n_neg == 0:
         raise SingleClass("both classes required")
     # Mann-Whitney U via average ranks; equals explicit pair counting
-    ranks = rankdata(scores, method="average")
+    ranks = _average_ranks(scores)
     u = ranks[labels01 == 1].sum() - n_pos * (n_pos + 1) / 2.0
     auc = float(u / (n_pos * n_neg))
     # grouped-tie average precision, descending score blocks

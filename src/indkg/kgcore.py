@@ -36,22 +36,24 @@ MAGIC = b"IKGD1"
 
 
 def load_triples(path) -> list[tuple[str, str, str]]:
-    """Read a TSV triple file. Fields beyond the third are ignored."""
+    """Read a TSV triple file. Blank lines are skipped; fields beyond the
+    third are ignored."""
     if not os.path.isfile(path):
         raise MissingFile(str(path))
-    triples = []
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) < 3:
-                raise MalformedLine(path, line_no)
-            h, r, t = (p.strip() for p in parts[:3])
-            if not (h and r and t):
-                raise MalformedLine(path, line_no)
-            triples.append((h, r, t))
-    return triples
+        lines = fh.read().split("\n")
+    try:
+        triples = [(h.strip(), r.strip(), t.strip())
+                   for h, r, t, *_ in (line.split("\t", 3) for line in lines if line.strip())]
+        if all(map(all, triples)):
+            return triples
+    except ValueError:          # a line with fewer than three fields
+        pass
+    for line_no, line in enumerate(lines, start=1):
+        parts = line.split("\t")
+        if line.strip() and (len(parts) < 3 or not all(p.strip() for p in parts[:3])):
+            raise MalformedLine(path, line_no)
+    raise AssertionError("unreachable: a malformed line was detected above")
 
 
 @dataclass
@@ -112,17 +114,23 @@ def build_vocab(train, valid=(), test=(), support=(), query=()) -> Vocab:
 
 def encode_triples(raw, vocab: Vocab) -> np.ndarray:
     """Map labelled triples to an (n, 3) int64 id array, preserving order."""
-    out = np.empty((len(raw), 3), dtype=np.int64)
-    for i, (h, r, t) in enumerate(raw):
-        if h not in vocab.entity2id:
-            raise UnknownEntity(h)
-        if t not in vocab.entity2id:
-            raise UnknownEntity(t)
-        if r not in vocab.relation2id:
-            raise UnknownRelation(r)
-        out[i, 0] = vocab.entity2id[h]
-        out[i, 1] = vocab.relation2id[r]
-        out[i, 2] = vocab.entity2id[t]
+    e2i, r2i = vocab.entity2id, vocab.relation2id
+    n = len(raw)
+    out = np.empty((n, 3), dtype=np.int64)
+    try:
+        out[:, 0] = np.fromiter((e2i[h] for h, _, _ in raw), np.int64, n)
+        out[:, 1] = np.fromiter((r2i[r] for _, r, _ in raw), np.int64, n)
+        out[:, 2] = np.fromiter((e2i[t] for _, _, t in raw), np.int64, n)
+    except KeyError:
+        # report the first unknown label in row order, as a row-by-row scan would
+        for h, r, t in raw:
+            if h not in e2i:
+                raise UnknownEntity(h) from None
+            if t not in e2i:
+                raise UnknownEntity(t) from None
+            if r not in r2i:
+                raise UnknownRelation(r) from None
+        raise
     return out
 
 
@@ -150,6 +158,13 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     # sort + neighbour mask: np.unique is over 10x slower on 60k int64 keys
     keys = np.sort(keys)
     return keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if len(keys) else keys
+
+
+def _rows_of_keys(keys: np.ndarray, num_entities: int, num_relations: int) -> np.ndarray:
+    """The (n, 3) id rows whose ``triple_keys`` are ``keys``, in key order."""
+    hr, t = np.divmod(keys, num_entities)
+    h, r = np.divmod(hr, num_relations)
+    return np.stack([h, r, t], axis=1)
 
 
 def _in_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -187,22 +202,28 @@ class IndexedGraph:
                     raise IdOutOfBounds("relation id outside [0, num_relations)")
         self.num_entities = num_entities
         self.num_relations = num_relations
-        self.known_keys = _sorted_unique(triple_keys(known, num_entities, num_relations))
-        # collapse exact duplicates; canonical edge order
-        self.triples = np.unique(triples, axis=0) if len(triples) else triples
+        # collapse exact duplicates; sorted keys give the canonical (h, r, t) order
+        keys = _sorted_unique(triple_keys(triples, num_entities, num_relations))
+        self.known_keys = (keys if known_triples is None else
+                           _sorted_unique(triple_keys(known, num_entities, num_relations)))
+        self.triples = _rows_of_keys(keys, num_entities, num_relations)
 
         h, r, t = self.triples[:, 0], self.triples[:, 1], self.triples[:, 2]
         self._out_indptr, self._out_nbr, self._out_rel = _build_csr(
-            h, t, r, num_entities)
+            h, t, r, num_entities, num_relations)
         self._in_indptr, self._in_nbr, self._in_rel = _build_csr(
-            t, h, r, num_entities)
-        # undirected view: each triple contributes (h -> t, fwd) and (t -> h, bwd)
-        src = np.concatenate([h, t])
-        dst = np.concatenate([t, h])
-        rel = np.concatenate([r, r])
-        fwd = np.concatenate([np.ones(len(h), bool), np.zeros(len(h), bool)])
+            t, h, r, num_entities, num_relations)
+        # undirected view: each triple contributes (h -> t, fwd) and (t -> h, bwd).
+        # The out- and in-CSR entries are two sorted runs, so the stable sort
+        # merges them, and a fwd entry precedes its reverse twin's bwd entry.
+        ids = np.arange(num_entities)
+        src = np.concatenate([np.repeat(ids, np.diff(self._out_indptr)),
+                              np.repeat(ids, np.diff(self._in_indptr))])
+        dst = np.concatenate([self._out_nbr, self._in_nbr])
+        rel = np.concatenate([self._out_rel, self._in_rel])
+        fwd = np.arange(len(src)) < len(self._out_nbr)
         self._und_indptr, self._und_nbr, self._und_rel, self._und_fwd = _build_csr(
-            src, dst, rel, num_entities, extra=fwd)
+            src, dst, rel, num_entities, num_relations, extra=fwd)
 
     @property
     def num_triples(self) -> int:
@@ -236,15 +257,18 @@ class IndexedGraph:
         return self._und_nbr[s:p], self._und_rel[s:p], self._und_fwd[s:p]
 
 
-def _build_csr(src, dst, rel, n, extra=None):
-    order = np.lexsort((rel, dst, src))
-    src, dst, rel = src[order], dst[order], rel[order]
+def _build_csr(src, dst, rel, n, num_relations, extra=None):
+    """CSR over ``n`` sources, each row's entries sorted by (dst, rel).
+
+    One stable sort of the key ``(src * n + dst) * R + rel``, which is below
+    n^2 * R like ``triple_keys``; equal keys keep their input order.
+    """
+    order = np.argsort((src * n + dst) * num_relations + rel, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     if extra is not None:
-        return indptr, dst, rel, extra[order]
-    return indptr, dst, rel
+        return indptr, dst[order], rel[order], extra[order]
+    return indptr, dst[order], rel[order]
 
 
 def build_graph(triples, num_entities: int, num_relations: int,
@@ -280,13 +304,12 @@ class DatasetBundle:
                 "query": self.query}
 
 
-def _check_duplicates(name, triples):
-    arr = np.asarray(triples)
-    if len(arr) == 0:
-        return arr
-    uniq, counts = np.unique(arr, axis=0, return_counts=True)
-    if (counts > 1).any():
-        log.warning("%s: dropped %d duplicate triple(s)", name, int((counts > 1).sum()))
+def _check_duplicates(name, triples, vocab: Vocab):
+    """The distinct rows of ``triples`` in (h, r, t) order; warns on duplicates."""
+    ne, nr = vocab.num_entities, vocab.num_relations
+    uniq = _rows_of_keys(_sorted_unique(triple_keys(triples, ne, nr)), ne, nr)
+    if len(uniq) < len(triples):
+        log.warning("%s: dropped %d duplicate triple(s)", name, len(triples) - len(uniq))
     return uniq
 
 
@@ -313,19 +336,19 @@ def load_raw_dataset(root) -> DatasetBundle:
     ind_valid_raw = load_triples(ind_valid_path) if os.path.isfile(ind_valid_path) else []
 
     train_ents = {x for h, _, t in train_raw for x in (h, t)}
-    ind_ents = {x for h, _, t in support_raw + query_raw for x in (h, t)}
+    ind_ents = {x for h, _, t in support_raw + ind_valid_raw + query_raw for x in (h, t)}
     overlap = train_ents & ind_ents
     if overlap:
         raise EntityOverlap(overlap)
 
     vocab = build_vocab(train_raw, valid_raw, test_raw,
                         support_raw + ind_valid_raw, query_raw)
-    train = _check_duplicates("train", encode_triples(train_raw, vocab))
-    valid = _check_duplicates("valid", encode_triples(valid_raw, vocab))
-    test = _check_duplicates("test", encode_triples(test_raw, vocab))
-    support = _check_duplicates("support", encode_triples(support_raw, vocab))
-    query = _check_duplicates("query", encode_triples(query_raw, vocab))
-    ind_valid = _check_duplicates("ind_valid", encode_triples(ind_valid_raw, vocab))
+    train = _check_duplicates("train", encode_triples(train_raw, vocab), vocab)
+    valid = _check_duplicates("valid", encode_triples(valid_raw, vocab), vocab)
+    test = _check_duplicates("test", encode_triples(test_raw, vocab), vocab)
+    support = _check_duplicates("support", encode_triples(support_raw, vocab), vocab)
+    query = _check_duplicates("query", encode_triples(query_raw, vocab), vocab)
+    ind_valid = _check_duplicates("ind_valid", encode_triples(ind_valid_raw, vocab), vocab)
     _check_cross_split(train, valid, "valid", vocab)
     _check_cross_split(train, test, "test", vocab)
     return DatasetBundle(vocab, train, valid, test, support, query, ind_valid)

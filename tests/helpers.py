@@ -29,6 +29,40 @@ def random_graph(rng, n_entities=20, n_relations=3, density=0.15):
     return build_graph(triples, n_entities, n_relations), triples
 
 
+# -- graph index oracle -----------------------------------------------------
+
+def _csr_oracle(src, dst, rel, n, extra=None):
+    """Row pointers and entries of a CSR ordered by (src, dst, rel), ties kept
+    in input order: one multi-key lexsort, row bounds by binary search."""
+    order = np.lexsort((rel, dst, src))
+    indptr = np.searchsorted(src[order], np.arange(n + 1))
+    arrays = [indptr, dst[order], rel[order]]
+    if extra is not None:
+        arrays.append(extra[order])
+    return arrays
+
+
+def graph_index_oracle(triples, num_entities, num_relations, known=None):
+    """Every array ``IndexedGraph`` builds, by ``np.unique`` over rows and one
+    ``np.lexsort`` per view, keyed by the attribute names."""
+    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    known = triples if known is None else np.asarray(known, dtype=np.int64).reshape(-1, 3)
+    uniq = np.unique(triples, axis=0)
+    kn = np.unique(known, axis=0)
+    out = {"triples": uniq,
+           "known_keys": (kn[:, 0] * num_relations + kn[:, 1]) * num_entities + kn[:, 2]}
+    h, r, t = uniq.T
+    m = len(uniq)
+    views = {"out": (h, t, r, None), "in": (t, h, r, None),
+             "und": (np.concatenate([h, t]), np.concatenate([t, h]),
+                     np.concatenate([r, r]), np.arange(2 * m) < m)}
+    for view, (src, dst, rel, fwd) in views.items():
+        names = ["indptr", "nbr", "rel"] + (["fwd"] if fwd is not None else [])
+        for name, arr in zip(names, _csr_oracle(src, dst, rel, num_entities, fwd)):
+            out[f"_{view}_{name}"] = arr
+    return out
+
+
 # -- distance / extraction oracles ------------------------------------------
 
 def masked_adjacency(triples, n, target):

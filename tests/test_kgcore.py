@@ -14,7 +14,7 @@ from indkg.errors import (
     UnknownRelation,
 )
 
-from helpers import make_raw_dataset_dir
+from helpers import graph_index_oracle, make_raw_dataset_dir, write_tsv
 
 
 def test_load_triples_single_line(tmp_path):
@@ -168,6 +168,93 @@ def test_contains_matches_python_set():
         assert g.contains_many(np.empty((0, 3), np.int64)).shape == (0,)
 
 
+def _oracle_graph_cases(rng):
+    """(triples, num_entities, num_relations, known) on random multigraphs
+    with duplicate rows, self-loops, reverse twins and isolated entities."""
+    for i in range(60):
+        ne, nr = int(rng.integers(1, 25)), int(rng.integers(1, 5))
+        used = int(rng.integers(1, ne + 1))         # ids >= used stay isolated
+        m = int(rng.integers(0, 3 * used))
+        tri = np.column_stack([rng.integers(used, size=m), rng.integers(nr, size=m),
+                               rng.integers(used, size=m)])
+        loops = rng.integers(used, size=3)
+        tri = np.vstack([tri, np.column_stack([loops, rng.integers(nr, size=3), loops]),
+                         tri[: m // 2, ::-1], tri[: m // 3]])
+        tri = tri[rng.permutation(len(tri))]
+        extra = np.column_stack([rng.integers(ne, size=10), rng.integers(nr, size=10),
+                                 rng.integers(ne, size=10)])
+        yield tri, ne, nr, (None if i % 2 else np.vstack([extra, tri]))
+    yield np.empty((0, 3), np.int64), 5, 2, None
+    yield np.empty((0, 3), np.int64), 5, 2, [(0, 1, 4), (0, 1, 4), (3, 0, 3)]
+
+
+def test_graph_index_matches_oracle():
+    rng = np.random.default_rng(21)
+    seen = {"dup": 0, "loop": 0, "twin": 0, "isolated": 0}
+    for tri, ne, nr, known in _oracle_graph_cases(rng):
+        g = kgcore.build_graph(tri, ne, nr, known_triples=known)
+        for name, expect in graph_index_oracle(tri, ne, nr, known).items():
+            got = getattr(g, name)
+            assert got.dtype == expect.dtype, name
+            assert np.array_equal(got, expect), name
+        rows = set(map(tuple, tri.tolist()))
+        seen["dup"] += len(rows) < len(tri)
+        seen["loop"] += any(h == t for h, _, t in rows)
+        seen["twin"] += any((t, r, h) in rows for h, r, t in rows if h != t)
+        seen["isolated"] += len(np.unique(tri[:, [0, 2]])) < ne
+    assert all(seen.values()), seen
+
+
+def test_check_duplicates_matches_oracle():
+    rng = np.random.default_rng(22)
+    v = kgcore.build_vocab([(f"e{i}", f"r{i % 3}", f"e{(i + 1) % 12}") for i in range(12)])
+    for tri, _, _, _ in _oracle_graph_cases(rng):
+        tri = tri % [12, 3, 12]
+        got = kgcore._check_duplicates("train", tri, v)
+        if len(tri):
+            assert np.array_equal(got, np.unique(tri, axis=0))
+        else:
+            assert got.shape == (0, 3)
+
+
+def test_duplicate_warning_counts_dropped_rows(caplog):
+    raw = [("c", "r", "a"), ("a", "r", "b"), ("b", "r", "c")]
+    v = kgcore.build_vocab(raw)
+    # one row given three times: 2 rows dropped, 1 distinct row duplicated
+    rows = kgcore.encode_triples([raw[1]] * 3 + [raw[0], raw[2]], v)
+    with caplog.at_level("WARNING", logger="indkg.kgcore"):
+        uniq = kgcore._check_duplicates("train", rows, v)
+    assert uniq.tolist() == [[0, 0, 1], [1, 0, 2], [2, 0, 0]]
+    assert "train: dropped 2 duplicate triple(s)" in caplog.text
+
+
+def test_load_triples_reports_first_malformed_line(tmp_path):
+    p = tmp_path / "t.txt"
+    p.write_text("a\tr\tb\n\n  \n c \t r\t d\textra\n"
+                 "e\t \tf\n"
+                 "g\tr\n")
+    with pytest.raises(MalformedLine) as exc:
+        kgcore.load_triples(p)
+    assert exc.value.line_no == 5
+    p.write_text("a\tr\tb\n\n  \n c \t r\t d\textra\ng\tr\n")
+    with pytest.raises(MalformedLine) as exc:
+        kgcore.load_triples(p)
+    assert exc.value.line_no == 5
+    p.write_text("a\tr\tb\r\n\n c \t r\t d\textra")
+    assert kgcore.load_triples(p) == [("a", "r", "b"), ("c", "r", "d")]
+
+
+def test_encode_triples_reports_first_unknown_label_in_row_order():
+    v = kgcore.build_vocab([("a", "r", "b")])
+    cases = [([("a", "r", "b"), ("a", "s", "x"), ("y", "r", "b")], UnknownEntity, "x"),
+             ([("a", "s", "b"), ("x", "r", "b")], UnknownRelation, "s"),
+             ([("a", "r", "b"), ("a", "s", "b"), ("a", "r", "x")], UnknownRelation, "s")]
+    for raw, err, label in cases:
+        with pytest.raises(err) as exc:
+            kgcore.encode_triples(raw, v)
+        assert exc.value.label == label
+
+
 def test_triple_key_overflow_raises_before_allocating(monkeypatch):
     import tracemalloc
 
@@ -262,3 +349,16 @@ def test_entity_id_disjointness_holds(tmp_path):
     train_ids = set(bundle.train[:, [0, 2]].ravel().tolist())
     ind_ids = set(np.vstack([bundle.support, bundle.query])[:, [0, 2]].ravel().tolist())
     assert not train_ids & ind_ids
+
+
+def test_entity_disjointness_covers_ind_valid(tmp_path):
+    rng = np.random.default_rng(6)
+    root = make_raw_dataset_dir(tmp_path / "raw", rng)
+    (u, r, _), = kgcore.load_triples(root / "ind" / "train.txt")[:1]
+    (e, _, _), = kgcore.load_triples(root / "train" / "train.txt")[:1]
+    write_tsv(root / "ind" / "valid.txt", [(u, r, u)])
+    assert len(kgcore.load_raw_dataset(root).ind_valid) == 1
+    # an inductive validation triple that names a training entity
+    write_tsv(root / "ind" / "valid.txt", [(u, r, e)])
+    with pytest.raises(EntityOverlap):
+        kgcore.load_raw_dataset(root)

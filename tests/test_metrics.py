@@ -91,6 +91,27 @@ def test_classification_metrics_match_oracles():
         assert abs(ap - ap_grouped_oracle(scores, labels)) < 1e-12
 
 
+def test_auc_matches_scipy_average_ranks_bitwise():
+    from scipy.stats import rankdata
+    rng = np.random.default_rng(3)
+    for i in range(300):
+        n = int(rng.integers(2, 120))
+        labels = rng.integers(0, 2, size=n)
+        labels[:2] = (0, 1)
+        scores = (rng.integers(0, int(rng.integers(1, 12)), size=n).astype(float)
+                  if i % 2 else rng.normal(size=n))
+        if i % 5 == 0:
+            scores[rng.integers(n)] = -np.inf
+        ranks = rankdata(scores, method="average")
+        n_pos = int(labels.sum())
+        u = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
+        auc, _ = classification_metrics(scores, labels)
+        assert auc == float(u / (n_pos * (n - n_pos)))
+    scores = np.array([0.3, np.nan, 0.1])
+    assert np.isnan(rankdata(scores, method="average")).all()
+    assert np.isnan(classification_metrics(scores, [1, 0, 0])[0])
+
+
 def test_auc_antisymmetry():
     rng = np.random.default_rng(2)
     scores = rng.normal(size=50)
