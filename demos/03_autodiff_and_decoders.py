@@ -38,3 +38,9 @@ kind = DecoderKind("rotate", margin=6.0)
 phases = Tensor(np.zeros(2))
 print(f"  rotate    {kge_score(kind, h, phases, h).item():8.3f} "
       f"(identity rotation scores at the margin)")
+
+# stacked (m, d) rows score as a batch, one score per row
+heads, tails = Tensor(np.stack([h.data] * 2)), Tensor(np.stack([t.data] * 2))
+rels = Tensor(np.stack([r.data, -r.data]))
+scores = kge_score(DecoderKind("transe"), heads, rels, tails).data
+print(f"\ntranse over two rows (true relation, reversed): {scores.round(3)}")

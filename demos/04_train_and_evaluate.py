@@ -11,6 +11,7 @@ import numpy as np
 from indkg.config import RunConfig
 from indkg.evaluate import run_link_prediction, run_triple_classification
 from indkg.kgcore import DatasetBundle, Vocab
+from indkg.sampling import make_classification_batch
 from indkg.training import subgraph_item_scorer, train_subgraph_model
 
 
@@ -46,7 +47,14 @@ for rec in records:
         print(f"epoch {rec['epoch']:2d}  valid auc {rec['auc']:.3f}  "
               f"auc_pr {rec['auc_pr']:.3f}")
 
+# a scorer maps a whole batch of candidates to one score each
 scorer = subgraph_item_scorer(model)
+batch = make_classification_batch(bundle.ind_graph, bundle.query[:3], cfg.k,
+                                  np.random.default_rng(0))
+print("\nscores of 3 query triples and their corruptions:")
+for item, label, score in zip(batch.items, batch.labels01, scorer(batch.items)):
+    print(f"  {item.sub.target}  label {label}  score {score:7.3f}")
+
 tc = run_triple_classification(scorer, bundle.ind_graph, bundle.query,
                                cfg.k, seed=7)
 print("\ntriple classification on unseen entities:")

@@ -54,6 +54,13 @@ print(f"episodic margin loss: first {losses[0]:.3f}, last {losses[-1]:.3f}")
 
 ents = np.unique(np.vstack([support, query])[:, [0, 2]])
 scorer = entity_triple_scorer(enc, support, ents)
+# one call scores a batch of (h, r, t) triples; an entity without support
+# triples has no embedding, so its triples score -inf
+h, r, t = (int(x) for x in query[0])
+probe = [(h, r, t), (h, (r + 1) % T, t), (ne, r, t)]
+print("\na query triple, its relation swapped, and an unseen head:")
+for triple, score in zip(probe, scorer(probe)):
+    print(f"  score{triple} = {score:.3f}")
 report = run_link_prediction_triples(scorer, bundle.ind_graph, query,
                                      num_neg=50, seed=7)
 print("\ninductive link prediction with support-derived embeddings:")

@@ -300,10 +300,10 @@ def circular_correlation(a, b) -> Tensor:
         lambda g: np.einsum("mk,mkj->mj", g, a.data[:, bwd_idx]))
 
 
-def norm(a, p: float = 2.0) -> Tensor:
-    """p-norm of a flattened tensor."""
+def norm(a, p: float = 2.0, axis=None) -> Tensor:
+    """p-norm of a flattened tensor, or of each slice along ``axis``."""
     if p == 1.0:
-        return tsum(absolute(a))
+        return tsum(absolute(a), axis=axis)
     if p == 2.0:
-        return sqrt(tsum(power(a, 2.0)))
-    return power(tsum(power(absolute(a), p)), 1.0 / p)
+        return sqrt(tsum(power(a, 2.0), axis=axis))
+    return power(tsum(power(absolute(a), p), axis=axis), 1.0 / p)

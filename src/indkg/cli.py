@@ -21,11 +21,11 @@ from . import kgcore, store
 from .config import RunConfig, key_registry, parse_config
 from .errors import ConfigError, IndkgError, MissingFile
 from .evaluate import run_link_prediction, run_link_prediction_triples, run_triple_classification
-from .model import load_checkpoint, restore_model, init_model, init_entity_encoder, save_checkpoint
+from .model import (DecoderKind, init_entity_encoder, init_model, load_checkpoint,
+                    restore_model, save_checkpoint)
 from .subgraph import extract_enclosing_subgraph
 from .training import (
     _max_nodes,
-    decoder_from_config,
     entity_triple_scorer,
     subgraph_item_scorer,
     train_entity_encoder_model,
@@ -129,9 +129,7 @@ def cmd_train(cfg: RunConfig) -> int:
 def load_model_checkpoint(path):
     """Rebuild a model object of the recorded family from a checkpoint."""
     echo, arrays = load_checkpoint(path)
-    decoder = decoder_from_config(argparse.Namespace(
-        decoder=echo["decoder"], transe_p=echo["transe_p"],
-        margin=echo["margin"]))
+    decoder = DecoderKind(echo["decoder"], p=echo["transe_p"], margin=echo["margin"])
     if echo["model_family"] == "subgraph":
         model = init_model(echo["num_relations"], echo["k"], dim=echo["dim"],
                            rel_dim=echo["rel_dim"],
@@ -164,15 +162,16 @@ def cmd_eval(cfg: RunConfig) -> int:
                                                max_nodes=_max_nodes(cfg))
     else:
         ents = np.unique(np.vstack([bundle.support, bundle.query])[:, [0, 2]])
-        score_triple = entity_triple_scorer(model, bundle.support, ents)
+        score_triples = entity_triple_scorer(model, bundle.support, ents)
         if cfg.task == "lp":
-            report = run_link_prediction_triples(score_triple, graph,
+            report = run_link_prediction_triples(score_triples, graph,
                                                  bundle.query,
                                                  cfg.num_neg_eval, cfg.seed)
         else:
+            # the candidate subgraphs are extracted only for their targets
             report = run_triple_classification(
-                lambda item: score_triple(item.sub.target), graph,
-                bundle.query, cfg.k, cfg.seed, max_nodes=_max_nodes(cfg))
+                lambda items: score_triples([it.sub.target for it in items]),
+                graph, bundle.query, cfg.k, cfg.seed, max_nodes=_max_nodes(cfg))
     with open(os.path.join(cfg.output_dir, "report.json"), "w") as fh:
         json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")

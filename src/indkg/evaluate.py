@@ -1,8 +1,12 @@
-"""Ranking / classification metrics, evaluation protocols, early stopping."""
+"""Ranking / classification metrics, evaluation protocols, early stopping.
+
+A scorer maps a sequence of candidates (triples or ScoredItems) to a float
+array of scores. The protocols call it once per ranking side or per
+classification batch, and both link-prediction entry points share one loop.
+"""
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass, field
 
@@ -14,8 +18,6 @@ from .sampling import (
     make_ranking_batch,
     make_ranking_candidates,
 )
-
-log = logging.getLogger(__name__)
 
 
 def compute_rank(scores, truth_idx: int, tie_policy: str = "mean") -> float:
@@ -128,64 +130,56 @@ class MetricsReport:
         return "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
 
 
+def _link_prediction(scorer, side, query_triples, seed: int) -> MetricsReport:
+    """The ranking loop of both model families: ``side(triple, direction,
+    rng)`` draws (candidates, truth_idx) from the RNG (seed, query index,
+    0 | 1 for head | tail), ``scorer`` scores them in one call, and the head
+    and tail ranks are pooled."""
+    start = time.monotonic()
+    query_triples = np.asarray(query_triples, dtype=np.int64).reshape(-1, 3)
+    if len(query_triples) == 0:
+        raise EmptyInput("no query triples")
+    ranks = []
+    for qi, triple in enumerate(query_triples.tolist()):
+        for si, direction in enumerate(("head", "tail")):
+            cands, truth_idx = side(triple, direction,
+                                    np.random.default_rng((seed, qi, si)))
+            ranks.append(compute_rank(scorer(cands), truth_idx))
+    mrr, hits = ranking_metrics(ranks)
+    return MetricsReport(mrr=mrr, hits=hits, n_queries=len(query_triples),
+                         seed=seed,
+                         wall_ms=(time.monotonic() - start) * 1000.0)
+
+
 def run_link_prediction(scorer, graph, query_triples, k: int, num_neg: int,
                         seed: int, max_nodes=None) -> MetricsReport:
     """Sampled ranking protocol: rank the truth against ``num_neg`` filtered
-    corruptions on each side; head- and tail-direction ranks are pooled.
-
-    ``scorer(item)`` maps a ScoredItem to a real score.
-    """
-    start = time.monotonic()
-    query_triples = np.asarray(query_triples, dtype=np.int64).reshape(-1, 3)
-    if len(query_triples) == 0:
-        raise EmptyInput("no query triples")
-    ranks = []
-    for qi, triple in enumerate(query_triples.tolist()):
-        for direction in ("head", "tail"):
-            rng = np.random.default_rng((seed, qi, 0 if direction == "head" else 1))
-            batch = make_ranking_batch(graph, triple, k, direction, num_neg,
-                                       rng, max_nodes=max_nodes)
-            scores = np.array([scorer(c) for c in batch.candidates])
-            ranks.append(compute_rank(scores, batch.truth_idx))
-    mrr, hits = ranking_metrics(ranks)
-    return MetricsReport(mrr=mrr, hits=hits, n_queries=len(query_triples),
-                         seed=seed,
-                         wall_ms=(time.monotonic() - start) * 1000.0)
+    corruptions on each side, each candidate a ScoredItem with its enclosing
+    subgraph."""
+    def side(triple, direction, rng):
+        batch = make_ranking_batch(graph, triple, k, direction, num_neg, rng,
+                                   max_nodes=max_nodes)
+        return batch.candidates, batch.truth_idx
+    return _link_prediction(scorer, side, query_triples, seed)
 
 
-def run_link_prediction_triples(score_triple, graph, query_triples,
-                                num_neg: int, seed: int) -> MetricsReport:
-    """Sampled ranking over raw triples, without subgraph extraction.
-
-    Used by entity-encoding models, whose scorer consumes (h, r, t) ids
-    directly; ``score_triple(triple)`` returns a real score.
-    """
-    start = time.monotonic()
-    query_triples = np.asarray(query_triples, dtype=np.int64).reshape(-1, 3)
-    if len(query_triples) == 0:
-        raise EmptyInput("no query triples")
-    ranks = []
-    for qi, triple in enumerate(query_triples.tolist()):
-        for direction in ("head", "tail"):
-            rng = np.random.default_rng((seed, qi, 0 if direction == "head" else 1))
-            cands, truth_idx = make_ranking_candidates(
-                graph, triple, direction, num_neg, rng)
-            scores = np.array([score_triple(c) for c in cands])
-            ranks.append(compute_rank(scores, truth_idx))
-    mrr, hits = ranking_metrics(ranks)
-    return MetricsReport(mrr=mrr, hits=hits, n_queries=len(query_triples),
-                         seed=seed,
-                         wall_ms=(time.monotonic() - start) * 1000.0)
+def run_link_prediction_triples(scorer, graph, query_triples, num_neg: int,
+                                seed: int) -> MetricsReport:
+    """Sampled ranking over raw (h, r, t) candidates, without subgraph
+    extraction; used by entity-encoding models."""
+    def side(triple, direction, rng):
+        return make_ranking_candidates(graph, triple, direction, num_neg, rng)
+    return _link_prediction(scorer, side, query_triples, seed)
 
 
 def run_triple_classification(scorer, graph, triples, k: int, seed: int,
                               max_nodes=None) -> MetricsReport:
-    """Binary discrimination of query triples from uniform corruptions."""
+    """Binary discrimination of query triples from uniform corruptions,
+    scored as one batch of ScoredItems."""
     start = time.monotonic()
     rng = np.random.default_rng((seed, 0xC1A55))
     batch = make_classification_batch(graph, triples, k, rng, max_nodes=max_nodes)
-    scores = np.array([scorer(item) for item in batch.items])
-    auc, auc_pr = classification_metrics(scores, batch.labels01)
+    auc, auc_pr = classification_metrics(scorer(batch.items), batch.labels01)
     return MetricsReport(auc=auc, auc_pr=auc_pr, n_classified=len(batch.items),
                          seed=seed,
                          wall_ms=(time.monotonic() - start) * 1000.0)

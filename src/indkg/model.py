@@ -23,6 +23,7 @@ from .autodiff import (
     sin,
     sqrt,
     tmean,
+    transpose,
     tsum,
 )
 from .errors import (
@@ -58,33 +59,39 @@ class DecoderKind:
             raise ValueError(f"unknown decoder {self.name!r}")
 
 
-def kge_score(kind: DecoderKind, h_vec: Tensor, r_vec: Tensor, t_vec: Tensor) -> Tensor:
-    """Score one (h, r, t) triple given its vectors.
+def _complex_parts(v: Tensor):
+    """Real and imaginary parts: the first and second half of the last axis."""
+    lead, d2, n = v.shape[:-1], v.shape[-1] // 2, v.data.ndim - 1
+    halves = transpose(reshape(v, lead + (2, d2)), (n,) + tuple(range(n)) + (n + 1,))
+    return tuple(reshape(gather_rows(halves, [i]), lead + (d2,)) for i in (0, 1))
 
-    For RotatE, ``r_vec`` holds phases of length d/2 and entity vectors pair
-    their first and second halves as real and imaginary parts; the rotation
-    therefore has unit modulus by construction.
+
+def kge_score(kind: DecoderKind, h_vec: Tensor, r_vec: Tensor, t_vec: Tensor) -> Tensor:
+    """Score (h, r, t) triples given their vectors, one score per row.
+
+    ``(m, d)`` inputs give ``(m,)`` scores and 1-D vectors give a scalar.
+    For RotatE, ``r_vec`` holds phases of width d/2 and entity vectors pair
+    the first and second halves of their last axis as real and imaginary
+    parts; the rotation therefore has unit modulus by construction.
     """
-    if kind.name == "transe":
+    if kind.name in ("transe", "distmult"):
         if h_vec.shape != r_vec.shape or h_vec.shape != t_vec.shape:
-            raise ShapeMismatch("TransE requires equal dimensions")
-        return -norm(h_vec + r_vec - t_vec, kind.p)
-    if kind.name == "distmult":
-        if h_vec.shape != r_vec.shape or h_vec.shape != t_vec.shape:
-            raise ShapeMismatch("DistMult requires equal dimensions")
-        return tsum(mul(mul(h_vec, r_vec), t_vec))
+            raise ShapeMismatch(f"{kind.name} requires equal h, r, t shapes")
+        if kind.name == "transe":
+            return -norm(h_vec + r_vec - t_vec, kind.p, axis=-1)
+        return tsum(mul(mul(h_vec, r_vec), t_vec), axis=-1)
     # rotate
     d = h_vec.shape[-1]
-    if d % 2 != 0 or r_vec.shape[-1] != d // 2 or t_vec.shape != h_vec.shape:
+    if (d % 2 != 0 or r_vec.shape != h_vec.shape[:-1] + (d // 2,)
+            or t_vec.shape != h_vec.shape):
         raise ShapeMismatch("RotatE requires even entity dim and d/2 phases")
-    half = np.arange(d // 2)
-    h_re, h_im = gather_rows(h_vec, half), gather_rows(h_vec, half + d // 2)
-    t_re, t_im = gather_rows(t_vec, half), gather_rows(t_vec, half + d // 2)
+    h_re, h_im = _complex_parts(h_vec)
+    t_re, t_im = _complex_parts(t_vec)
     c, s = cos(r_vec), sin(r_vec)
     d_re = mul(h_re, c) - mul(h_im, s) - t_re
     d_im = mul(h_re, s) + mul(h_im, c) - t_im
     modulus = sqrt(mul(d_re, d_re) + mul(d_im, d_im))
-    return kind.margin - tsum(modulus)
+    return kind.margin - tsum(modulus, axis=-1)
 
 
 # -- subgraph-predicting model ----------------------------------------------
@@ -167,12 +174,12 @@ def subgraph_score(model: ModelParams, sub: Subgraph, labels: np.ndarray,
 
 
 def margin_loss(pos_scores, neg_scores, gamma: float) -> Tensor:
-    """Mean hinge over (positive, negative) score pairs."""
-    if len(pos_scores) != len(neg_scores):
-        raise LengthMismatch(
-            f"{len(pos_scores)} positive vs {len(neg_scores)} negative scores")
+    """Mean hinge over the pairs of two concatenated lists of score tensors."""
     pos = concat(list(pos_scores), axis=0)
     neg = concat(list(neg_scores), axis=0)
+    if pos.shape != neg.shape:
+        raise LengthMismatch(
+            f"{pos.shape[0]} positive vs {neg.shape[0]} negative scores")
     return tmean(relu(neg - pos + gamma))
 
 

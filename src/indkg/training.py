@@ -3,12 +3,12 @@
 Both loops are deterministic functions of (dataset, config, seed): every
 stochastic choice draws from an RNG stream derived from the master seed and
 the position of the item, so logs and resulting parameters are reproducible
-run to run.
+run to run. ``entity_triple_scorer`` and ``subgraph_item_scorer`` turn a
+trained model into a batch scorer for ``indkg.evaluate``.
 """
 
 from __future__ import annotations
 
-import copy
 import logging
 import time
 
@@ -34,20 +34,15 @@ from .model import (
     margin_loss,
     subgraph_score,
 )
-from .autodiff import gather_rows, reshape
+from .autodiff import Tensor, gather_rows
 from .sampling import (
     NegativeSpec,
-    corrupt_triple,
     make_classification_batch,
     make_train_instance,
     sample_meta_task,
 )
 
 log = logging.getLogger(__name__)
-
-
-def decoder_from_config(cfg: RunConfig) -> DecoderKind:
-    return DecoderKind(cfg.decoder, p=cfg.transe_p, margin=cfg.margin)
 
 
 def _snapshot(params: dict) -> dict:
@@ -77,9 +72,8 @@ def validation_classification(model: ModelParams, graph, triples, cfg: RunConfig
     rng = np.random.default_rng((cfg.seed, 0x5EED, seed_tag))
     batch = make_classification_batch(graph, triples, cfg.k, rng,
                                       max_nodes=_max_nodes(cfg))
-    scores = np.array([subgraph_score(model, it.sub, it.labels, it.rel).item()
-                       for it in batch.items])
-    return classification_metrics(scores, batch.labels01)
+    return classification_metrics(subgraph_item_scorer(model)(batch.items),
+                                  batch.labels01)
 
 
 def train_subgraph_model(bundle: DatasetBundle, cfg: RunConfig):
@@ -153,19 +147,14 @@ def train_subgraph_model(bundle: DatasetBundle, cfg: RunConfig):
 
 def episode_loss(enc: EntityEncoderParams, task, graph, cfg: RunConfig, rng):
     """Margin loss of one meta-task: support-derived embeddings score the
-    query triples against per-query corruptions."""
+    query triples (one decoder call) against per-query corruptions (one
+    more). A corruption redrawn 100 times without escaping the known triples
+    is dropped; the drops are counted in one warning per episode."""
     ents = np.unique(task.support[:, [0, 2]])
     local = {int(e): i for i, e in enumerate(ents)}
-    emb = init_entity_embeddings(task.support, ents, enc.psi)
-    dim = enc.dim
-    rel_width = enc.dec_rel.shape[1]
-    pos_scores, neg_scores = [], []
-    for q in task.query.tolist():
-        h, r, t = (int(x) for x in q)
-        h_vec = reshape(gather_rows(emb, [local[h]]), (dim,))
-        t_vec = reshape(gather_rows(emb, [local[t]]), (dim,))
-        r_vec = reshape(gather_rows(enc.dec_rel, [r]), (rel_width,))
-        pos = kge_score(enc.decoder, h_vec, r_vec, t_vec)
+    queries = task.query.tolist()
+    owner, neg_h, neg_t = [], [], []
+    for qi, (h, r, t) in enumerate(queries):
         # corrupt within the task region so the negative has an embedding
         for _ in range(cfg.num_neg):
             for _attempt in range(100):
@@ -176,20 +165,30 @@ def episode_loss(enc: EntityEncoderParams, task, graph, cfg: RunConfig, rng):
                     break
             else:
                 continue
-            nh = reshape(gather_rows(emb, [local[cand[0]]]), (dim,))
-            nt = reshape(gather_rows(emb, [local[cand[2]]]), (dim,))
-            pos_scores.append(pos)
-            neg_scores.append(kge_score(enc.decoder, nh, r_vec, nt))
-    if not pos_scores:
+            owner.append(qi)
+            neg_h.append(local[cand[0]])
+            neg_t.append(local[cand[2]])
+    wanted = cfg.num_neg * len(queries)
+    if len(owner) < wanted:
+        log.warning("episode dropped %d of %d negatives: each of their 100 "
+                    "draws hit a known triple", wanted - len(owner), wanted)
+    if not owner:
         return None
-    return margin_loss(pos_scores, neg_scores, cfg.margin)
+    emb = init_entity_embeddings(task.support, ents, enc.psi)
+    q_rows = np.array([[local[h], local[t]] for h, _, t in queries], dtype=np.int64)
+    r_vec = gather_rows(enc.dec_rel, task.query[:, 1])
+    pos = kge_score(enc.decoder, gather_rows(emb, q_rows[:, 0]), r_vec,
+                    gather_rows(emb, q_rows[:, 1]))
+    neg = kge_score(enc.decoder, gather_rows(emb, neg_h),
+                    gather_rows(r_vec, owner), gather_rows(emb, neg_t))
+    return margin_loss([gather_rows(pos, owner)], [neg], cfg.margin)
 
 
 def train_entity_encoder_model(bundle: DatasetBundle, cfg: RunConfig):
     """Episodic training of the relation-derived entity initializer."""
     rng = np.random.default_rng((cfg.seed, 0x3317))
-    enc = init_entity_encoder(bundle.vocab.num_relations, cfg.dim,
-                              decoder_from_config(cfg), rng=rng)
+    decoder = DecoderKind(cfg.decoder, p=cfg.transe_p, margin=cfg.margin)
+    enc = init_entity_encoder(bundle.vocab.num_relations, cfg.dim, decoder, rng=rng)
     params = enc.tensors()
     opt = Adam(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
                eps=cfg.adam_eps)
@@ -215,36 +214,34 @@ def train_entity_encoder_model(bundle: DatasetBundle, cfg: RunConfig):
 
 def entity_triple_scorer(enc: EntityEncoderParams, support_triples,
                          entity_ids):
-    """Build a (h, r, t) -> score callable from support-derived embeddings."""
-    entity_ids = np.asarray(entity_ids, dtype=np.int64)
-    local = {int(e): i for i, e in enumerate(entity_ids)}
-    emb = init_entity_embeddings(support_triples, entity_ids, enc.psi).data
-    dec_rel = enc.dec_rel.data
-    kind = enc.decoder
+    """Scorer over candidate (h, r, t) triples from support-derived embeddings.
 
-    def score(triple) -> float:
-        h, r, t = (int(x) for x in triple)
-        if h not in local or t not in local:
-            return float("-inf")  # unembeddable candidate can never win
-        hv, tv, rv = emb[local[h]], emb[local[t]], dec_rel[r]
-        if kind.name == "transe":
-            diff = hv + rv - tv
-            if kind.p == 1.0:
-                return float(-np.abs(diff).sum())
-            return float(-np.linalg.norm(diff, ord=kind.p))
-        if kind.name == "distmult":
-            return float((hv * rv * tv).sum())
-        d2 = len(hv) // 2
-        rot_re = hv[:d2] * np.cos(rv) - hv[d2:] * np.sin(rv)
-        rot_im = hv[:d2] * np.sin(rv) + hv[d2:] * np.cos(rv)
-        mod = np.hypot(rot_re - tv[:d2], rot_im - tv[d2:])
-        return float(kind.margin - mod.sum())
+    The scorer maps an (m, 3) array-like of triples (one triple counts as
+    m = 1) to m scores in one decoder call. A triple whose head or tail is
+    not in ``entity_ids`` scores ``-inf``: an unembeddable candidate can
+    never win.
+    """
+    local = {int(e): i for i, e in enumerate(entity_ids)}
+    emb = Tensor(init_entity_embeddings(support_triples, entity_ids, enc.psi).data)
+    dec_rel = Tensor(enc.dec_rel.data)
+
+    def score(candidates) -> np.ndarray:
+        tri = np.asarray(candidates, dtype=np.int64).reshape(-1, 3)
+        h, t = (np.array([local.get(e, -1) for e in col.tolist()], dtype=np.int64)
+                for col in (tri[:, 0], tri[:, 2]))
+        ok = (h >= 0) & (t >= 0)
+        out = np.full(len(tri), -np.inf)
+        out[ok] = kge_score(enc.decoder, gather_rows(emb, h[ok]),
+                            gather_rows(dec_rel, tri[ok, 1]),
+                            gather_rows(emb, t[ok])).data
+        return out
 
     return score
 
 
 def subgraph_item_scorer(model: ModelParams):
-    """Scorer over ScoredItems for the evaluation protocols."""
-    def score(item) -> float:
-        return subgraph_score(model, item.sub, item.labels, item.rel).item()
+    """Scorer over ScoredItems: a float array of one subgraph score per item."""
+    def score(items) -> np.ndarray:
+        return np.array([subgraph_score(model, it.sub, it.labels, it.rel).item()
+                         for it in items], dtype=np.float64)
     return score

@@ -63,6 +63,35 @@ def graph_index_oracle(triples, num_entities, num_relations, known=None):
     return out
 
 
+def tape_size(out):
+    """Number of distinct tensors reachable from ``out`` through the tape."""
+    seen, stack = set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(parent for parent, _ in node._parents)
+    return len(seen)
+
+
+# -- decoder oracle ---------------------------------------------------------
+
+def kge_numpy_oracle(kind, h, r, t):
+    """One decoder score in plain numpy: ``np.linalg.norm`` for TransE and
+    ``np.hypot`` moduli for RotatE, independent of the autodiff ops."""
+    if kind.name == "transe":
+        diff = h + r - t
+        if kind.p == 1.0:
+            return float(-np.abs(diff).sum())
+        return float(-np.linalg.norm(diff, ord=kind.p))
+    if kind.name == "distmult":
+        return float((h * r * t).sum())
+    d2 = len(h) // 2
+    rot_re = h[:d2] * np.cos(r) - h[d2:] * np.sin(r)
+    rot_im = h[:d2] * np.sin(r) + h[d2:] * np.cos(r)
+    return float(kind.margin - np.hypot(rot_re - t[:d2], rot_im - t[d2:]).sum())
+
+
 # -- distance / extraction oracles ------------------------------------------
 
 def masked_adjacency(triples, n, target):

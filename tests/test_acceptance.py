@@ -172,12 +172,12 @@ def test_criterion_5_ranking_statistics():
     MRR = 1/26. Random scorer, 10000 queries: MRR within 0.005 of
     H(51)/51."""
     g = build_graph([(0, 0, 1)], 500, 1)
-    rep = run_link_prediction_triples(lambda t: 0.0, g, [(0, 0, 1)] * 100,
-                                      50, seed=105)
+    rep = run_link_prediction_triples(lambda c: np.zeros(len(c)), g,
+                                      [(0, 0, 1)] * 100, 50, seed=105)
     assert abs(rep.mrr - 1.0 / 26.0) < 1e-15  # one ulp from the mean
 
     rng = np.random.default_rng(105)
-    rep = run_link_prediction_triples(lambda t: rng.normal(), g,
+    rep = run_link_prediction_triples(lambda c: rng.normal(size=len(c)), g,
                                       [(0, 0, 1)] * 10_000, 50, seed=106)
     expect = float(np.sum(1.0 / np.arange(1, 52)) / 51.0)
     assert abs(rep.mrr - expect) < 0.005

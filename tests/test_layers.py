@@ -13,7 +13,7 @@ from indkg.layers import (
 )
 from indkg.subgraph import Subgraph, extract_enclosing_subgraph
 
-from helpers import dense_att, dense_comp, dense_rgcn, random_triples
+from helpers import dense_att, dense_comp, dense_rgcn, random_triples, tape_size
 
 R = 3  # relations in the fixture graphs
 D_IN, D_OUT = 5, 4
@@ -194,17 +194,6 @@ def test_layer_gradients():
         lambda: tsum(rel_comp_layer(sub, H, E, C, op="corr")[0]),
         sample_frac=0.5, rng=np.random.default_rng(1))
     assert err < 1e-6
-
-
-def tape_size(out):
-    """Number of distinct tensors reachable from ``out`` through the tape."""
-    seen, stack = set(), [out]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            stack.extend(parent for parent, _ in node._parents)
-    return len(seen)
 
 
 def chain_subgraph(rels):

@@ -136,8 +136,8 @@ def test_link_prediction_triples_random_scorer_mrr():
     g = build_graph([(0, 0, 1)], 400, 1)
     rng = np.random.default_rng(3)
 
-    def score(triple):
-        return rng.normal()
+    def score(triples):
+        return rng.normal(size=len(triples))
 
     queries = [(0, 0, 1)] * 200
     rep = run_link_prediction_triples(score, g, queries, 50, seed=11)

@@ -101,6 +101,37 @@ def test_decoder_gradients():
         assert err < 1e-6, kind.name
 
 
+DECODERS = [DecoderKind("transe", p=1.0), DecoderKind("transe", p=2.0),
+            DecoderKind("transe", p=3.0), DecoderKind("distmult"),
+            DecoderKind("rotate")]
+
+
+def batch_vectors(rng, kind, m, d=6):
+    rw = d // 2 if kind.name == "rotate" else d
+    return [Tensor(rng.normal(size=(m, w)), requires_grad=True)
+            for w in (d, rw, d)]
+
+
+@pytest.mark.parametrize("kind", DECODERS, ids=lambda k: f"{k.name}-{k.p}")
+def test_batched_kge_matches_rows(kind):
+    h, r, t = batch_vectors(np.random.default_rng(11), kind, m=9)
+    batch = kge_score(kind, h, r, t).data
+    assert batch.shape == (9,)
+    rows = np.array([kge_score(kind, Tensor(h.data[i]), Tensor(r.data[i]),
+                               Tensor(t.data[i])).item() for i in range(9)])
+    assert np.all(np.abs(batch - rows) <= 1e-12 * np.abs(rows))
+
+
+@pytest.mark.parametrize("kind", DECODERS, ids=lambda k: f"{k.name}-{k.p}")
+def test_batched_decoder_gradients(kind):
+    h, r, t = batch_vectors(np.random.default_rng(12), kind, m=5)
+    w = np.random.default_rng(13).normal(size=5)
+    err = gradient_check({"h": h, "r": r, "t": t},
+                         lambda: tsum(kge_score(kind, h, r, t) * w),
+                         sample_frac=1.0, rng=np.random.default_rng(0))
+    assert err < 1e-6
+
+
 def test_margin_loss_values():
     pos = [Tensor(2.0), Tensor(0.0)]
     neg = [Tensor(1.0), Tensor(1.0)]
@@ -108,6 +139,11 @@ def test_margin_loss_values():
     assert margin_loss(pos, neg, 1.0).item() == pytest.approx(1.0)
     with pytest.raises(LengthMismatch):
         margin_loss(pos, neg[:1], 1.0)
+
+
+def test_margin_loss_counts_scores_not_list_entries():
+    with pytest.raises(LengthMismatch):
+        margin_loss([Tensor([1.0])], [Tensor([1.0, 2.0])], 1.0)
 
 
 def scoring_fixture(layer_kind="att", comp_op="sub", seed=0):

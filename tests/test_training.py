@@ -3,7 +3,8 @@ import pytest
 
 from indkg.config import RunConfig
 from indkg.kgcore import DatasetBundle, Vocab, build_graph
-from indkg.model import init_entity_embeddings
+from indkg.model import DecoderKind, init_entity_embeddings, init_entity_encoder
+from indkg.sampling import MetaTask
 from indkg.training import (
     entity_triple_scorer,
     episode_loss,
@@ -12,7 +13,7 @@ from indkg.training import (
     train_subgraph_model,
 )
 
-from helpers import planted_type_cycle_kg, random_triples
+from helpers import kge_numpy_oracle, planted_type_cycle_kg, random_triples, tape_size
 
 
 def int_vocab(ne, nr):
@@ -110,7 +111,7 @@ def test_subgraph_scorer_matches_model():
     from indkg.model import subgraph_score
     direct = subgraph_score(model, inst.pos.sub, inst.pos.labels,
                             inst.pos.rel).item()
-    assert scorer(inst.pos) == direct
+    assert scorer([inst.pos])[0] == direct
 
 
 def planted_bundle(rng):
@@ -150,8 +151,8 @@ def test_entity_scorer_unembeddable_candidate():
     ents = np.unique(bundle.support[:, [0, 2]])
     scorer = entity_triple_scorer(enc, bundle.support, ents)
     h, r, t = (int(x) for x in bundle.query[0])
-    assert np.isfinite(scorer((h, r, t)))
-    assert scorer((10_000, r, t)) == float("-inf")
+    assert np.isfinite(scorer([(h, r, t)])[0])
+    assert scorer([(10_000, r, t)])[0] == float("-inf")
 
 
 def test_entity_scorer_matches_autodiff_path():
@@ -172,4 +173,63 @@ def test_entity_scorer_matches_autodiff_path():
     tv = reshape(gather_rows(emb, [local[t]]), (6,))
     rv = reshape(gather_rows(enc.dec_rel, [r]), (3,))
     direct = kge_score(enc.decoder, hv, rv, tv).item()
-    assert scorer((h, r, t)) == pytest.approx(direct, abs=1e-12)
+    assert scorer([(h, r, t)])[0] == pytest.approx(direct, abs=1e-12)
+
+
+@pytest.mark.parametrize("decoder,p", [("transe", 1.0), ("transe", 2.0),
+                                       ("transe", 3.0), ("distmult", 2.0),
+                                       ("rotate", 2.0)])
+def test_entity_scorer_matches_numpy_oracle(decoder, p):
+    bundle = planted_bundle(np.random.default_rng(9))
+    cfg = RunConfig(seed=4, dim=6, episodes=2, region_size=30, support_frac=0.7,
+                    model_family="entity", decoder=decoder, transe_p=p)
+    enc, _ = train_entity_encoder_model(bundle, cfg)
+    ents = np.unique(bundle.support[:, [0, 2]])[::-1]   # order must not matter
+    scorer = entity_triple_scorer(enc, bundle.support, ents)
+    missing = int(ents.max()) + 1
+    cands = bundle.query.tolist() + [(missing, 0, int(ents[0])),
+                                     (int(ents[0]), 1, missing)]
+    scores = scorer(cands)
+    emb = init_entity_embeddings(bundle.support, ents, enc.psi).data
+    local = {int(e): i for i, e in enumerate(ents)}
+    for (h, r, t), got in zip(cands, scores):
+        if h not in local or t not in local:
+            assert got == float("-inf")
+            continue
+        want = kge_numpy_oracle(enc.decoder, emb[local[h]], enc.dec_rel.data[r],
+                                emb[local[t]])
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def region_task(n_query):
+    """A meta-task over entities 0..7 whose query holds ``n_query`` triples."""
+    triples = np.array([(i, i % 2, (i + 1) % 8) for i in range(8)]
+                       + [(i, 1, (i + 3) % 8) for i in range(8)], dtype=np.int64)
+    task = MetaTask(np.arange(8), triples[n_query:], triples[:n_query])
+    return task, build_graph(triples, 8, 2)
+
+
+def test_episode_loss_tape_independent_of_query_count():
+    enc = init_entity_encoder(2, 6, DecoderKind("rotate"),
+                              np.random.default_rng(0))
+    cfg = RunConfig(num_neg=2, margin=2.0)
+    sizes = set()
+    for n_query in (1, 3, 6):
+        task, graph = region_task(n_query)
+        loss = episode_loss(enc, task, graph, cfg, np.random.default_rng(1))
+        sizes.add(tape_size(loss))
+    assert len(sizes) == 1, sizes
+
+
+def test_episode_loss_counts_dropped_negatives(caplog):
+    # every (a, 0, b) over the region {0, 1} is known, so no corruption of
+    # the query survives the rejection test
+    known = np.array([(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1)], dtype=np.int64)
+    task = MetaTask(np.arange(2), known[1:], known[:1])
+    enc = init_entity_encoder(1, 4, DecoderKind("transe"), np.random.default_rng(0))
+    with caplog.at_level("WARNING", logger="indkg.training"):
+        loss = episode_loss(enc, task, build_graph(known, 2, 1),
+                            RunConfig(num_neg=3), np.random.default_rng(2))
+    assert loss is None
+    warnings = [r.getMessage() for r in caplog.records if r.name == "indkg.training"]
+    assert len(warnings) == 1 and "dropped 3 of 3 negatives" in warnings[0]
