@@ -4,8 +4,8 @@ Run: python3 demos/02_store_roundtrip.py
 """
 
 import json
-import tempfile
 import os
+import tempfile
 
 import numpy as np
 
@@ -22,19 +22,20 @@ for h in range(n):
             triples.append((h, int(rng.integers(3)), t))
 graph = build_graph(triples, n, 3)
 
-path = os.path.join(tempfile.mkdtemp(), "subgraphs-train.ikgs")
-with StoreWriter(path) as writer:
-    for triple in graph.triples[:50].tolist():
-        sub = extract_enclosing_subgraph(graph, tuple(triple), k=2)
-        writer.write(sub)
-print(f"wrote 50 subgraphs to {path} ({os.path.getsize(path)} bytes)")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "subgraphs-train.ikgs")
+    with StoreWriter(path) as writer:
+        for triple in graph.triples[:50].tolist():
+            sub = extract_enclosing_subgraph(graph, tuple(triple), k=2)
+            writer.write(sub)
+    print(f"wrote 50 subgraphs to {path} ({os.path.getsize(path)} bytes)")
 
-reader = StoreReader(path)
-print(f"store holds {len(reader)} records; random access is O(1):")
-for i in (0, 17, 49):
-    sub = reader.read(i)
-    print(f"  record {i}: target {sub.target}, {sub.num_nodes} nodes")
+    reader = StoreReader(path)
+    print(f"store holds {len(reader)} records; random access is O(1):")
+    for i in (0, 17, 49):
+        sub = reader.read(i)
+        print(f"  record {i}: target {sub.target}, {sub.num_nodes} nodes")
 
-stats = collect_stats(reader)
-print("\ncorpus statistics:")
-print(json.dumps(stats.to_dict(), indent=2, sort_keys=True))
+    stats = collect_stats(reader)
+    print("\ncorpus statistics:")
+    print(json.dumps(stats.to_dict(), indent=2, sort_keys=True))

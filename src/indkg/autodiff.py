@@ -75,11 +75,18 @@ class Tensor:
                 if not parent.requires_grad:
                     continue
                 g = vjp(node.grad)
-                if not np.isfinite(g).all():
-                    raise NonFiniteGradient("non-finite gradient during backward")
                 if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad += g
+                    # a copy: a VJP may return a view of node.grad, shared
+                    # with the node's other parents
+                    parent.grad = np.array(np.broadcast_to(g, parent.data.shape),
+                                           dtype=np.float64)
+                else:
+                    parent.grad += g
+        # a non-finite value on any path reaches the leaves it flows into
+        for node in topo:
+            if not node._parents and node.grad is not None \
+                    and not np.isfinite(node.grad).all():
+                raise NonFiniteGradient("non-finite gradient during backward")
 
     # -- operator sugar -----------------------------------------------------
 
@@ -255,26 +262,39 @@ def concat(tensors, axis=0) -> Tensor:
     return Tensor(out, _parents=tuple(parents))
 
 
+def _scatter_rows(rows: np.ndarray, idx: np.ndarray, num_rows: int) -> np.ndarray:
+    """out[i] = sum of rows[j] over every j with idx[j] == i; other rows 0.
+
+    One stable argsort groups equal indices in their original order, unless
+    ``idx`` is sorted already, and ``np.add.reduceat`` sums each group;
+    ``rows`` may have any trailing shape.
+    """
+    if len(idx) == 0:
+        return np.zeros((num_rows,) + rows.shape[1:], dtype=np.float64)
+    if (idx[1:] < idx[:-1]).any():
+        order = np.argsort(idx, kind="stable")
+        idx, rows = idx[order], rows[order]
+    starts = np.flatnonzero(np.concatenate([[True], idx[1:] != idx[:-1]]))
+    sums = np.add.reduceat(rows, starts, axis=0)
+    if len(starts) == num_rows and idx[0] == 0 and idx[-1] == num_rows - 1:
+        return sums                     # every row 0..num_rows-1 has an entry
+    out = np.zeros((num_rows,) + rows.shape[1:], dtype=np.float64)
+    out[idx[starts]] = sums
+    return out
+
+
 def gather_rows(a, idx) -> Tensor:
     """Select rows a[idx]; gradient scatter-adds back into the source."""
     a = as_tensor(a)
     idx = np.asarray(idx, dtype=np.int64)
-
-    def vjp(g):
-        out = np.zeros_like(a.data)
-        np.add.at(out, idx, g)
-        return out
-
-    return _unary(a, a.data[idx], vjp)
+    return _unary(a, a.data[idx], lambda g: _scatter_rows(g, idx, a.data.shape[0]))
 
 
 def segment_sum(a, idx, num_segments: int) -> Tensor:
-    """Sum rows of a (m, d) tensor into ``num_segments`` buckets by idx."""
+    """Sum rows of a (m, ...) tensor into ``num_segments`` buckets by idx."""
     a = as_tensor(a)
     idx = np.asarray(idx, dtype=np.int64)
-    out = np.zeros((num_segments,) + a.data.shape[1:], dtype=np.float64)
-    np.add.at(out, idx, a.data)
-    return _unary(a, out, lambda g: g[idx])
+    return _unary(a, _scatter_rows(a.data, idx, num_segments), lambda g: g[idx])
 
 
 def dot(a, b) -> Tensor:

@@ -354,10 +354,6 @@ def load_raw_dataset(root) -> DatasetBundle:
     return DatasetBundle(vocab, train, valid, test, support, query, ind_valid)
 
 
-def _empty_triples():
-    return np.empty((0, 3), dtype=np.int64)
-
-
 def _write_triple_block(buf, triples):
     binio.write_varint(buf, len(triples))
     binio.write_varints(buf, triples)

@@ -10,6 +10,12 @@ The basis-decomposed layers never build a per-slot weight: H @ V_b is
 computed once per basis and layer, and each message mixes the basis outputs
 of its source row by the coefficients of its slot, so one pass covers all
 messages whatever the number of slots.
+
+A layer takes a Subgraph or a ``Messages``: the message arrays of one
+subgraph or of the disjoint union of many, built once by the caller and
+shared by every layer of a forward pass. Over a union, nodes of different
+subgraphs exchange no message, so each subgraph's rows equal its rows in a
+pass of its own.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ from .autodiff import (
     tsum,
 )
 from .errors import ShapeMismatch, UnknownCompositionOp
-from .subgraph import Subgraph
 
 FWD, BWD = 0, 1
 
@@ -87,27 +92,39 @@ def init_comp_layer(rng, d_in, d_out, num_relations) -> LayerParams:
     return p
 
 
-def _message_arrays(sub: Subgraph):
-    """Bidirectional message list: (src, dst, slot) plus 1/c normalization.
+class Messages:
+    """The bidirectional message list of a subgraph, or of a disjoint union
+    of subgraphs, built once and shared by every layer of a forward pass.
 
-    c is the number of incoming messages a node receives for one slot.
+    ``edges`` are local (src, dst, rel) rows. Each yields a forward message
+    src -> dst and an inverse message dst -> src; ``slot`` is 2 * rel + dir,
+    and ``norm`` is 1/c for the c messages its destination receives in that
+    slot. Messages are ordered by (dst, slot).
     """
-    if len(sub.edges) == 0:
-        z = np.empty(0, dtype=np.int64)
-        return z, z, z, np.empty(0, dtype=np.float64)
-    src, dst, rel = sub.edges[:, 0], sub.edges[:, 1], sub.edges[:, 2]
-    msrc = np.concatenate([src, dst])
-    mdst = np.concatenate([dst, src])
-    slot = np.concatenate([2 * rel + FWD, 2 * rel + BWD])
-    key = mdst * (int(slot.max()) + 1) + slot
-    _, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
-    return msrc, mdst, slot, 1.0 / counts[inverse]
+
+    def __init__(self, edges: np.ndarray, num_nodes: int):
+        self.edges = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
+        self.num_nodes = num_nodes
+        src, dst, rel = self.edges.T
+        msrc = np.concatenate([src, dst])
+        mdst = np.concatenate([dst, src])
+        slot = np.concatenate([2 * rel + FWD, 2 * rel + BWD])
+        key = mdst * (int(slot.max(initial=0)) + 1) + slot
+        order = np.argsort(key, kind="stable")
+        _, counts = np.unique(key[order], return_counts=True)
+        self.src, self.dst, self.slot = msrc[order], mdst[order], slot[order]
+        self.norm = np.repeat(1.0 / counts, counts)
 
 
-def _check_features(sub: Subgraph, H: Tensor, d_in: int):
-    if H.shape != (sub.num_nodes, d_in):
+def messages(sub) -> Messages:
+    """``sub`` itself when it is a Messages, else the messages of a Subgraph."""
+    return sub if isinstance(sub, Messages) else Messages(sub.edges, sub.num_nodes)
+
+
+def _check_features(ms: Messages, H: Tensor, d_in: int):
+    if H.shape != (ms.num_nodes, d_in):
         raise ShapeMismatch(
-            f"features {H.shape} do not match ({sub.num_nodes}, {d_in})")
+            f"features {H.shape} do not match ({ms.num_nodes}, {d_in})")
 
 
 def _basis_outputs(H: Tensor, P: LayerParams) -> Tensor:
@@ -124,34 +141,39 @@ def _mix(HV: Tensor, rows, C: Tensor) -> Tensor:
     return tsum(mul(per_basis, reshape(C, (m, B, 1))), axis=1)
 
 
-def rgcn_layer(sub: Subgraph, H: Tensor, P: LayerParams, activation=True) -> Tensor:
-    """Basis-decomposed R-GCN convolution with mean aggregation per slot."""
-    _check_features(sub, H, P.d_in)
-    msrc, mdst, slot, norm = _message_arrays(sub)
-    msgs = _mix(_basis_outputs(H, P), msrc, gather_rows(P.coeffs, slot))
+def rgcn_layer(sub, H: Tensor, P: LayerParams, activation=True) -> Tensor:
+    """Basis-decomposed R-GCN convolution with mean aggregation per slot.
+
+    ``sub`` is a Subgraph or the Messages of one or of a union of them.
+    """
+    ms = messages(sub)
+    _check_features(ms, H, P.d_in)
+    msgs = _mix(_basis_outputs(H, P), ms.src, gather_rows(P.coeffs, ms.slot))
     out = matmul(H, P.self_weight) + segment_sum(
-        mul(msgs, norm[:, None]), mdst, sub.num_nodes)
+        mul(msgs, ms.norm[:, None]), ms.dst, ms.num_nodes)
     return relu(out) if activation else out
 
 
-def rel_att_layer(sub: Subgraph, H: Tensor, P: LayerParams, rel_emb: Tensor,
-                  target_rel: int, activation=True) -> Tensor:
+def rel_att_layer(sub, H: Tensor, P: LayerParams, rel_emb: Tensor,
+                  target_rel, activation=True) -> Tensor:
     """R-GCN convolution with per-edge sigmoid attention.
 
     Each message from j to i under slot weight W is scaled by
-    sigmoid(a . [W h_j ++ W h_i ++ e_rel ++ e_target]).
+    sigmoid(a . [W h_j ++ W h_i ++ e_rel ++ e_target]). ``target_rel`` is
+    one relation id, or one per node when ``sub`` is the Messages of a union
+    of subgraphs scored against different relations.
     """
-    _check_features(sub, H, P.d_in)
-    msrc, mdst, slot, norm = _message_arrays(sub)
+    ms = messages(sub)
+    _check_features(ms, H, P.d_in)
+    target = np.broadcast_to(np.asarray(target_rel, dtype=np.int64), (ms.num_nodes,))
     HV = _basis_outputs(H, P)
-    C = gather_rows(P.coeffs, slot)
-    wh_src = _mix(HV, msrc, C)
-    z = concat([wh_src, _mix(HV, mdst, C), gather_rows(rel_emb, slot // 2),
-                gather_rows(rel_emb, np.full(len(slot), target_rel, np.int64))],
-               axis=1)
-    alpha = reshape(sigmoid(matmul(z, P.att_a)), (len(slot), 1))
+    C = gather_rows(P.coeffs, ms.slot)
+    wh_src = _mix(HV, ms.src, C)
+    z = concat([wh_src, _mix(HV, ms.dst, C), gather_rows(rel_emb, ms.slot // 2),
+                gather_rows(rel_emb, target[ms.dst])], axis=1)
+    alpha = reshape(sigmoid(matmul(z, P.att_a)), (len(ms.slot), 1))
     out = matmul(H, P.self_weight) + segment_sum(
-        mul(mul(wh_src, alpha), norm[:, None]), mdst, sub.num_nodes)
+        mul(mul(wh_src, alpha), ms.norm[:, None]), ms.dst, ms.num_nodes)
     return relu(out) if activation else out
 
 
@@ -168,27 +190,28 @@ def _compose(h: Tensor, e: Tensor, op: str) -> Tensor:
     raise UnknownCompositionOp(op)
 
 
-def rel_comp_layer(sub: Subgraph, H: Tensor, E_rel: Tensor, P: LayerParams,
+def rel_comp_layer(sub, H: Tensor, E_rel: Tensor, P: LayerParams,
                    op: str = "sub", activation=True):
     """Composition-based convolution; also transforms the relation table.
 
     Neighbor features are composed with their relation embedding before the
-    per-direction projection; requires d_rel == d_in.
+    per-direction projection; requires d_rel == d_in. ``sub`` is a Subgraph
+    or the Messages of one or of a union of them.
     """
-    _check_features(sub, H, P.d_in)
+    ms = messages(sub)
+    _check_features(ms, H, P.d_in)
     if E_rel.shape[1] != P.d_in:
         raise ShapeMismatch("composition layer requires d_rel == d_in")
     if op not in COMP_OPS:
         raise UnknownCompositionOp(op)
     out = matmul(H, P.w_self)
-    msrc, mdst, slot, norm = _message_arrays(sub)
     for direction, W in ((FWD, P.w_fwd), (BWD, P.w_bwd)):
-        mask = slot % 2 == direction
+        mask = ms.slot % 2 == direction
         if not mask.any():
             continue
-        phi = _compose(gather_rows(H, msrc[mask]),
-                       gather_rows(E_rel, slot[mask] // 2), op)
-        msgs = mul(matmul(phi, W), norm[mask][:, None])
-        out = out + segment_sum(msgs, mdst[mask], sub.num_nodes)
+        phi = _compose(gather_rows(H, ms.src[mask]),
+                       gather_rows(E_rel, ms.slot[mask] // 2), op)
+        msgs = mul(matmul(phi, W), ms.norm[mask][:, None])
+        out = out + segment_sum(msgs, ms.dst[mask], ms.num_nodes)
     new_rel = matmul(E_rel, P.w_rel)
     return (relu(out) if activation else out), new_rel

@@ -1,9 +1,15 @@
-"""Model parameters, KGE decoders, subgraph scoring, loss and optimization."""
+"""Model parameters, KGE decoders, subgraph scoring, loss and optimization.
+
+Subgraphs are scored in batches: ``score_subgraphs`` runs one forward pass
+over the disjoint union of a list of labelled subgraphs and returns one
+score per subgraph, and ``subgraph_score`` is its one-item call.
+``no_grad_view`` gives the same model without a tape, for evaluation.
+"""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -12,7 +18,6 @@ from .autodiff import (
     Tensor,
     concat,
     cos,
-    dot,
     gather_rows,
     matmul,
     mul,
@@ -34,12 +39,14 @@ from .errors import (
     ShapeMismatch,
 )
 from .layers import (
+    Messages,
     init_basis_layer,
     init_comp_layer,
     rel_att_layer,
     rel_comp_layer,
     rgcn_layer,
 )
+from .sampling import ScoredItem
 from .subgraph import Subgraph
 
 CHECKPOINT_MAGIC = b"IKGM1"
@@ -145,32 +152,68 @@ def init_model(num_relations: int, k: int, dim: int = 32, rel_dim: int = 32,
     return m
 
 
-def subgraph_score(model: ModelParams, sub: Subgraph, labels: np.ndarray,
-                   rel: int) -> Tensor:
-    """Encode a labelled subgraph and score it against a candidate relation.
+def no_grad_view(model: ModelParams) -> ModelParams:
+    """The same model over tensors that share its arrays but record no tape.
 
-    Node labels are projected to the hidden dimension, run through the
-    configured convolution stack (the candidate relation conditions the
-    attention), and read out as w . [meanpool ++ h_head ++ h_tail ++ e_rel].
+    Scoring with the view builds no autodiff graph; in-place updates of the
+    model's parameters show through it.
     """
-    if labels.shape != (sub.num_nodes, 2 * (sub.k + 2)):
-        raise ShapeMismatch(
-            f"labels {labels.shape} do not match ({sub.num_nodes}, {2 * (sub.k + 2)})")
-    H = matmul(Tensor(labels), model.input_proj)
+    def detach(obj):
+        return replace(obj, **{f.name: Tensor(getattr(obj, f.name).data)
+                               for f in fields(obj)
+                               if isinstance(getattr(obj, f.name), Tensor)})
+    return replace(detach(model), layers=[detach(P) for P in model.layers])
+
+
+def score_subgraphs(model: ModelParams, items) -> Tensor:
+    """Score labelled subgraphs against their candidate relations: ``(G,)``
+    scores for G ScoredItems from one forward pass over the disjoint union
+    of their subgraphs.
+
+    The node ids of each item are offset by the node count of the items
+    before it, so one message list covers every item and no message crosses
+    two. Node labels are projected to the hidden dimension and run through
+    the configured convolution stack; in ``att`` layers each node's messages
+    are conditioned on its own item's relation. Item g reads out as
+    w . [meanpool_g ++ h_head ++ h_tail ++ e_rel], the mean over its own
+    nodes.
+    """
+    for it in items:
+        if it.labels.shape != (it.sub.num_nodes, 2 * (it.sub.k + 2)):
+            raise ShapeMismatch(
+                f"labels {it.labels.shape} do not match "
+                f"({it.sub.num_nodes}, {2 * (it.sub.k + 2)})")
+    sizes = np.array([it.sub.num_nodes for it in items], dtype=np.int64)
+    offsets = np.cumsum(sizes) - sizes
+    edge_counts = [len(it.sub.edges) for it in items]
+    edges = np.concatenate([np.reshape(it.sub.edges, (-1, 3)) for it in items])
+    edges = edges + np.repeat(offsets, edge_counts)[:, None] * np.array([1, 1, 0])
+    ms = Messages(edges, int(sizes.sum()))
+    rels = np.array([it.rel for it in items], dtype=np.int64)
+    node_item = np.repeat(np.arange(len(items)), sizes)
+
+    H = matmul(Tensor(np.concatenate([it.labels for it in items])), model.input_proj)
     E = model.rel_emb
     for P in model.layers:
         if model.layer_kind == "rgcn":
-            H = rgcn_layer(sub, H, P)
+            H = rgcn_layer(ms, H, P)
         elif model.layer_kind == "att":
-            H = rel_att_layer(sub, H, P, model.rel_emb, rel)
+            H = rel_att_layer(ms, H, P, model.rel_emb, rels[node_item])
         else:
-            H, E = rel_comp_layer(sub, H, E, P, model.comp_op)
-    pooled = tmean(H, axis=0)
-    h_vec = reshape(gather_rows(H, [sub.head_local]), (model.dim,))
-    t_vec = reshape(gather_rows(H, [sub.tail_local]), (model.dim,))
-    e_rel = reshape(gather_rows(E, [rel]), (model.rel_dim,))
-    g = concat([pooled, h_vec, t_vec, e_rel], axis=0)
-    return dot(model.readout_w, g)
+            H, E = rel_comp_layer(ms, H, E, P, model.comp_op)
+    pooled = mul(segment_sum(H, node_item, len(items)), (1.0 / sizes)[:, None])
+    heads = offsets + np.array([it.sub.head_local for it in items], dtype=np.int64)
+    tails = offsets + np.array([it.sub.tail_local for it in items], dtype=np.int64)
+    g = concat([pooled, gather_rows(H, heads), gather_rows(H, tails),
+                gather_rows(E, rels)], axis=1)
+    return matmul(g, model.readout_w)
+
+
+def subgraph_score(model: ModelParams, sub: Subgraph, labels: np.ndarray,
+                   rel: int) -> Tensor:
+    """The scalar score of one labelled subgraph: ``score_subgraphs`` of a
+    one-item list."""
+    return reshape(score_subgraphs(model, [ScoredItem(sub, labels, int(rel))]), ())
 
 
 def margin_loss(pos_scores, neg_scores, gamma: float) -> Tensor:
@@ -224,22 +267,22 @@ def init_entity_embeddings(triples: np.ndarray, entity_ids: np.ndarray,
     IsolatedEntity for any requested entity with no incident triple.
     """
     entity_ids = np.asarray(entity_ids, dtype=np.int64)
-    local = {int(e): i for i, e in enumerate(entity_ids)}
     tri = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-    seg_idx, psi_idx = [], []
-    for h, r, t in tri.tolist():
-        if h in local:
-            seg_idx.append(local[h])
-            psi_idx.append(2 * r)
-        if t in local:
-            seg_idx.append(local[t])
-            psi_idx.append(2 * r + 1)
-    counts = np.zeros(len(entity_ids), dtype=np.int64)
-    np.add.at(counts, seg_idx, 1)
+    # h and t interleaved per triple: the order of the segment-sum entries
+    ends = tri[:, [0, 2]].reshape(-1)
+    psi_idx = (2 * tri[:, [1, 1]] + [0, 1]).reshape(-1)
+    sorter = np.argsort(entity_ids, kind="stable")
+    pos = np.searchsorted(entity_ids, ends, sorter=sorter)
+    hit = np.append(entity_ids[sorter], -1)[pos] == ends
+    seg_idx = sorter[pos[hit]]
+    counts = np.bincount(seg_idx, minlength=len(entity_ids))
     if (counts == 0).any():
         missing = entity_ids[counts == 0][:5].tolist()
         raise IsolatedEntity(f"entities with no incident triple: {missing}")
-    summed = segment_sum(gather_rows(psi, psi_idx), np.asarray(seg_idx), len(entity_ids))
+    # gathered grouped by entity, so the segment sum needs no sorted copy
+    order = np.argsort(seg_idx, kind="stable")
+    summed = segment_sum(gather_rows(psi, psi_idx[hit][order]), seg_idx[order],
+                         len(entity_ids))
     return mul(summed, (1.0 / counts)[:, None])
 
 

@@ -8,7 +8,7 @@ item_index))``, so results are independent of worker scheduling.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

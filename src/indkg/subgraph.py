@@ -9,7 +9,7 @@ one-hot encodings of the two distances, clamped into k + 2 buckets per side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

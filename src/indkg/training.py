@@ -32,7 +32,8 @@ from .model import (
     init_model,
     kge_score,
     margin_loss,
-    subgraph_score,
+    no_grad_view,
+    score_subgraphs,
 )
 from .autodiff import Tensor, gather_rows
 from .sampling import (
@@ -43,6 +44,10 @@ from .sampling import (
 )
 
 log = logging.getLogger(__name__)
+
+# Most messages (two per subgraph edge) in one union forward of the subgraph
+# scorer: about 45 MB of transient arrays for the default att model.
+MESSAGE_BUDGET = 1 << 14
 
 
 def _snapshot(params: dict) -> dict:
@@ -102,18 +107,17 @@ def train_subgraph_model(bundle: DatasetBundle, cfg: RunConfig):
         epoch_losses = []
         for start in range(0, len(triples), cfg.batch_size):
             batch = triples[start:start + cfg.batch_size]
-            pos_scores, neg_scores = [], []
+            items, pos_idx, neg_idx = [], [], []
             for bi, triple in enumerate(batch.tolist()):
                 item_rng = np.random.default_rng((cfg.seed, epoch, start + bi))
                 inst = make_train_instance(graph, triple, cfg.k, spec, item_rng,
                                            max_nodes=_max_nodes(cfg))
-                p = subgraph_score(model, inst.pos.sub, inst.pos.labels,
-                                   inst.pos.rel)
-                for neg in inst.negs:
-                    pos_scores.append(p)
-                    neg_scores.append(
-                        subgraph_score(model, neg.sub, neg.labels, neg.rel))
-            loss = margin_loss(pos_scores, neg_scores, cfg.margin)
+                pos_idx += [len(items)] * len(inst.negs)
+                neg_idx += range(len(items) + 1, len(items) + 1 + len(inst.negs))
+                items += [inst.pos] + inst.negs
+            scores = score_subgraphs(model, items)
+            loss = margin_loss([gather_rows(scores, pos_idx)],
+                               [gather_rows(scores, neg_idx)], cfg.margin)
             _check_finite_loss(loss.item(), params, f"epoch {epoch}")
             epoch_losses.append(loss.item())
             loss.backward()
@@ -240,8 +244,25 @@ def entity_triple_scorer(enc: EntityEncoderParams, support_triples,
 
 
 def subgraph_item_scorer(model: ModelParams):
-    """Scorer over ScoredItems: a float array of one subgraph score per item."""
+    """Scorer over ScoredItems: a float array of one subgraph score per item.
+
+    Consecutive items are scored together by ``score_subgraphs``, in chunks
+    of whole subgraphs holding at most ``MESSAGE_BUDGET`` messages (a larger
+    subgraph is a chunk of its own), through a no-grad view of the model.
+    """
+    view = no_grad_view(model)
+
     def score(items) -> np.ndarray:
-        return np.array([subgraph_score(model, it.sub, it.labels, it.rel).item()
-                         for it in items], dtype=np.float64)
+        items = list(items)
+        out = np.empty(len(items), dtype=np.float64)
+        start = 0
+        while start < len(items):
+            stop, msgs = start + 1, 2 * len(items[start].sub.edges)
+            while (stop < len(items)
+                   and msgs + 2 * len(items[stop].sub.edges) <= MESSAGE_BUDGET):
+                msgs += 2 * len(items[stop].sub.edges)
+                stop += 1
+            out[start:stop] = score_subgraphs(view, items[start:stop]).data
+            start = stop
+        return out
     return score

@@ -272,6 +272,60 @@ def dense_comp(sub, H, E_rel, P, op, activation=True):
     return (np.maximum(out, 0.0) if activation else out), new_rel
 
 
+def dense_model_score(model, sub, labels, rel):
+    """A subgraph model's score of one item from the dense layer oracles and
+    a numpy readout w . [mean ++ h_head ++ h_tail ++ e_rel]."""
+    H = labels @ model.input_proj.data
+    E = model.rel_emb.data
+    for P in model.layers:
+        if model.layer_kind == "rgcn":
+            H = dense_rgcn(sub, H, P)
+        elif model.layer_kind == "att":
+            H = dense_att(sub, H, P, model.rel_emb.data, rel)
+        else:
+            H, E = dense_comp(sub, H, E, P, model.comp_op)
+    g = np.concatenate([H.mean(axis=0), H[sub.head_local], H[sub.tail_local], E[rel]])
+    return float(g @ model.readout_w.data)
+
+
+def mixed_scored_items(rng, num_relations=3):
+    """ScoredItems for batched scoring: enclosing subgraphs of different
+    sizes in a random graph, an edgeless pair and a self-loop target (h == t),
+    each with a random candidate relation."""
+    from indkg.sampling import ScoredItem
+    from indkg.subgraph import Subgraph, extract_enclosing_subgraph, label_nodes
+    triples = random_triples(rng, 18, num_relations, 0.2)
+    g = build_graph(triples, 18, num_relations)
+    subs = [extract_enclosing_subgraph(g, tuple(g.triples[i]), 2)
+            for i in rng.choice(g.num_triples, size=5, replace=False)]
+    subs.append(Subgraph((0, 0, 1), np.array([0, 1]), np.array([[0, 3], [3, 0]]),
+                         np.empty((0, 3), dtype=np.int64), 2, union_size=2))
+    subs.append(extract_enclosing_subgraph(g, (3, 1, 3), 2))
+    return [ScoredItem(sub, label_nodes(sub), int(rng.integers(num_relations)))
+            for sub in subs]
+
+
+def entity_embeddings_loop_oracle(triples, entity_ids, psi):
+    """``model.init_entity_embeddings`` as the per-triple loop it replaced:
+    the head entry, then the tail entry, of each triple in turn, summed by
+    the same segment sum."""
+    from indkg.autodiff import gather_rows, mul, segment_sum
+    local = {int(e): i for i, e in enumerate(entity_ids)}
+    seg_idx, psi_idx = [], []
+    for h, r, t in np.asarray(triples, dtype=np.int64).reshape(-1, 3).tolist():
+        if h in local:
+            seg_idx.append(local[h])
+            psi_idx.append(2 * r)
+        if t in local:
+            seg_idx.append(local[t])
+            psi_idx.append(2 * r + 1)
+    counts = np.zeros(len(entity_ids), dtype=np.int64)
+    np.add.at(counts, seg_idx, 1)
+    summed = segment_sum(gather_rows(psi, psi_idx), np.asarray(seg_idx, dtype=np.int64),
+                         len(entity_ids))
+    return mul(summed, (1.0 / counts)[:, None])
+
+
 # -- metric oracles ---------------------------------------------------------
 
 def auc_pair_oracle(scores, labels01):

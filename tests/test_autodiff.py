@@ -119,6 +119,24 @@ def test_gather_segment():
                        * segment_sum(gather_rows(H, idx) * 1.0, seg, 2)), H)
 
 
+@pytest.mark.parametrize("trailing", [(), (3,), (2, 3)], ids=["1-D", "2-D", "3-D"])
+@pytest.mark.parametrize("idx", [[4, 0, 4, 2, 0, 4], [3, 1], []],
+                         ids=["repeats", "distinct", "empty"])
+def test_scatter_matches_add_at_oracle(trailing, idx):
+    # the gather_rows VJP and the segment_sum forward both scatter-add rows
+    rng = np.random.default_rng(8)
+    idx = np.array(idx, dtype=np.int64)
+    g = rng.normal(size=(len(idx),) + trailing)
+    oracle = np.zeros((5,) + trailing)
+    np.add.at(oracle, idx, g)
+    table = Tensor(rng.normal(size=(5,) + trailing), requires_grad=True)
+    gather_rows(table, idx).backward(g)
+    summed = segment_sum(Tensor(g), idx, 5).data
+    for got in (table.grad, summed):
+        assert got.shape == oracle.shape
+        assert np.allclose(got, oracle, rtol=1e-12, atol=1e-15)
+
+
 def test_circular_correlation_matches_oracle():
     rng = np.random.default_rng(6)
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
@@ -155,6 +173,18 @@ def test_gradient_accumulates_across_backwards():
     (x * x).backward()
     (x * x).backward()
     assert x.grad == pytest.approx(8.0)
+
+
+def test_first_gradient_is_not_shared_between_parents():
+    # add passes the same upstream array to both parents; a later
+    # contribution to one of them must not leak into the other
+    for loss in (lambda a, b: tsum(a * a) + tsum(a + b),
+                 lambda a, b: tsum(a + b) + tsum(a * a)):
+        a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        b = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+        loss(a, b).backward()
+        assert a.grad.tolist() == [3.0, 5.0]
+        assert b.grad.tolist() == [1.0, 1.0]
 
 
 def test_gradient_check_harness():

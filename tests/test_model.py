@@ -22,11 +22,17 @@ from indkg.model import (
     margin_loss,
     restore_model,
     save_checkpoint,
+    score_subgraphs,
     subgraph_score,
 )
 from indkg.subgraph import extract_enclosing_subgraph, label_nodes
 
-from helpers import random_triples
+from helpers import (
+    dense_model_score,
+    entity_embeddings_loop_oracle,
+    mixed_scored_items,
+    random_triples,
+)
 
 
 def vec(*vals):
@@ -185,6 +191,32 @@ def test_score_label_shape_guard():
         subgraph_score(model, sub, labels[:, :-1], 0)
 
 
+def mixed_model(layer_kind, comp_op="sub", seed=0):
+    return init_model(3, 2, dim=8, rel_dim=8 if layer_kind == "comp" else 6,
+                      num_layers=2, num_bases=2, layer_kind=layer_kind,
+                      comp_op=comp_op, rng=np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("layer_kind,comp_op", [
+    ("rgcn", "sub"), ("att", "sub"), ("comp", "sub"), ("comp", "corr"),
+])
+def test_batched_scores_match_per_item(layer_kind, comp_op):
+    model = mixed_model(layer_kind, comp_op)
+    items = mixed_scored_items(np.random.default_rng(21))
+    assert len({it.sub.num_nodes for it in items}) > 3
+    assert len(items[-2].sub.edges) == 0                        # edgeless
+    assert items[-1].sub.target[0] == items[-1].sub.target[2]   # h == t
+    batch = score_subgraphs(model, items)
+    assert batch.shape == (len(items),)
+    single = np.array([subgraph_score(model, it.sub, it.labels, it.rel).item()
+                       for it in items])
+    dense = np.array([dense_model_score(model, it.sub, it.labels, it.rel)
+                      for it in items])
+    scale = np.abs(single).max()
+    assert np.abs(batch.data - single).max() <= 1e-12 * scale
+    assert np.abs(single - dense).max() <= 1e-12 * scale
+
+
 def test_adam_first_step_closed_form():
     # with any finite gradient g, the first bias-corrected step is
     # lr * g / (|g| + eps), i.e. almost exactly lr * sign(g)
@@ -230,6 +262,20 @@ def test_entity_embeddings_isolated():
     psi = Tensor(np.zeros((2, 3)))
     with pytest.raises(IsolatedEntity):
         init_entity_embeddings(np.array([[0, 0, 1]]), np.array([0, 1, 5]), psi)
+
+
+def test_entity_embeddings_match_loop_oracle():
+    rng = np.random.default_rng(5)
+    psi = Tensor(rng.normal(size=(8, 5)))        # 4 relations
+    for _ in range(20):
+        tri = np.column_stack([rng.integers(12, size=30), rng.integers(4, size=30),
+                               rng.integers(12, size=30)])
+        tri[:3, 2] = tri[:3, 0]                  # self-loops feed one entity twice
+        ents = rng.permutation(np.unique(tri[:, [0, 2]]))[:9]   # some ends not asked for
+        got = init_entity_embeddings(tri, ents, psi).data
+        assert np.array_equal(got, entity_embeddings_loop_oracle(tri, ents, psi).data)
+    empty = np.empty((0, 3), dtype=np.int64)
+    assert init_entity_embeddings(empty, np.empty(0, dtype=np.int64), psi).shape == (0, 5)
 
 
 def test_entity_encoder_gradient():

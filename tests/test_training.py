@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
 
+from indkg import training
+from indkg.autodiff import concat, relu, tmean
 from indkg.config import RunConfig
 from indkg.kgcore import DatasetBundle, Vocab, build_graph
-from indkg.model import DecoderKind, init_entity_embeddings, init_entity_encoder
-from indkg.sampling import MetaTask
+from indkg.model import (
+    DecoderKind,
+    init_entity_embeddings,
+    init_entity_encoder,
+    init_model,
+    subgraph_score,
+)
+from indkg.sampling import MetaTask, NegativeSpec, make_train_instance
 from indkg.training import (
     entity_triple_scorer,
     episode_loss,
@@ -13,7 +21,13 @@ from indkg.training import (
     train_subgraph_model,
 )
 
-from helpers import kge_numpy_oracle, planted_type_cycle_kg, random_triples, tape_size
+from helpers import (
+    kge_numpy_oracle,
+    mixed_scored_items,
+    planted_type_cycle_kg,
+    random_triples,
+    tape_size,
+)
 
 
 def int_vocab(ne, nr):
@@ -112,6 +126,63 @@ def test_subgraph_scorer_matches_model():
     direct = subgraph_score(model, inst.pos.sub, inst.pos.labels,
                             inst.pos.rel).item()
     assert scorer([inst.pos])[0] == direct
+
+
+def test_item_scorer_chunks_match_per_item(monkeypatch):
+    model = init_model(3, 2, dim=8, rel_dim=6, num_layers=2, num_bases=2,
+                       layer_kind="att", rng=np.random.default_rng(0))
+    items = mixed_scored_items(np.random.default_rng(23))
+    budget = max(2 * len(it.sub.edges) for it in items)
+    chunks = []
+    score_chunk = training.score_subgraphs
+
+    def recorded(m, chunk):
+        out = score_chunk(m, chunk)
+        chunks.append((sum(2 * len(it.sub.edges) for it in chunk), len(chunk), out))
+        return out
+
+    monkeypatch.setattr(training, "MESSAGE_BUDGET", budget)
+    monkeypatch.setattr(training, "score_subgraphs", recorded)
+    got = subgraph_item_scorer(model)(items)
+    want = np.array([subgraph_score(model, it.sub, it.labels, it.rel).item()
+                     for it in items])
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert len(chunks) > 1 and sum(n for _, n, _ in chunks) == len(items)
+    assert all(msgs <= budget for msgs, _, _ in chunks)
+    assert not any(out.requires_grad for _, _, out in chunks)   # no tape
+    assert subgraph_item_scorer(model)([]).shape == (0,)
+
+
+@pytest.mark.parametrize("layer_kind", ["rgcn", "att", "comp"])
+def test_batched_training_step_matches_per_item_loss(layer_kind, monkeypatch):
+    bundle = small_bundle(6)
+    cfg = small_config(epochs=1, num_neg=2, batch_size=len(bundle.train),
+                       layer_kind=layer_kind)
+    grads = []
+
+    class RecordingAdam(training.Adam):
+        def step(self):
+            grads.append({n: p.grad.copy() for n, p in self.params.items()})
+            super().step()
+
+    monkeypatch.setattr(training, "Adam", RecordingAdam)
+    train_subgraph_model(bundle, cfg)
+    # the same first step, one subgraph_score call per item
+    model = init_model(bundle.vocab.num_relations, cfg.k, dim=cfg.dim,
+                       rel_dim=cfg.rel_dim, num_layers=cfg.num_layers,
+                       num_bases=cfg.num_bases, layer_kind=cfg.layer_kind,
+                       comp_op=cfg.comp_op, rng=np.random.default_rng((cfg.seed, 0x1017)))
+    spec = NegativeSpec(mode="both-uniform", num_neg=cfg.num_neg, filtered=cfg.filtered)
+    hinges = []
+    for i, triple in enumerate(bundle.train.tolist()):
+        inst = make_train_instance(bundle.train_graph, triple, cfg.k, spec,
+                                   np.random.default_rng((cfg.seed, 0, i)))
+        pos = subgraph_score(model, inst.pos.sub, inst.pos.labels, inst.pos.rel)
+        hinges += [relu(subgraph_score(model, neg.sub, neg.labels, neg.rel) - pos
+                        + cfg.margin) for neg in inst.negs]
+    tmean(concat(hinges)).backward()
+    for name, t in model.tensors().items():
+        assert np.abs(grads[0][name] - t.grad).max() <= 1e-12 * np.abs(t.grad).max(), name
 
 
 def planted_bundle(rng):
