@@ -49,8 +49,9 @@ def run_pipeline(root):
 
     support = write_split(os.path.join(raw, "ind", "train.txt"), "u", 14, 0.25)
     sup_ents = {e for h, _, t in support for e in (h, t)}
+    # a query fact that also sat in support would be observed while scored
     queries = [q for q in write_split(os.path.join(raw, "ind", "test.txt"), "u", 14, 0.05)
-               if q[0] in sup_ents and q[2] in sup_ents] or support[:2]
+               if q[0] in sup_ents and q[2] in sup_ents and q not in support]
     with open(os.path.join(raw, "ind", "test.txt"), "w") as fh:
         for h, r, t in queries:
             fh.write(f"{h}\t{r}\t{t}\n")

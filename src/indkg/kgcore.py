@@ -178,8 +178,9 @@ def _in_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
 class IndexedGraph:
     """Immutable adjacency over integer-id triples.
 
-    Out- and in-edges are held in CSR form sorted by (neighbor, relation);
-    an undirected CSR combining both directions backs distance queries.
+    One CSR holds every edge twice: row ``e`` is entity ``e``'s out-run of
+    (neighbor, relation) pairs, ending at ``out_end[e]``, then its in-run,
+    each run sorted by (neighbor, relation).
     ``known_keys`` is the sorted, duplicate-free ``triple_keys`` array of
     *all* triples the graph is meant to know about (used for filtered
     negative sampling), which may be a superset of the edges present in the
@@ -208,22 +209,8 @@ class IndexedGraph:
                            _sorted_unique(triple_keys(known, num_entities, num_relations)))
         self.triples = _rows_of_keys(keys, num_entities, num_relations)
 
-        h, r, t = self.triples[:, 0], self.triples[:, 1], self.triples[:, 2]
-        self._out_indptr, self._out_nbr, self._out_rel = _build_csr(
-            h, t, r, num_entities, num_relations)
-        self._in_indptr, self._in_nbr, self._in_rel = _build_csr(
-            t, h, r, num_entities, num_relations)
-        # undirected view: each triple contributes (h -> t, fwd) and (t -> h, bwd).
-        # The out- and in-CSR entries are two sorted runs, so the stable sort
-        # merges them, and a fwd entry precedes its reverse twin's bwd entry.
-        ids = np.arange(num_entities)
-        src = np.concatenate([np.repeat(ids, np.diff(self._out_indptr)),
-                              np.repeat(ids, np.diff(self._in_indptr))])
-        dst = np.concatenate([self._out_nbr, self._in_nbr])
-        rel = np.concatenate([self._out_rel, self._in_rel])
-        fwd = np.arange(len(src)) < len(self._out_nbr)
-        self._und_indptr, self._und_nbr, self._und_rel, self._und_fwd = _build_csr(
-            src, dst, rel, num_entities, num_relations, extra=fwd)
+        self.indptr, self.out_end, self.nbr, self.rel = _build_csr(
+            self.triples, num_entities, num_relations)
 
     @property
     def num_triples(self) -> int:
@@ -243,32 +230,35 @@ class IndexedGraph:
 
     def out_edges(self, e: int):
         """(neighbor, relation) pairs for edges e -> neighbor."""
-        s, p = self._out_indptr[e], self._out_indptr[e + 1]
-        return self._out_nbr[s:p], self._out_rel[s:p]
+        s, p = self.indptr[e], self.out_end[e]
+        return self.nbr[s:p], self.rel[s:p]
 
     def in_edges(self, e: int):
         """(neighbor, relation) pairs for edges neighbor -> e."""
-        s, p = self._in_indptr[e], self._in_indptr[e + 1]
-        return self._in_nbr[s:p], self._in_rel[s:p]
+        s, p = self.out_end[e], self.indptr[e + 1]
+        return self.nbr[s:p], self.rel[s:p]
 
     def und_edges(self, e: int):
-        """(neighbor, relation, is_forward) over both edge directions."""
-        s, p = self._und_indptr[e], self._und_indptr[e + 1]
-        return self._und_nbr[s:p], self._und_rel[s:p], self._und_fwd[s:p]
+        """(neighbor, relation, is_forward) over both edge directions: the
+        out-edges, then the in-edges."""
+        s, p = self.indptr[e], self.indptr[e + 1]
+        return self.nbr[s:p], self.rel[s:p], np.arange(s, p) < self.out_end[e]
 
 
-def _build_csr(src, dst, rel, n, num_relations, extra=None):
-    """CSR over ``n`` sources, each row's entries sorted by (dst, rel).
-
-    One stable sort of the key ``(src * n + dst) * R + rel``, which is below
-    n^2 * R like ``triple_keys``; equal keys keep their input order.
-    """
-    order = np.argsort((src * n + dst) * num_relations + rel, kind="stable")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    if extra is not None:
-        return indptr, dst[order], rel[order], extra[order]
-    return indptr, dst[order], rel[order]
+def _build_csr(triples, n, num_relations):
+    """``(indptr, out_end, nbr, rel)``: row e holds e's out-entries (t, r),
+    then its in-entries (h, r), ordered by one stable sort of the key
+    ``((src * 2 + is_in) * n + nbr) * R + rel``. That key reaches 2 * n^2 * R,
+    so it is uint64, which holds it wherever ``triple_keys`` fit int64."""
+    h, r, t = triples.T
+    src2 = np.concatenate([h * 2, t * 2 + 1]).astype(np.uint64)
+    nbr = np.concatenate([t, h])
+    rel = np.concatenate([r, r])
+    key = src2 * np.uint64(n * num_relations) + (nbr * num_relations + rel).astype(np.uint64)
+    order = np.argsort(key, kind="stable")
+    out_deg = np.bincount(h, minlength=n)
+    indptr = np.concatenate([[0], np.cumsum(out_deg + np.bincount(t, minlength=n))])
+    return indptr, indptr[:-1] + out_deg, nbr[order], rel[order]
 
 
 def build_graph(triples, num_entities: int, num_relations: int,
@@ -313,16 +303,18 @@ def _check_duplicates(name, triples, vocab: Vocab):
     return uniq
 
 
-def _check_cross_split(train, other, other_name, vocab: Vocab):
+def _check_cross_split(observed, other, other_name, vocab: Vocab):
+    """Raise DuplicateTriple when a held-out triple of ``other`` also occurs
+    in ``observed``, the split its graph is built from (train or support)."""
     if len(other) == 0:
         return
     ne, nr = vocab.num_entities, vocab.num_relations
-    dups = np.flatnonzero(_in_sorted(np.sort(triple_keys(train, ne, nr)),
+    dups = np.flatnonzero(_in_sorted(np.sort(triple_keys(observed, ne, nr)),
                                      triple_keys(other, ne, nr)))
     if len(dups):
         raise DuplicateTriple(
-            f"{len(dups)} triple(s) of split {other_name!r} also occur in train, "
-            f"e.g. {tuple(np.asarray(other)[dups[0]].tolist())}")
+            f"{len(dups)} triple(s) of split {other_name!r} also occur in the "
+            f"observed graph, e.g. {tuple(np.asarray(other)[dups[0]].tolist())}")
 
 
 def load_raw_dataset(root) -> DatasetBundle:
@@ -351,6 +343,8 @@ def load_raw_dataset(root) -> DatasetBundle:
     ind_valid = _check_duplicates("ind_valid", encode_triples(ind_valid_raw, vocab), vocab)
     _check_cross_split(train, valid, "valid", vocab)
     _check_cross_split(train, test, "test", vocab)
+    _check_cross_split(support, query, "query", vocab)
+    _check_cross_split(support, ind_valid, "ind_valid", vocab)
     return DatasetBundle(vocab, train, valid, test, support, query, ind_valid)
 
 

@@ -48,28 +48,27 @@ class Subgraph:
                 and np.array_equal(self.edges, other.edges))
 
 
-def _csr_slices(indptr: np.ndarray, rows: np.ndarray):
-    """Positions of the CSR entries of the non-empty id array ``rows``, and
-    each row's entry count."""
-    starts = indptr[rows]
-    lens = indptr[rows + 1] - starts
+def _csr_slices(starts: np.ndarray, stops: np.ndarray):
+    """Positions of the adjacency entries in the runs ``[starts, stops)``,
+    given as non-empty arrays, and each run's length."""
+    lens = stops - starts
     ends = np.cumsum(lens)
     return np.arange(ends[-1]) + np.repeat(starts - ends + lens, lens), lens
 
 
 def _masked_entries(graph: IndexedGraph, masked_edge) -> np.ndarray:
-    """Positions in the undirected CSR of a triple's (h -> t, fwd) and
-    (t -> h, bwd) entries: two when the graph holds the triple, else none."""
+    """Adjacency positions of a triple's two entries, (t, r) in the out-run
+    of h and (h, r) in the in-run of t: both when the graph holds the
+    triple, else none."""
     if masked_edge is None:
         return np.empty(0, dtype=np.int64)
     mh, mr, mt = masked_edge
     if not (0 <= mh < graph.num_entities and 0 <= mt < graph.num_entities):
         return np.empty(0, dtype=np.int64)
     pos = []
-    for u, v, fwd in ((mh, mt, True), (mt, mh, False)):
-        s, e = graph._und_indptr[u], graph._und_indptr[u + 1]
-        hit = ((graph._und_nbr[s:e] == v) & (graph._und_rel[s:e] == mr)
-               & (graph._und_fwd[s:e] == fwd))
+    for s, e, v in ((graph.indptr[mh], graph.out_end[mh], mt),
+                    (graph.out_end[mt], graph.indptr[mt + 1], mh)):
+        hit = (graph.nbr[s:e] == v) & (graph.rel[s:e] == mr)
         pos.append(s + np.flatnonzero(hit))
     return np.concatenate(pos)
 
@@ -78,8 +77,8 @@ def _hop_distances(graph: IndexedGraph, source: int, k: int,
                    masked_edge: tuple[int, int, int] | None) -> np.ndarray:
     """Dense undirected hop distances from ``source``: -1 beyond ``k`` hops.
 
-    One level per step: the undirected CSR slices of the whole frontier are
-    gathered at once. ``masked_edge`` drops exactly its own two undirected
+    One level per step: the adjacency rows of the whole frontier are
+    gathered at once. ``masked_edge`` drops exactly its own two adjacency
     entries, so a reverse twin (t, r, h) still connects the pair.
     """
     masked = _masked_entries(graph, masked_edge)
@@ -87,11 +86,11 @@ def _hop_distances(graph: IndexedGraph, source: int, k: int,
     dist[source] = 0
     frontier = np.array([source], dtype=np.int64)
     for d in range(1, k + 1):
-        idx, _ = _csr_slices(graph._und_indptr, frontier)
+        idx, _ = _csr_slices(graph.indptr[frontier], graph.indptr[frontier + 1])
         # the two masked entries sit in the slices of the triple's endpoints
         if len(masked) and (dist[masked_edge[0]] == d - 1 or dist[masked_edge[2]] == d - 1):
             idx = idx[(idx != masked[0]) & (idx != masked[1])]
-        nbr = graph._und_nbr[idx]
+        nbr = graph.nbr[idx]
         dist[nbr[dist[nbr] < 0]] = d
         frontier = np.flatnonzero(dist == d)
         if not len(frontier):
@@ -146,13 +145,13 @@ def extract_enclosing_subgraph(graph: IndexedGraph, target: tuple[int, int, int]
     dist_pairs = np.column_stack([d_h[nodes], d_t[nodes]])
     dist_pairs[dist_pairs < 0] = k + 1    # reached distances are <= k already
 
-    # induced edges: out-slices of the kept nodes whose head is kept too
+    # induced edges: out-runs of the kept nodes whose neighbor is kept too
     local = np.full(graph.num_entities, -1, dtype=np.int64)
     local[nodes] = np.arange(len(nodes))
-    idx, lens = _csr_slices(graph._out_indptr, nodes)
+    idx, lens = _csr_slices(graph.indptr[nodes], graph.out_end[nodes])
     src = np.repeat(np.arange(len(nodes)), lens)
-    dst = local[graph._out_nbr[idx]]
-    rel = graph._out_rel[idx]
+    dst = local[graph.nbr[idx]]
+    rel = graph.rel[idx]
     keep = (dst >= 0) & ~((src == 0) & (dst == local[t]) & (rel == r))
     src, dst, rel = src[keep], dst[keep], rel[keep]
     order = np.lexsort((rel, dst, src))

@@ -31,20 +31,18 @@ def random_graph(rng, n_entities=20, n_relations=3, density=0.15):
 
 # -- graph index oracle -----------------------------------------------------
 
-def _csr_oracle(src, dst, rel, n, extra=None):
-    """Row pointers and entries of a CSR ordered by (src, dst, rel), ties kept
-    in input order: one multi-key lexsort, row bounds by binary search."""
+def _csr_oracle(src, dst, rel, n):
+    """Row pointers and entries of a CSR ordered by (src, dst, rel): one
+    multi-key lexsort, row bounds by binary search."""
     order = np.lexsort((rel, dst, src))
-    indptr = np.searchsorted(src[order], np.arange(n + 1))
-    arrays = [indptr, dst[order], rel[order]]
-    if extra is not None:
-        arrays.append(extra[order])
-    return arrays
+    return np.searchsorted(src[order], np.arange(n + 1)), dst[order], rel[order]
 
 
 def graph_index_oracle(triples, num_entities, num_relations, known=None):
-    """Every array ``IndexedGraph`` builds, by ``np.unique`` over rows and one
-    ``np.lexsort`` per view, keyed by the attribute names."""
+    """What ``IndexedGraph`` builds, by ``np.unique`` over rows and one
+    ``np.lexsort`` per edge direction: a dict of its arrays keyed by the
+    attribute names, and each entity's out- and in-edge (neighbor, relation)
+    arrays. Adjacency row e is e's out-edges followed by its in-edges."""
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     known = triples if known is None else np.asarray(known, dtype=np.int64).reshape(-1, 3)
     uniq = np.unique(triples, axis=0)
@@ -52,15 +50,17 @@ def graph_index_oracle(triples, num_entities, num_relations, known=None):
     out = {"triples": uniq,
            "known_keys": (kn[:, 0] * num_relations + kn[:, 1]) * num_entities + kn[:, 2]}
     h, r, t = uniq.T
-    m = len(uniq)
-    views = {"out": (h, t, r, None), "in": (t, h, r, None),
-             "und": (np.concatenate([h, t]), np.concatenate([t, h]),
-                     np.concatenate([r, r]), np.arange(2 * m) < m)}
-    for view, (src, dst, rel, fwd) in views.items():
-        names = ["indptr", "nbr", "rel"] + (["fwd"] if fwd is not None else [])
-        for name, arr in zip(names, _csr_oracle(src, dst, rel, num_entities, fwd)):
-            out[f"_{view}_{name}"] = arr
-    return out
+    (out_ptr, out_nbr, out_rel), (in_ptr, in_nbr, in_rel) = (
+        _csr_oracle(h, t, r, num_entities), _csr_oracle(t, h, r, num_entities))
+    out_edges = [(out_nbr[a:b], out_rel[a:b]) for a, b in zip(out_ptr[:-1], out_ptr[1:])]
+    in_edges = [(in_nbr[a:b], in_rel[a:b]) for a, b in zip(in_ptr[:-1], in_ptr[1:])]
+    rows = [run for pair in zip(out_edges, in_edges) for run in pair]
+    empty = np.empty(0, dtype=np.int64)
+    out["indptr"] = out_ptr + in_ptr
+    out["out_end"] = out_ptr[1:] + in_ptr[:-1]
+    out["nbr"] = np.concatenate([empty] + [nbr for nbr, _ in rows])
+    out["rel"] = np.concatenate([empty] + [rel for _, rel in rows])
+    return out, out_edges, in_edges
 
 
 def tape_size(out):
@@ -197,6 +197,37 @@ def ranking_candidates_oracle(known, num_entities, triple, direction, num_neg, r
                                           replace=False)]
     truth_idx = int(rng.integers(len(chosen) + 1))
     return chosen[:truth_idx] + [triple] + chosen[truth_idx:], truth_idx
+
+
+# -- meta-task region oracle ------------------------------------------------
+
+def grow_region_loop_oracle(triples, start, region_size):
+    """``sampling._grow_region`` over dict adjacency sets built from the
+    triple rows: a per-vertex BFS that takes each vertex's out-edges, then
+    its in-edges, each in (neighbor, relation) order, and stops once the
+    region holds ``region_size`` triples. Returns (visited, sorted triples)."""
+    out_adj, in_adj = {}, {}
+    for h, r, t in np.asarray(triples).tolist():
+        out_adj.setdefault(h, set()).add((t, r))
+        in_adj.setdefault(t, set()).add((h, r))
+    visited, frontier, region = {start}, [start], set()
+    while frontier and len(region) < region_size:
+        nxt = []
+        for u in frontier:
+            for v, r in sorted(out_adj.get(u, ())):
+                region.add((u, r, v))
+                if v not in visited:
+                    visited.add(v)
+                    nxt.append(v)
+            for v, r in sorted(in_adj.get(u, ())):
+                region.add((v, r, u))
+                if v not in visited:
+                    visited.add(v)
+                    nxt.append(v)
+            if len(region) >= region_size:
+                break
+        frontier = nxt
+    return visited, sorted(region)
 
 
 # -- dense message-passing oracles ------------------------------------------

@@ -1,7 +1,10 @@
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
+import indkg
 from indkg import kgcore
 
 SCRIPT = """
@@ -26,3 +29,24 @@ def test_import_and_load_do_not_import_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", SCRIPT, str(path)], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_package_modules_use_every_import():
+    # __init__.py imports names only to re-export them
+    unused = []
+    for path in sorted(Path(indkg.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert not unused, unused

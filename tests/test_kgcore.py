@@ -193,10 +193,18 @@ def test_graph_index_matches_oracle():
     seen = {"dup": 0, "loop": 0, "twin": 0, "isolated": 0}
     for tri, ne, nr, known in _oracle_graph_cases(rng):
         g = kgcore.build_graph(tri, ne, nr, known_triples=known)
-        for name, expect in graph_index_oracle(tri, ne, nr, known).items():
+        arrays, out_edges, in_edges = graph_index_oracle(tri, ne, nr, known)
+        for name, expect in arrays.items():
             got = getattr(g, name)
             assert got.dtype == expect.dtype, name
             assert np.array_equal(got, expect), name
+        for e in range(ne):
+            for got, expect in ((g.out_edges(e), out_edges[e]), (g.in_edges(e), in_edges[e])):
+                assert all(np.array_equal(a, b) for a, b in zip(got, expect)), e
+            nbr, rel, fwd = g.und_edges(e)
+            assert np.array_equal(nbr, np.concatenate([out_edges[e][0], in_edges[e][0]]))
+            assert np.array_equal(rel, np.concatenate([out_edges[e][1], in_edges[e][1]]))
+            assert fwd.tolist() == [True] * len(out_edges[e][0]) + [False] * len(in_edges[e][0])
         rows = set(map(tuple, tri.tolist()))
         seen["dup"] += len(rows) < len(tri)
         seen["loop"] += any(h == t for h, _, t in rows)
@@ -362,3 +370,20 @@ def test_entity_disjointness_covers_ind_valid(tmp_path):
     write_tsv(root / "ind" / "valid.txt", [(u, r, e)])
     with pytest.raises(EntityOverlap):
         kgcore.load_raw_dataset(root)
+
+
+def test_inductive_held_out_triple_in_support_rejected(tmp_path):
+    rng = np.random.default_rng(7)
+    root = make_raw_dataset_dir(tmp_path / "raw", rng)
+    support = kgcore.load_triples(root / "ind" / "train.txt")
+    query = kgcore.load_triples(root / "ind" / "test.txt")
+    # a query fact that also sits in support would be observed while scored
+    write_tsv(root / "ind" / "test.txt", query + support[:1])
+    with pytest.raises(DuplicateTriple, match=r"1 triple\(s\) of split 'query'"):
+        kgcore.load_raw_dataset(root)
+    write_tsv(root / "ind" / "test.txt", query)
+    write_tsv(root / "ind" / "valid.txt", support[1:3])
+    with pytest.raises(DuplicateTriple, match=r"2 triple\(s\) of split 'ind_valid'"):
+        kgcore.load_raw_dataset(root)
+    write_tsv(root / "ind" / "valid.txt", [(support[0][0], support[0][1], support[0][0])])
+    assert len(kgcore.load_raw_dataset(root).ind_valid) == 1

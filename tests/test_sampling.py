@@ -14,9 +14,17 @@ from indkg.sampling import (
     make_train_instance,
     sample_meta_task,
 )
+from indkg import sampling
 from indkg.evaluate import compute_rank
 
-from helpers import corruption_pool_oracle, random_triples, ranking_candidates_oracle
+from helpers import (
+    corruption_pool_oracle,
+    grow_region_loop_oracle,
+    masked_adjacency,
+    matrix_power_distances,
+    random_triples,
+    ranking_candidates_oracle,
+)
 
 
 def test_corrupt_only_option():
@@ -238,3 +246,57 @@ def test_meta_task_exhausted():
     g = build_graph([(0, 0, 1)], 2, 1)
     with pytest.raises(ExhaustedRetries):
         sample_meta_task(g, 50, 0.8, np.random.default_rng(0), max_attempts=5)
+
+
+def _stops_mid_level(triples, n, start, visited, region):
+    """True when the region was cut inside a BFS level: a visited vertex
+    short of the deepest level still has an edge outside the region."""
+    dist = matrix_power_distances(masked_adjacency(triples, n, (-1, -1, -1)), start, n)
+    deepest = max(dist[v] for v in visited)
+    region = set(region)
+    return any(dist[v] < deepest and (h, r, t) not in region
+               for h, r, t in np.asarray(triples).tolist()
+               for v in (h, t) if v in visited)
+
+
+def test_meta_task_matches_region_loop_oracle(monkeypatch):
+    rng = np.random.default_rng(23)
+    seen = {"loop": 0, "twin": 0, "parallel": 0, "isolated": 0, "mid_level": 0}
+    for case in range(40):
+        ne, nr = int(rng.integers(4, 30)), int(rng.integers(1, 4))
+        used = int(rng.integers(2, ne + 1))         # ids >= used stay isolated
+        m = int(rng.integers(used, 4 * used))
+        tri = np.column_stack([rng.integers(used, size=m), rng.integers(nr, size=m),
+                               rng.integers(used, size=m)])
+        tri = np.vstack([tri, tri[: m // 3, ::-1],
+                         np.column_stack([tri[: m // 4, [0]], (tri[: m // 4, [1]] + 1) % nr,
+                                          tri[: m // 4, [2]]])])
+        g = build_graph(tri, ne, nr)
+        rows = set(map(tuple, g.triples.tolist()))
+        seen["loop"] += any(h == t for h, _, t in rows)
+        seen["twin"] += any((t, r, h) in rows for h, r, t in rows if h != t)
+        seen["parallel"] += len({(h, t) for h, _, t in rows}) < len(rows)
+        seen["isolated"] += used < ne
+        for start in rng.choice(ne, size=min(ne, 4), replace=False).tolist():
+            size = int(rng.integers(2, len(rows) + 2))
+            visited, region = grow_region_loop_oracle(g.triples, start, size)
+            assert sampling._grow_region(g, start, size) == (visited, region)
+            seen["mid_level"] += _stops_mid_level(g.triples, ne, start, visited, region)
+        size, seed = int(rng.integers(2, max(3, len(rows) // 2))), int(rng.integers(1 << 30))
+
+        def sample():
+            try:
+                return sample_meta_task(g, size, 0.7, np.random.default_rng(seed),
+                                        max_attempts=20)
+            except ExhaustedRetries:
+                return None
+        got = sample()
+        with monkeypatch.context() as patch:
+            patch.setattr(sampling, "_grow_region",
+                          lambda graph, s, n: grow_region_loop_oracle(graph.triples, s, n))
+            want = sample()
+        assert (got is None) == (want is None)
+        if got is not None:
+            for name in ("nodes", "support", "query"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert all(seen.values()), seen
