@@ -297,10 +297,6 @@ def segment_sum(a, idx, num_segments: int) -> Tensor:
     return _unary(a, _scatter_rows(a.data, idx, num_segments), lambda g: g[idx])
 
 
-def dot(a, b) -> Tensor:
-    return tsum(mul(a, b))
-
-
 def circular_correlation(a, b) -> Tensor:
     """Row-wise circular correlation of two (m, d) tensors.
 

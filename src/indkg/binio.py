@@ -1,17 +1,11 @@
 """Low-level helpers for the package's little-endian binary file formats.
 
-All id arrays are stored as unsigned LEB128 varints; strings as a varint
-length followed by UTF-8 bytes. Fixed-width integers are little-endian.
-
-Id arrays go through the block codec, ``write_varints`` and
-``Reader.read_varints``, which encode and decode a whole int64 array with one
-numpy pass per byte position (at most ten) instead of one Python call per
-varint. The decoder finds the terminator bytes (high bit clear) in a window
-of at most ten bytes per varint and combines each varint's 7-bit groups by
-Horner's rule, back from its terminator. Both go through the array
-``BLOCK`` varints at a time, so their temporary arrays do not grow with it.
-The bytes are those of the scalar ``write_varint`` / ``read_varint`` pair,
-which remain for headers, string lengths and checkpoints.
+Bulk arrays are raw little-endian bytes in C order, written by
+``write_array`` and read by ``Reader.read_array``: ids as ``"<i8"``,
+checkpoint tensors as ``"<f8"`` and store offsets as ``"<u8"``. Header
+scalars (counts, string lengths, tensor shapes) are unsigned LEB128
+varints; strings are a varint length followed by UTF-8 bytes. Fixed-width
+integers are little-endian.
 """
 
 from __future__ import annotations
@@ -21,8 +15,6 @@ import struct
 import numpy as np
 
 from .errors import BadMagic, TruncatedFile, VersionMismatch
-
-BLOCK = 8192  # varints per pass of the block codec: temporaries of a few hundred KB
 
 
 def write_varint(buf: bytearray, value: int) -> None:
@@ -38,26 +30,9 @@ def write_varint(buf: bytearray, value: int) -> None:
             return
 
 
-def write_varints(buf: bytearray, values) -> None:
-    """Append every value of an integer array as a LEB128 varint, in order."""
-    values = np.asarray(values, dtype=np.int64).ravel()
-    if values.size and values.min() < 0:
-        raise ValueError("varints are unsigned")
-    for lo in range(0, values.size, BLOCK):
-        rest = values[lo:lo + BLOCK].copy()
-        width = max(1, -(-int(rest.max()).bit_length() // 7))
-        # column j holds byte j of every varint; keep[:, j] marks the varints
-        # that have a byte j, so the row-major mask drops the unused tail bytes
-        block = np.empty((rest.size, width), dtype=np.uint8)
-        keep = np.empty((rest.size, width), dtype=bool)
-        keep[:, 0] = True
-        for j in range(width):
-            more = rest > 0x7F
-            block[:, j] = (rest.astype(np.uint8) & 0x7F) | (more.view(np.uint8) << 7)
-            if j + 1 < width:
-                keep[:, j + 1] = more
-            rest >>= 7
-        buf += memoryview(block[keep])
+def write_array(buf: bytearray, values, dtype) -> None:
+    """Append every value of an array as raw ``dtype`` bytes, in C order."""
+    buf += np.ascontiguousarray(values, dtype=dtype).tobytes()
 
 
 class Reader:
@@ -77,6 +52,13 @@ class Reader:
         self.pos += n
         return out
 
+    def read_array(self, count: int, dtype) -> np.ndarray:
+        """The next ``count`` items of ``dtype`` as a writable native-order
+        array; a count the buffer cannot hold fails before any array exists."""
+        dtype = np.dtype(dtype)
+        raw = self.read_bytes(dtype.itemsize * count)
+        return np.frombuffer(raw, dtype).astype(dtype.newbyteorder("="))
+
     def read_varint(self) -> int:
         result = 0
         shift = 0
@@ -90,40 +72,6 @@ class Reader:
             shift += 7
             if shift > 63:
                 raise TruncatedFile("varint overflows 64 bits")
-
-    def read_varints(self, count: int) -> np.ndarray:
-        """The next ``count`` varints as an int64 array."""
-        if count > len(self.data) - self.pos:  # every varint takes a byte
-            raise TruncatedFile(f"need {count} varints at offset {self.pos}, "
-                                f"have {len(self.data) - self.pos} bytes")
-        out = np.empty(count, dtype=np.int64)
-        for lo in range(0, count, BLOCK):
-            values = out[lo:lo + BLOCK]
-            window = np.frombuffer(self.data, dtype=np.uint8, offset=self.pos,
-                                   count=min(10 * len(values), len(self.data) - self.pos))
-            ends = np.flatnonzero(window < 0x80)[:len(values)]
-            if len(ends) < len(values):
-                # fewer terminators than varints: the buffer ends, or a run
-                # of continuation bytes is longer than any 64-bit varint
-                raise TruncatedFile(f"{len(values)} varints at offset {self.pos} run "
-                                    f"past the end of the buffer or over 10 bytes")
-            lengths = ends.copy()
-            lengths[1:] -= ends[:-1]
-            lengths[0] += 1
-            longest = int(lengths.max())
-            if longest > 10:
-                raise TruncatedFile("varint overflows 64 bits")
-            # Horner's rule from each terminator, which holds the highest
-            # 7-bit group, back to the first byte. Lanes of varints shorter
-            # than j + 1 bytes keep their value, so their (possibly negative)
-            # index ends - j is never used.
-            values[:] = window[ends]
-            if longest == 10 and values[lengths == 10].any():
-                raise TruncatedFile("varint overflows int64")
-            for j in range(1, longest):
-                values[:] = np.where(lengths > j, (values << 7) | (window[ends - j] & 0x7F), values)
-            self.pos += int(ends[-1]) + 1
-        return out
 
     def read_u32(self) -> int:
         return struct.unpack("<I", self.read_bytes(4))[0]

@@ -161,7 +161,9 @@ def cmd_eval(cfg: RunConfig) -> int:
                                                cfg.k, cfg.seed,
                                                max_nodes=_max_nodes(cfg))
     else:
-        ents = np.unique(np.vstack([bundle.support, bundle.query])[:, [0, 2]])
+        # query entities without a support triple cannot be embedded; the
+        # scorer gives their triples -inf
+        ents = np.unique(bundle.support[:, [0, 2]])
         score_triples = entity_triple_scorer(model, bundle.support, ents)
         if cfg.task == "lp":
             report = run_link_prediction_triples(score_triples, graph,

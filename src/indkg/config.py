@@ -99,6 +99,8 @@ def validate(cfg: RunConfig) -> RunConfig:
             raise ConfigTypeError(key, getattr(cfg, key), f"one of {allowed}")
     if not 0.0 < cfg.support_frac < 1.0:
         raise ConfigTypeError("support_frac", cfg.support_frac, "value in (0, 1)")
+    if cfg.region_size < 2:     # a meta task splits its region into support and query
+        raise ConfigTypeError("region_size", cfg.region_size, "integer >= 2")
     return cfg
 
 

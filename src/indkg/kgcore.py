@@ -7,7 +7,7 @@ The on-disk layout follows the standard inductive benchmark convention:
                                                   a disjoint entity set
 
 Files are UTF-8 TSV ``head<TAB>relation<TAB>tail``. The processed bundle is a
-single versioned binary file (magic ``IKGD1``); see persist_dataset for the
+single versioned binary file (magic ``IKGD2``); see serialize_dataset for the
 exact layout.
 """
 
@@ -32,7 +32,7 @@ from .errors import (
 
 log = logging.getLogger(__name__)
 
-MAGIC = b"IKGD1"
+MAGIC = b"IKGD2"
 
 
 def load_triples(path) -> list[tuple[str, str, str]]:
@@ -238,12 +238,6 @@ class IndexedGraph:
         s, p = self.out_end[e], self.indptr[e + 1]
         return self.nbr[s:p], self.rel[s:p]
 
-    def und_edges(self, e: int):
-        """(neighbor, relation, is_forward) over both edge directions: the
-        out-edges, then the in-edges."""
-        s, p = self.indptr[e], self.indptr[e + 1]
-        return self.nbr[s:p], self.rel[s:p], np.arange(s, p) < self.out_end[e]
-
 
 def _build_csr(triples, n, num_relations):
     """``(indptr, out_end, nbr, rel)``: row e holds e's out-entries (t, r),
@@ -350,20 +344,21 @@ def load_raw_dataset(root) -> DatasetBundle:
 
 def _write_triple_block(buf, triples):
     binio.write_varint(buf, len(triples))
-    binio.write_varints(buf, triples)
+    binio.write_array(buf, triples, "<i8")
 
 
 def _read_triple_block(rd):
     n = rd.read_varint()
-    return rd.read_varints(3 * n).reshape(n, 3)
+    return rd.read_array(3 * n, "<i8").reshape(n, 3)
 
 
 def serialize_dataset(bundle: DatasetBundle) -> bytes:
-    """Encode a bundle into the IKGD1 byte layout.
+    """Encode a bundle into the IKGD2 byte layout.
 
     Layout: magic, varint entity count + labels, varint relation count +
     labels, then six triple blocks (train, valid, test, support, query,
-    ind_valid), each a varint count followed by (h, r, t) varints.
+    ind_valid), each a varint row count followed by the (h, r, t) rows as
+    one little-endian int64 array.
     """
     buf = bytearray(MAGIC)
     binio.write_varint(buf, bundle.vocab.num_entities)

@@ -9,6 +9,7 @@ score per subgraph, and ``subgraph_score`` is its one-item call.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -369,7 +370,7 @@ def save_checkpoint(path, tensors: dict[str, Tensor], config: dict) -> None:
         binio.write_varint(buf, t.data.ndim)
         for d in t.data.shape:
             binio.write_varint(buf, d)
-        buf += np.ascontiguousarray(t.data, dtype="<f8").tobytes()
+        binio.write_array(buf, t.data, "<f8")
     with open(path, "wb") as fh:
         fh.write(bytes(buf))
 
@@ -390,9 +391,8 @@ def load_checkpoint(path):
         name = rd.read_string()
         ndim = rd.read_varint()
         shape = tuple(rd.read_varint() for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        raw = rd.read_bytes(8 * count)
-        tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        # math.prod cannot wrap around, so a corrupt shape fails as truncation
+        tensors[name] = rd.read_array(math.prod(shape), "<f8").reshape(shape)
     return config, tensors
 
 

@@ -1,16 +1,18 @@
-"""Indexed binary store for extracted subgraphs (magic ``IKGS1``).
+"""Indexed binary store for extracted subgraphs (magic ``IKGS2``).
 
 File layout, all little-endian:
 
-    magic "IKGS1"
+    magic "IKGS2"
     u64 record count
     u64 absolute byte offset per record (the offset table)
-    records: varint-encoded payload followed by u32 CRC32 of the payload
+    records: an int64 payload followed by u32 CRC32 of the payload
 
-A record holds k, the target triple, the node ids with their clamped
-(d_h, d_t) pairs, the local edge list, and the k-hop union size used for
-pruning statistics. Offsets give O(1) random access; the writer buffers
-records and emits the whole file on close so the table can precede the data.
+A record's payload is one int64 array,
+``[k, h, r, t, union_size, n, m, n x (node, d_h, d_t), m x (edge row)]``:
+k, the target triple, the k-hop union size used for pruning statistics, the
+node ids with their clamped (d_h, d_t) pairs, and the local edge list.
+Offsets give O(1) random access; the writer buffers records and emits the
+whole file on close so the table can precede the data.
 """
 
 from __future__ import annotations
@@ -20,44 +22,39 @@ import zlib
 import numpy as np
 
 from . import binio
-from .errors import CorruptRecord, EmptyStore, IndexOutOfRange, MissingFile, TruncatedFile
+from .errors import CorruptRecord, EmptyStore, IndexOutOfRange, MissingFile
 from .subgraph import CorpusStats, Subgraph
 
-MAGIC = b"IKGS1"
+MAGIC = b"IKGS2"
 
 
 def encode_record(sub: Subgraph) -> bytes:
+    payload = np.concatenate([
+        [sub.k, *sub.target, sub.union_size, sub.num_nodes, len(sub.edges)],
+        np.column_stack([sub.nodes, sub.dist_pairs]).ravel(), np.ravel(sub.edges)])
     buf = bytearray()
-    for x in (sub.k, *sub.target, sub.union_size, sub.num_nodes):
-        binio.write_varint(buf, int(x))
-    binio.write_varints(buf, np.column_stack([sub.nodes, sub.dist_pairs]))
-    binio.write_varint(buf, len(sub.edges))
-    binio.write_varints(buf, sub.edges)
-    payload = bytes(buf)
-    crc = bytearray()
-    binio.write_u32(crc, zlib.crc32(payload))
-    return payload + bytes(crc)
+    binio.write_array(buf, payload, "<i8")
+    binio.write_u32(buf, zlib.crc32(buf))
+    return bytes(buf)
 
 
 def decode_record(data: bytes, index: int) -> Subgraph:
-    """Decode one record; a bad CRC or a payload that the varints do not fill
-    exactly raises CorruptRecord(index)."""
+    """Decode one record; a bad CRC, or a payload that is not a whole int64
+    array of non-negative values whose counts it matches exactly, raises
+    CorruptRecord(index)."""
     if len(data) < 4:
         raise CorruptRecord(index)
     payload, stored = data[:-4], data[-4:]
-    rd = binio.Reader(stored)
-    if zlib.crc32(payload) != rd.read_u32():
+    if zlib.crc32(payload) != binio.Reader(stored).read_u32() or len(payload) % 8:
         raise CorruptRecord(index)
-    rd = binio.Reader(payload)
-    try:
-        k, h, r, t, union_size, n = (rd.read_varint() for _ in range(6))
-        node_block = rd.read_varints(3 * n).reshape(n, 3)
-        m = rd.read_varint()
-        edges = rd.read_varints(3 * m).reshape(m, 3)
-    except TruncatedFile as exc:
-        raise CorruptRecord(index) from exc
-    if rd.pos != len(payload):
+    values = binio.Reader(payload).read_array(len(payload) // 8, "<i8")
+    if len(values) < 7 or values.min() < 0:
         raise CorruptRecord(index)
+    k, h, r, t, union_size, n, m = values[:7].tolist()
+    if len(values) != 7 + 3 * n + 3 * m:
+        raise CorruptRecord(index)
+    node_block = values[7:7 + 3 * n].reshape(n, 3)
+    edges = values[7 + 3 * n:].reshape(m, 3)
     return Subgraph((h, r, t), node_block[:, 0], node_block[:, 1:], edges, k, union_size)
 
 
@@ -114,7 +111,7 @@ class StoreReader:
         rd = binio.Reader(self._data)
         binio.check_magic(rd, MAGIC)
         self.count = rd.read_u64()
-        self._offsets = np.frombuffer(rd.read_bytes(8 * self.count), dtype="<u8").tolist()
+        self._offsets = rd.read_array(self.count, "<u8").tolist()
         self._end = len(self._data)
 
     def read(self, index: int) -> Subgraph:

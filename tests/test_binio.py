@@ -1,81 +1,97 @@
+import struct
+
 import numpy as np
 import pytest
 
-from indkg import binio
-from indkg.errors import TruncatedFile
+from indkg import binio, kgcore
+from indkg.autodiff import Tensor
+from indkg.errors import IndkgError, TruncatedFile
+from indkg.model import load_checkpoint, save_checkpoint
+from indkg.store import StoreReader, StoreWriter
 
-EDGE_VALUES = [2**35, 0, 16384, 127, 2**63 - 1, 128, 16383, 0, 127]
+from helpers import random_subgraph
+
+ARRAY_CASES = [
+    ("<i8", "<q", [2**35, 0, -1, 127, 2**63 - 1, -2**63, 128]),
+    ("<u8", "<Q", [0, 1, 2**64 - 1, 2**32, 9]),
+    ("<f8", "<d", [0.0, -0.0, 1.5, -np.inf, 1e-300, -7.25]),
+]
 
 
-def scalar_bytes(values):
-    buf = bytearray()
-    for v in values:
-        binio.write_varint(buf, int(v))
-    return bytes(buf)
-
-
-def test_block_codec_matches_scalar_codec():
-    values = np.array(EDGE_VALUES, dtype=np.int64)
+@pytest.mark.parametrize("dtype, fmt, values", ARRAY_CASES, ids=[c[0] for c in ARRAY_CASES])
+def test_array_roundtrip(dtype, fmt, values):
     buf = bytearray(b"\x07")
-    binio.write_varints(buf, values)
-    assert bytes(buf[1:]) == scalar_bytes(values)
+    binio.write_array(buf, np.array(values, dtype=dtype), dtype)
+    assert bytes(buf[1:]) == b"".join(struct.pack(fmt, v) for v in values)
     rd = binio.Reader(bytes(buf) + b"\x05", pos=1)
-    out = rd.read_varints(len(values))
-    assert out.dtype == np.int64
-    assert out.tolist() == EDGE_VALUES
+    out = rd.read_array(len(values), dtype)
+    assert out.dtype == np.dtype(dtype) and out.dtype.isnative
+    assert out.flags.writeable
+    assert out.tolist() == values
     assert rd.pos == len(buf)
     assert rd.read_varint() == 5
 
 
-@pytest.mark.parametrize("block", [binio.BLOCK, 7])
-def test_block_codec_matches_scalar_codec_on_random_arrays(monkeypatch, block):
-    monkeypatch.setattr(binio, "BLOCK", block)
-    rng = np.random.default_rng(0)
-    values = rng.integers(0, 2**63 - 1, size=(300, 3), dtype=np.int64)
-    values[::2] >>= rng.integers(0, 63, size=(150, 3))
-    buf = bytearray()
-    binio.write_varints(buf, values)
-    assert bytes(buf) == scalar_bytes(values.ravel())
-    rd = binio.Reader(bytes(buf))
-    assert np.array_equal(rd.read_varints(values.size).reshape(300, 3), values)
-    assert rd.pos == len(buf)
+def test_array_written_in_c_order():
+    values = np.arange(12, dtype=np.int64).reshape(3, 4)
+    flat, strided = bytearray(), bytearray()
+    binio.write_array(flat, values.ravel(), "<i8")
+    binio.write_array(strided, values.T.copy().T, "<i8")   # Fortran-ordered copy
+    assert strided == flat
+    assert binio.Reader(bytes(flat)).read_array(12, "<i8").reshape(3, 4).tolist() \
+        == values.tolist()
 
 
 def test_empty_array_writes_and_reads_nothing():
     buf = bytearray()
-    binio.write_varints(buf, np.empty((0, 3), dtype=np.int64))
+    binio.write_array(buf, np.empty((0, 3), dtype=np.int64), "<i8")
     assert buf == bytearray()
     rd = binio.Reader(b"\x01", pos=1)
-    out = rd.read_varints(0)
+    out = rd.read_array(0, "<i8")
     assert out.shape == (0,) and out.dtype == np.int64
     assert rd.pos == 1
 
 
-def test_negative_value_rejected():
+def test_read_array_truncated():
     buf = bytearray()
-    with pytest.raises(ValueError):
-        binio.write_varints(buf, np.array([3, -1, 4]))
-    with pytest.raises(ValueError):
-        binio.write_varint(buf, -1)
+    binio.write_array(buf, [1, 300, 2**35], "<i8")
+    data = bytes(buf[:-1])
+    with pytest.raises(TruncatedFile):
+        binio.Reader(data).read_array(3, "<i8")
+    assert binio.Reader(data).read_array(2, "<i8").tolist() == [1, 300]
+    # a count read from a corrupt header fails before any array is sized by
+    # it: 2**40 items would be 8 TiB
+    rd = binio.Reader(data)
+    with pytest.raises(TruncatedFile):
+        rd.read_array(2**40, "<i8")
+    assert rd.pos == 0
 
 
-@pytest.mark.parametrize("block", [binio.BLOCK, 2])
-def test_truncated_mid_varint(monkeypatch, block):
-    monkeypatch.setattr(binio, "BLOCK", block)
-    data = scalar_bytes([1, 300, 2**35])[:-1]
+@pytest.mark.parametrize("count", [8192, 2])
+def test_truncated_mid_varint(count):
+    buf = bytearray()
+    for v in range(count):
+        binio.write_varint(buf, v * 300)
+    whole = len(buf)
+    binio.write_varint(buf, 2**35)
+    data = bytes(buf[:-1])
+    rd = binio.Reader(data)
+    assert [rd.read_varint() for _ in range(count)] == [v * 300 for v in range(count)]
+    assert rd.pos == whole
     with pytest.raises(TruncatedFile):
-        binio.Reader(data).read_varints(3)
+        rd.read_varint()
+    # the truncated varint is a header count, so the array it sizes never exists
     with pytest.raises(TruncatedFile):
-        binio.Reader(data).read_varints(4)
-    # a count read from a corrupt header fails before any array is sized by it
-    with pytest.raises(TruncatedFile):
-        binio.Reader(data).read_varints(2**40)
+        binio.Reader(data, pos=whole).read_string()
+
+
+def test_negative_value_rejected():
+    with pytest.raises(ValueError):
+        binio.write_varint(bytearray(), -1)
 
 
 def test_overlong_continuation_run():
-    data = b"\x01" + b"\xff" * 11 + b"\x01" + b"\x02" * 20
-    with pytest.raises(TruncatedFile):
-        binio.Reader(data).read_varints(3)
+    data = b"\x01" + b"\xff" * 11 + b"\x01"
     with pytest.raises(TruncatedFile):
         binio.Reader(data, pos=1).read_varint()
 
@@ -83,7 +99,46 @@ def test_overlong_continuation_run():
 def test_ten_byte_varint_beyond_int64():
     data = b"\x80" * 9 + b"\x01"
     assert binio.Reader(data).read_varint() == 2**63
-    with pytest.raises(TruncatedFile):
-        binio.Reader(data).read_varints(1)
-    padded = b"\xff" + b"\x80" * 8 + b"\x00"
-    assert binio.Reader(padded).read_varints(1).tolist() == [127]
+    buf = bytearray()
+    binio.write_varint(buf, 2**63)
+    assert bytes(buf) == data
+
+
+def _small_bundle_bytes():
+    v = kgcore.build_vocab([("a", "r", "b"), ("b", "s", "c")], valid=[("a", "s", "c")],
+                           support=[("x", "r", "y"), ("y", "s", "z")],
+                           query=[("x", "s", "z")])
+    e = lambda raw: kgcore.encode_triples(raw, v)
+    bundle = kgcore.DatasetBundle(v, e([("a", "r", "b"), ("b", "s", "c")]),
+                                  e([("a", "s", "c")]), e([]),
+                                  e([("x", "r", "y"), ("y", "s", "z")]),
+                                  e([("x", "s", "z")]), e([]))
+    return kgcore.serialize_dataset(bundle)
+
+
+def test_every_truncation_raises_package_error(tmp_path):
+    """Each proper prefix of a bundle, a store and a checkpoint fails to
+    read with a package error, never with IndexError, ValueError or
+    struct.error from inside the decoder."""
+    bundle = _small_bundle_bytes()
+    kgcore.deserialize_dataset(bundle)
+    for cut in range(len(bundle)):
+        with pytest.raises(IndkgError):
+            kgcore.deserialize_dataset(bundle[:cut])
+
+    rng = np.random.default_rng(4)
+    store_path, cut_path = tmp_path / "s.ikgs", tmp_path / "cut"
+    with StoreWriter(store_path) as w:
+        for _ in range(2):
+            w.write(random_subgraph(rng))
+    ckpt_path = tmp_path / "m.ikgm"
+    save_checkpoint(ckpt_path, {"w": Tensor(rng.normal(size=(2, 3))),
+                                "b": Tensor(np.array(0.5))}, {"dim": 3})
+    for path, read in ((store_path, lambda p: list(StoreReader(p))),
+                       (ckpt_path, load_checkpoint)):
+        data = path.read_bytes()
+        read(path)
+        for cut in range(len(data)):
+            cut_path.write_bytes(data[:cut])
+            with pytest.raises(IndkgError):
+                read(cut_path)

@@ -38,6 +38,13 @@ def test_parse_config_bad_type():
         parse_config(None, {"seed": "7", "k": "two"})
 
 
+def test_region_size_below_two_rejected(capsys):
+    with pytest.raises(ConfigTypeError):
+        parse_config(None, {"seed": "7", "region_size": "1"})
+    assert main(["train", "--seed", "7", "--region_size", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_parse_config_bad_enum():
     with pytest.raises(ConfigTypeError):
         parse_config(None, {"seed": "7", "layer_kind": "gat"})
@@ -154,3 +161,20 @@ def test_entity_family_pipeline(tmp_path):
     assert main(["eval", "--task", "lp", "--num_neg_eval", "5"] + base) == 0
     report = json.loads((out / "report.json").read_text())
     assert 0.0 < report["mrr"] <= 1.0
+
+
+@pytest.mark.parametrize("task", ["tc", "lp"])
+def test_entity_eval_query_entity_without_support_triple(tmp_path, task):
+    raw = tmp_path / "raw"
+    make_raw_dataset_dir(str(raw), np.random.default_rng(5))
+    # "w" occurs only in the query split, so it has no support triple
+    with open(raw / "ind" / "test.txt", "a", encoding="utf-8") as fh:
+        fh.write("u0\tr1\tw\n")
+    out = tmp_path / "out"
+    base = ["--data_root", str(raw), "--output_dir", str(out), "--seed", "2",
+            "--model_family", "entity", "--dim", "8", "--episodes", "2",
+            "--region_size", "20", "--support_frac", "0.7"]
+    assert main(["preprocess"] + base) == 0
+    assert main(["train"] + base) == 0
+    assert main(["eval", "--task", task, "--num_neg_eval", "5"] + base) == 0
+    assert (out / "report.json").is_file()

@@ -12,6 +12,7 @@ from indkg.errors import (
     TruncatedFile,
     UnknownEntity,
     UnknownRelation,
+    VersionMismatch,
 )
 
 from helpers import graph_index_oracle, make_raw_dataset_dir, write_tsv
@@ -136,8 +137,8 @@ def test_edge_count_invariant():
     from helpers import random_triples
     triples = random_triples(rng, 15, 3, 0.1)
     g = kgcore.build_graph(triples, 15, 3)
-    total_und = sum(len(g.und_edges(e)[0]) for e in range(15))
-    assert total_und == 2 * g.num_triples
+    total = sum(len(g.out_edges(e)[0]) + len(g.in_edges(e)[0]) for e in range(15))
+    assert total == 2 * g.num_triples
 
 
 def test_contains_matches_python_set():
@@ -201,10 +202,6 @@ def test_graph_index_matches_oracle():
         for e in range(ne):
             for got, expect in ((g.out_edges(e), out_edges[e]), (g.in_edges(e), in_edges[e])):
                 assert all(np.array_equal(a, b) for a, b in zip(got, expect)), e
-            nbr, rel, fwd = g.und_edges(e)
-            assert np.array_equal(nbr, np.concatenate([out_edges[e][0], in_edges[e][0]]))
-            assert np.array_equal(rel, np.concatenate([out_edges[e][1], in_edges[e][1]]))
-            assert fwd.tolist() == [True] * len(out_edges[e][0]) + [False] * len(in_edges[e][0])
         rows = set(map(tuple, tri.tolist()))
         seen["dup"] += len(rows) < len(tri)
         seen["loop"] += any(h == t for h, _, t in rows)
@@ -316,6 +313,9 @@ def test_bad_magic(tmp_path):
     p = tmp_path / "bad.ikgd"
     p.write_bytes(b"NOPE1" + b"\x00" * 10)
     with pytest.raises(BadMagic):
+        kgcore.load_dataset(p)
+    p.write_bytes(b"IKGD1" + b"\x00" * 10)       # the former varint layout
+    with pytest.raises(VersionMismatch):
         kgcore.load_dataset(p)
 
 

@@ -8,6 +8,7 @@ from indkg.errors import (
     MissingFile,
     NonFiniteUpdate,
     ShapeMismatch,
+    TruncatedFile,
 )
 from indkg.kgcore import build_graph
 from indkg.model import (
@@ -314,6 +315,22 @@ def test_checkpoint_roundtrip(tmp_path):
 def test_checkpoint_missing_file(tmp_path):
     with pytest.raises(MissingFile):
         load_checkpoint(tmp_path / "nope.ikgm")
+
+
+def test_checkpoint_shape_beyond_data_is_truncation(tmp_path):
+    from indkg import binio
+    from indkg.model import CHECKPOINT_MAGIC
+    buf = bytearray(CHECKPOINT_MAGIC)
+    binio.write_string(buf, "{}")
+    binio.write_varint(buf, 1)
+    binio.write_string(buf, "w")
+    binio.write_varint(buf, 2)
+    for d in (2**32, 2**32):    # 2**64 items: wraps to 0 in int64 arithmetic
+        binio.write_varint(buf, d)
+    path = tmp_path / "m.ikgm"
+    path.write_bytes(bytes(buf) + bytes(16))
+    with pytest.raises(TruncatedFile):
+        load_checkpoint(path)
 
 
 def test_restore_shape_guard(tmp_path):

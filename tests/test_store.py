@@ -54,15 +54,36 @@ def test_record_checksum():
         decode_record(bytes(rec), 0)
 
 
+def _with_crc(payload: bytes) -> bytes:
+    crc = bytearray()
+    write_u32(crc, zlib.crc32(payload))
+    return payload + bytes(crc)
+
+
 def test_payload_not_filled_exactly_by_varints():
     sub = minimal_subgraph()
     payload = encode_record(sub)[:-4]
     for bad in (payload[:-1], payload + b"\x00"):
-        crc = bytearray()
-        write_u32(crc, zlib.crc32(bad))
         with pytest.raises(CorruptRecord) as info:
-            decode_record(bad + bytes(crc), 3)
+            decode_record(_with_crc(bad), 3)
         assert info.value.index == 3
+
+
+def test_crc_valid_record_with_bad_values():
+    # k, h, r, t, union_size, n, m, then n node rows and m edge rows
+    good = [2, 7, 1, 9, 2, 2, 1, 7, 0, 3, 9, 3, 0, 0, 1, 1]
+    assert decode_record(_with_crc(np.array(good, "<i8").tobytes()), 0) \
+        == Subgraph((7, 1, 9), np.array([7, 9]), np.array([[0, 3], [3, 0]]),
+                    np.array([[0, 1, 1]]), 2, union_size=2)
+    negative_id = good[:7] + [-7] + good[8:]
+    too_short = good[:6]
+    rows_missing = good[:-3]
+    extra_value = good + [0]
+    huge_count = good[:5] + [2**62] + good[6:]
+    for bad in (negative_id, too_short, rows_missing, extra_value, huge_count):
+        with pytest.raises(CorruptRecord) as info:
+            decode_record(_with_crc(np.array(bad, "<i8").tobytes()), 5)
+        assert info.value.index == 5
 
 
 def test_bad_magic_and_version(tmp_path):
@@ -70,9 +91,10 @@ def test_bad_magic_and_version(tmp_path):
     p.write_bytes(b"WRONG" + b"\x00" * 16)
     with pytest.raises(BadMagic):
         StoreReader(p)
-    p.write_bytes(b"IKGS9" + b"\x00" * 16)
-    with pytest.raises(VersionMismatch):
-        StoreReader(p)
+    for older_or_newer in (b"IKGS1", b"IKGS9"):
+        p.write_bytes(older_or_newer + b"\x00" * 16)
+        with pytest.raises(VersionMismatch):
+            StoreReader(p)
 
 
 def test_sequential_indices_and_random_order_roundtrip(tmp_path):
