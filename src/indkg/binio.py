@@ -1,33 +1,24 @@
 """Low-level helpers for the package's little-endian binary file formats.
 
-Bulk arrays are raw little-endian bytes in C order, written by
-``write_array`` and read by ``Reader.read_array``: ids as ``"<i8"``,
-checkpoint tensors as ``"<f8"`` and store offsets as ``"<u8"``. Header
-scalars (counts, string lengths, tensor shapes) are unsigned LEB128
-varints; strings are a varint length followed by UTF-8 bytes. Fixed-width
-integers are little-endian.
+Every file is a magic tag, then fixed-width scalars and string tables, then
+raw arrays. Integers are fixed-width little-endian: u64 for counts, shapes
+and offsets, and u32 only for the store's CRC32. Bulk arrays are raw
+little-endian bytes in C order, written by ``write_array`` and read by
+``Reader.read_array``: ids as ``"<i8"``, checkpoint tensors as ``"<f8"``,
+store offsets and tensor shapes as ``"<u8"``. Strings are stored as a
+string table (``write_strings`` / ``Reader.read_strings``): a u64 count,
+the UTF-8 byte length of each string as one ``"<u8"`` array, then the
+concatenated bytes.
 """
 
 from __future__ import annotations
 
+import itertools
 import struct
 
 import numpy as np
 
 from .errors import BadMagic, TruncatedFile, VersionMismatch
-
-
-def write_varint(buf: bytearray, value: int) -> None:
-    if value < 0:
-        raise ValueError("varints are unsigned")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            buf.append(byte | 0x80)
-        else:
-            buf.append(byte)
-            return
 
 
 def write_array(buf: bytearray, values, dtype) -> None:
@@ -42,12 +33,9 @@ class Reader:
         self.data = data
         self.pos = pos
 
-    def _need(self, n: int):
+    def read_bytes(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
             raise TruncatedFile(f"need {n} bytes at offset {self.pos}, have {len(self.data)}")
-
-    def read_bytes(self, n: int) -> bytes:
-        self._need(n)
         out = self.data[self.pos:self.pos + n]
         self.pos += n
         return out
@@ -59,29 +47,20 @@ class Reader:
         raw = self.read_bytes(dtype.itemsize * count)
         return np.frombuffer(raw, dtype).astype(dtype.newbyteorder("="))
 
-    def read_varint(self) -> int:
-        result = 0
-        shift = 0
-        while True:
-            self._need(1)
-            byte = self.data[self.pos]
-            self.pos += 1
-            result |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return result
-            shift += 7
-            if shift > 63:
-                raise TruncatedFile("varint overflows 64 bits")
-
     def read_u32(self) -> int:
         return struct.unpack("<I", self.read_bytes(4))[0]
 
     def read_u64(self) -> int:
         return struct.unpack("<Q", self.read_bytes(8))[0]
 
-    def read_string(self) -> str:
-        n = self.read_varint()
-        return self.read_bytes(n).decode("utf-8")
+    def read_strings(self) -> list[str]:
+        """The next string table as a list of str."""
+        lens = self.read_array(self.read_u64(), "<u8").tolist()
+        # Python ints: a corrupt length cannot wrap the sum or the offsets,
+        # so it fails as truncation in read_bytes
+        blob = self.read_bytes(sum(lens))
+        return [blob[end - n:end].decode("utf-8")
+                for n, end in zip(lens, itertools.accumulate(lens))]
 
 
 def write_u32(buf: bytearray, value: int) -> None:
@@ -92,10 +71,12 @@ def write_u64(buf: bytearray, value: int) -> None:
     buf += struct.pack("<Q", value)
 
 
-def write_string(buf: bytearray, s: str) -> None:
-    raw = s.encode("utf-8")
-    write_varint(buf, len(raw))
-    buf += raw
+def write_strings(buf: bytearray, strings) -> None:
+    """Append a string table: u64 count, u64 byte lengths, UTF-8 bytes."""
+    raw = [s.encode("utf-8") for s in strings]
+    write_u64(buf, len(raw))
+    write_array(buf, [len(b) for b in raw], "<u8")
+    buf += b"".join(raw)
 
 
 def check_magic(reader: Reader, expected: bytes) -> None:

@@ -20,15 +20,13 @@ from .sampling import (
 )
 
 
-def compute_rank(scores, truth_idx: int, tie_policy: str = "mean") -> float:
+def compute_rank(scores, truth_idx: int) -> float:
     """Rank of the truth among scores (1 = best), averaging over ties."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise EmptyScores("cannot rank an empty score array")
     if not (0 <= truth_idx < scores.size):
         raise IndexError(f"truth index {truth_idx} outside [0, {scores.size})")
-    if tie_policy != "mean":
-        raise ValueError(f"unsupported tie policy {tie_policy!r}")
     s = scores[truth_idx]
     better = int((scores > s).sum())
     tied = int((scores == s).sum()) - 1
@@ -79,7 +77,8 @@ def classification_metrics(scores, labels01):
     # grouped-tie average precision, descending score blocks
     order = np.argsort(-scores, kind="stable")
     s_sorted, y_sorted = scores[order], labels01[order]
-    boundaries = np.flatnonzero(np.diff(s_sorted)) + 1
+    # compare, not subtract: -inf - -inf is NaN, which would split a tie
+    boundaries = np.flatnonzero(s_sorted[1:] != s_sorted[:-1]) + 1
     blocks = np.split(y_sorted, boundaries)
     ap = 0.0
     cum_tp = cum_n = 0

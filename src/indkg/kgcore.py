@@ -7,7 +7,7 @@ The on-disk layout follows the standard inductive benchmark convention:
                                                   a disjoint entity set
 
 Files are UTF-8 TSV ``head<TAB>relation<TAB>tail``. The processed bundle is a
-single versioned binary file (magic ``IKGD2``); see serialize_dataset for the
+single versioned binary file (magic ``IKGD3``); see serialize_dataset for the
 exact layout.
 """
 
@@ -32,7 +32,7 @@ from .errors import (
 
 log = logging.getLogger(__name__)
 
-MAGIC = b"IKGD2"
+MAGIC = b"IKGD3"
 
 
 def load_triples(path) -> list[tuple[str, str, str]]:
@@ -343,30 +343,26 @@ def load_raw_dataset(root) -> DatasetBundle:
 
 
 def _write_triple_block(buf, triples):
-    binio.write_varint(buf, len(triples))
+    binio.write_u64(buf, len(triples))
     binio.write_array(buf, triples, "<i8")
 
 
 def _read_triple_block(rd):
-    n = rd.read_varint()
+    n = rd.read_u64()
     return rd.read_array(3 * n, "<i8").reshape(n, 3)
 
 
 def serialize_dataset(bundle: DatasetBundle) -> bytes:
-    """Encode a bundle into the IKGD2 byte layout.
+    """Encode a bundle into the IKGD3 byte layout.
 
-    Layout: magic, varint entity count + labels, varint relation count +
-    labels, then six triple blocks (train, valid, test, support, query,
-    ind_valid), each a varint row count followed by the (h, r, t) rows as
-    one little-endian int64 array.
+    Layout: magic, the entity labels and the relation labels as two string
+    tables (see ``binio``), then six triple blocks (train, valid, test,
+    support, query, ind_valid), each a u64 row count followed by the
+    (h, r, t) rows as one little-endian int64 array.
     """
     buf = bytearray(MAGIC)
-    binio.write_varint(buf, bundle.vocab.num_entities)
-    for label in bundle.vocab.id2entity:
-        binio.write_string(buf, label)
-    binio.write_varint(buf, bundle.vocab.num_relations)
-    for label in bundle.vocab.id2relation:
-        binio.write_string(buf, label)
+    binio.write_strings(buf, bundle.vocab.id2entity)
+    binio.write_strings(buf, bundle.vocab.id2relation)
     for split in (bundle.train, bundle.valid, bundle.test,
                   bundle.support, bundle.query, bundle.ind_valid):
         _write_triple_block(buf, split)
@@ -376,10 +372,8 @@ def serialize_dataset(bundle: DatasetBundle) -> bytes:
 def deserialize_dataset(data: bytes) -> DatasetBundle:
     rd = binio.Reader(data)
     binio.check_magic(rd, MAGIC)
-    ne = rd.read_varint()
-    id2entity = [rd.read_string() for _ in range(ne)]
-    nr = rd.read_varint()
-    id2relation = [rd.read_string() for _ in range(nr)]
+    id2entity = rd.read_strings()
+    id2relation = rd.read_strings()
     vocab = Vocab({s: i for i, s in enumerate(id2entity)},
                   {s: i for i, s in enumerate(id2relation)},
                   id2entity, id2relation)

@@ -38,6 +38,7 @@ from .errors import (
     MissingFile,
     NonFiniteUpdate,
     ShapeMismatch,
+    TruncatedFile,
 )
 from .layers import (
     Messages,
@@ -50,7 +51,7 @@ from .layers import (
 from .sampling import ScoredItem
 from .subgraph import Subgraph
 
-CHECKPOINT_MAGIC = b"IKGM1"
+CHECKPOINT_MAGIC = b"IKGM2"
 
 
 # -- decoders ---------------------------------------------------------------
@@ -360,17 +361,17 @@ def gradient_check(params: dict[str, Tensor], loss_fn, eps: float = 1e-5,
 # -- checkpoints ------------------------------------------------------------
 
 def save_checkpoint(path, tensors: dict[str, Tensor], config: dict) -> None:
-    """Write magic, config echo, then named float64 little-endian blobs."""
+    """Write the IKGM2 layout: magic, one string table holding the config
+    JSON and then the tensor names in sorted order, then for each name a u64
+    ``ndim``, the shape as ``"<u8"`` and the data as ``"<f8"``, C order."""
+    names = sorted(tensors)
     buf = bytearray(CHECKPOINT_MAGIC)
-    binio.write_string(buf, json.dumps(config, sort_keys=True))
-    binio.write_varint(buf, len(tensors))
-    for name in sorted(tensors):
-        t = tensors[name]
-        binio.write_string(buf, name)
-        binio.write_varint(buf, t.data.ndim)
-        for d in t.data.shape:
-            binio.write_varint(buf, d)
-        binio.write_array(buf, t.data, "<f8")
+    binio.write_strings(buf, [json.dumps(config, sort_keys=True), *names])
+    for name in names:
+        data = tensors[name].data
+        binio.write_u64(buf, data.ndim)
+        binio.write_array(buf, data.shape, "<u8")
+        binio.write_array(buf, data, "<f8")
     with open(path, "wb") as fh:
         fh.write(bytes(buf))
 
@@ -384,16 +385,15 @@ def load_checkpoint(path):
         data = fh.read()
     rd = binio.Reader(data)
     binio.check_magic(rd, CHECKPOINT_MAGIC)
-    config = json.loads(rd.read_string())
-    n = rd.read_varint()
+    header = rd.read_strings()
+    if not header:
+        raise TruncatedFile("checkpoint string table holds no config")
     tensors = {}
-    for _ in range(n):
-        name = rd.read_string()
-        ndim = rd.read_varint()
-        shape = tuple(rd.read_varint() for _ in range(ndim))
+    for name in header[1:]:
+        shape = tuple(rd.read_array(rd.read_u64(), "<u8").tolist())
         # math.prod cannot wrap around, so a corrupt shape fails as truncation
         tensors[name] = rd.read_array(math.prod(shape), "<f8").reshape(shape)
-    return config, tensors
+    return json.loads(header[0]), tensors
 
 
 def restore_model(model, arrays: dict[str, np.ndarray]) -> None:

@@ -230,14 +230,12 @@ def sample_meta_task(graph: IndexedGraph, region_size: int, support_frac: float,
             continue
         support = [triples[i] for i in order[:cut]]
         query = [triples[i] for i in order[cut:]]
-        while True:
-            support_ents = {e for h, _, t in support for e in (h, t)}
-            bad = [q for q in query
-                   if q[0] not in support_ents or q[2] not in support_ents]
-            if not bad:
-                break
-            support.extend(bad)
-            query = [q for q in query if q not in bad]
+        # moving a triple into support only adds entities to it, so every
+        # query triple left after one pass stays covered
+        ents = {e for h, _, t in support for e in (h, t)}
+        covered = [q[0] in ents and q[2] in ents for q in query]
+        support += [q for q, c in zip(query, covered) if not c]
+        query = [q for q, c in zip(query, covered) if c]
         if not query:
             continue
         return MetaTask(np.asarray(sorted(visited), dtype=np.int64),

@@ -23,13 +23,13 @@ def test_array_roundtrip(dtype, fmt, values):
     buf = bytearray(b"\x07")
     binio.write_array(buf, np.array(values, dtype=dtype), dtype)
     assert bytes(buf[1:]) == b"".join(struct.pack(fmt, v) for v in values)
-    rd = binio.Reader(bytes(buf) + b"\x05", pos=1)
+    rd = binio.Reader(bytes(buf) + struct.pack("<Q", 5), pos=1)
     out = rd.read_array(len(values), dtype)
     assert out.dtype == np.dtype(dtype) and out.dtype.isnative
     assert out.flags.writeable
     assert out.tolist() == values
     assert rd.pos == len(buf)
-    assert rd.read_varint() == 5
+    assert rd.read_u64() == 5
 
 
 def test_array_written_in_c_order():
@@ -67,41 +67,38 @@ def test_read_array_truncated():
     assert rd.pos == 0
 
 
-@pytest.mark.parametrize("count", [8192, 2])
-def test_truncated_mid_varint(count):
-    buf = bytearray()
-    for v in range(count):
-        binio.write_varint(buf, v * 300)
-    whole = len(buf)
-    binio.write_varint(buf, 2**35)
-    data = bytes(buf[:-1])
+STRING_CASES = [[], [""], ["é", "日本語", "", "a"], ["x" * 300, "\u0000", "\U0001d11e"]]
+
+
+@pytest.mark.parametrize("strings", STRING_CASES, ids=range(len(STRING_CASES)))
+def test_string_table_roundtrip(strings):
+    buf = bytearray(b"\x07")
+    binio.write_strings(buf, strings)
+    raw = [s.encode("utf-8") for s in strings]
+    assert bytes(buf[1:]) == (struct.pack("<Q", len(raw))
+                              + b"".join(struct.pack("<Q", len(b)) for b in raw)
+                              + b"".join(raw))
+    rd = binio.Reader(bytes(buf) + struct.pack("<Q", 5), pos=1)
+    assert rd.read_strings() == strings
+    assert rd.pos == len(buf)
+    assert rd.read_u64() == 5
+
+
+def test_string_table_corrupt_sizes_are_truncation():
+    # a count of 2**60 would be 8 EiB of lengths: it fails before any list
+    # or array is sized by it
+    data = struct.pack("<Q", 2**60) + struct.pack("<Q", 1) + b"a"
     rd = binio.Reader(data)
-    assert [rd.read_varint() for _ in range(count)] == [v * 300 for v in range(count)]
-    assert rd.pos == whole
     with pytest.raises(TruncatedFile):
-        rd.read_varint()
-    # the truncated varint is a header count, so the array it sizes never exists
-    with pytest.raises(TruncatedFile):
-        binio.Reader(data, pos=whole).read_string()
-
-
-def test_negative_value_rejected():
-    with pytest.raises(ValueError):
-        binio.write_varint(bytearray(), -1)
-
-
-def test_overlong_continuation_run():
-    data = b"\x01" + b"\xff" * 11 + b"\x01"
-    with pytest.raises(TruncatedFile):
-        binio.Reader(data, pos=1).read_varint()
-
-
-def test_ten_byte_varint_beyond_int64():
-    data = b"\x80" * 9 + b"\x01"
-    assert binio.Reader(data).read_varint() == 2**63
-    buf = bytearray()
-    binio.write_varint(buf, 2**63)
-    assert bytes(buf) == data
+        rd.read_strings()
+    assert rd.pos == 8
+    # lengths whose sum passes the buffer; [2**64 - 1, 3] sums to 2 in
+    # uint64 arithmetic
+    for lens in ([3, 4], [2**64 - 1, 3]):
+        data = (struct.pack("<Q", len(lens)) + b"".join(struct.pack("<Q", n) for n in lens)
+                + b"abcdef")
+        with pytest.raises(TruncatedFile):
+            binio.Reader(data).read_strings()
 
 
 def _small_bundle_bytes():

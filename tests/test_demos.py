@@ -1,4 +1,5 @@
-"""Every demo script runs to completion in a fresh interpreter."""
+"""Every demo script and the benchmark self-test run to completion in a
+fresh interpreter."""
 
 import os
 import subprocess
@@ -21,3 +22,13 @@ def test_demo_runs(demo, tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert list(scratch.iterdir()) == []
+
+
+def test_benchmark_selftest_passes(tmp_path):
+    """perfbench's checks accept correct output and reject corrupted output,
+    through the package API the benchmark calls."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

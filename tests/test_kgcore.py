@@ -309,14 +309,31 @@ def test_bundle_roundtrip_tiny(tmp_path):
     _bundles_equal(bundle, loaded)
 
 
+def test_bundle_roundtrip_non_ascii_labels(tmp_path):
+    v = kgcore.build_vocab([("é", "主語", "日本語"), ("", "r", "é")],
+                           support=[("ü\U0001d11e", "主語", "ß")],
+                           query=[("ß", "r", "ü\U0001d11e")])
+    e = lambda raw: kgcore.encode_triples(raw, v)
+    bundle = kgcore.DatasetBundle(v, e([("é", "主語", "日本語"), ("", "r", "é")]),
+                                  e([]), e([]), e([("ü\U0001d11e", "主語", "ß")]),
+                                  e([("ß", "r", "ü\U0001d11e")]), e([]))
+    path = tmp_path / "dataset.ikgd"
+    kgcore.persist_dataset(bundle, path)
+    loaded = kgcore.load_dataset(path)
+    _bundles_equal(bundle, loaded)
+    assert loaded.vocab.id2entity == bundle.vocab.id2entity
+    assert loaded.vocab.id2relation == bundle.vocab.id2relation
+
+
 def test_bad_magic(tmp_path):
     p = tmp_path / "bad.ikgd"
     p.write_bytes(b"NOPE1" + b"\x00" * 10)
     with pytest.raises(BadMagic):
         kgcore.load_dataset(p)
-    p.write_bytes(b"IKGD1" + b"\x00" * 10)       # the former varint layout
-    with pytest.raises(VersionMismatch):
-        kgcore.load_dataset(p)
+    for former in (b"IKGD1", b"IKGD2"):        # the former varint layouts
+        p.write_bytes(former + b"\x00" * 10)
+        with pytest.raises(VersionMismatch):
+            kgcore.load_dataset(p)
 
 
 def test_truncated(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,19 @@ def test_auc_pr_examples():
     # tied block containing 1 pos and 1 neg: single step, precision 1/2
     _, ap = classification_metrics([0.7, 0.7], [1, 0])
     assert ap == 0.5
+
+
+def test_tied_neg_inf_scores_form_one_step():
+    # -inf - -inf is NaN; the tie must still be one precision/recall step,
+    # whatever the order of the tied labels
+    for scores, labels in (([1.0, -np.inf, -np.inf], [0, 1, 0]),
+                           ([1.0, -np.inf, -np.inf], [0, 0, 1]),
+                           ([1.0, -5.0, -5.0], [0, 1, 0])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, ap = classification_metrics(scores, labels)
+        assert ap == pytest.approx(1 / 3)
+        assert ap == ap_grouped_oracle(np.array(scores), np.array(labels))
 
 
 def test_single_class_rejected():

@@ -321,15 +321,25 @@ def test_checkpoint_shape_beyond_data_is_truncation(tmp_path):
     from indkg import binio
     from indkg.model import CHECKPOINT_MAGIC
     buf = bytearray(CHECKPOINT_MAGIC)
-    binio.write_string(buf, "{}")
-    binio.write_varint(buf, 1)
-    binio.write_string(buf, "w")
-    binio.write_varint(buf, 2)
-    for d in (2**32, 2**32):    # 2**64 items: wraps to 0 in int64 arithmetic
-        binio.write_varint(buf, d)
+    binio.write_strings(buf, ["{}", "w"])
+    binio.write_u64(buf, 2)
+    # 2**64 items: wraps to 0 in int64 arithmetic
+    binio.write_array(buf, [2**32, 2**32], "<u8")
     path = tmp_path / "m.ikgm"
     path.write_bytes(bytes(buf) + bytes(16))
     with pytest.raises(TruncatedFile):
+        load_checkpoint(path)
+    # a string table without the config entry
+    path.write_bytes(CHECKPOINT_MAGIC + bytes(8))
+    with pytest.raises(TruncatedFile):
+        load_checkpoint(path)
+
+
+def test_checkpoint_former_version_rejected(tmp_path):
+    from indkg.errors import VersionMismatch
+    path = tmp_path / "m.ikgm"
+    path.write_bytes(b"IKGM1" + b"\x02{}\x00")    # the former varint layout
+    with pytest.raises(VersionMismatch):
         load_checkpoint(path)
 
 
