@@ -297,6 +297,56 @@ def segment_sum(a, idx, num_segments: int) -> Tensor:
     return _unary(a, _scatter_rows(a.data, idx, num_segments), lambda g: g[idx])
 
 
+def basis_message_pass(HV, coeffs, src, dst, slot, norm, num_nodes: int,
+                       alpha=None, *, src_order) -> Tensor:
+    """Aggregated basis-mixed messages, ``(num_nodes, d)``:
+
+        out[i] = sum over e with dst[e] == i of
+                 norm[e] * alpha[e] * sum_b coeffs[slot[e], b] * HV[src[e], b]
+
+    ``HV`` holds the ``(n, B, d)`` basis outputs, ``coeffs`` the ``(S, B)``
+    mixing table, and ``src``, ``dst``, ``slot``, ``norm`` and the optional
+    gate ``alpha`` one entry per message. ``src_order`` is a stable argsort
+    of ``src``: the ``HV`` gradient scatters in that order, so the caller
+    sorts once per message list, not once per layer and backward pass.
+
+    The forward is one einsum over the gathered basis rows and one scatter
+    by ``dst``; the VJPs re-gather ``HV[src]`` for the ``coeffs`` gradient.
+    No ``(m, B, d)`` array outlives a call: only the ``(m, d)`` raw messages
+    are kept, and only when ``alpha`` needs a gradient.
+    """
+    HV, coeffs = as_tensor(HV), as_tensor(coeffs)
+    alpha = None if alpha is None else as_tensor(alpha)
+    src, dst, slot = (np.asarray(a, dtype=np.int64) for a in (src, dst, slot))
+    norm = np.asarray(norm, dtype=np.float64)
+    if HV.data.ndim != 3 or coeffs.data.ndim != 2 or coeffs.shape[1] != HV.shape[1]:
+        raise ShapeMismatch(f"coeffs {coeffs.shape} do not mix bases {HV.shape}")
+    n, B, d = HV.shape
+    C = coeffs.data[slot]                                   # (m, B)
+    raw = np.einsum("mb,mbd->md", C, HV.data[src])          # (m, d)
+    w = norm if alpha is None else norm * alpha.data
+    out = _scatter_rows(raw * w[:, None], dst, num_nodes)
+
+    def vjp_hv(g):
+        gr = g[dst[src_order]] * w[src_order, None]
+        per_basis = C[src_order][:, :, None] * gr[:, None, :]
+        return _scatter_rows(per_basis, src[src_order], n)
+
+    def vjp_coeffs(g):
+        dC = np.einsum("md,mbd->mb", g[dst] * w[:, None], HV.data[src])
+        flat = (slot[:, None] * B + np.arange(B)).ravel()
+        return np.bincount(flat, dC.ravel(), coeffs.data.size).reshape(coeffs.shape)
+
+    def vjp_alpha(g):
+        return np.einsum("md,md->m", g[dst], raw) * norm
+
+    parents = [(t, vjp) for t, vjp in ((HV, vjp_hv), (coeffs, vjp_coeffs))
+               if t.requires_grad]
+    if alpha is not None and alpha.requires_grad:
+        parents.append((alpha, vjp_alpha))
+    return Tensor(out, _parents=tuple(parents))
+
+
 def circular_correlation(a, b) -> Tensor:
     """Row-wise circular correlation of two (m, d) tensors.
 

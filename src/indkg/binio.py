@@ -18,7 +18,7 @@ import struct
 
 import numpy as np
 
-from .errors import BadMagic, TruncatedFile, VersionMismatch
+from .errors import BadMagic, CorruptHeader, TruncatedFile, VersionMismatch
 
 
 def write_array(buf: bytearray, values, dtype) -> None:
@@ -59,8 +59,11 @@ class Reader:
         # Python ints: a corrupt length cannot wrap the sum or the offsets,
         # so it fails as truncation in read_bytes
         blob = self.read_bytes(sum(lens))
-        return [blob[end - n:end].decode("utf-8")
-                for n, end in zip(lens, itertools.accumulate(lens))]
+        try:
+            return [blob[end - n:end].decode("utf-8")
+                    for n, end in zip(lens, itertools.accumulate(lens))]
+        except UnicodeDecodeError as exc:
+            raise CorruptHeader(f"string table is not UTF-8: {exc}") from None
 
 
 def write_u32(buf: bytearray, value: int) -> None:

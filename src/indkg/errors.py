@@ -61,6 +61,11 @@ class VersionMismatch(IndkgError):
     pass
 
 
+class CorruptHeader(IndkgError):
+    """A file header whose lengths are consistent but whose content does
+    not decode: label bytes that are not UTF-8, a config that is not JSON."""
+
+
 class CorruptRecord(IndkgError):
     def __init__(self, index):
         super().__init__(f"record {index}: checksum mismatch or malformed payload")

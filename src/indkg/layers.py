@@ -7,9 +7,15 @@ each message carries a slot index 2 * rel + direction. Every layer averages
 the messages a node receives per slot (mean normalisation by 1/c).
 
 The basis-decomposed layers never build a per-slot weight: H @ V_b is
-computed once per basis and layer, and each message mixes the basis outputs
-of its source row by the coefficients of its slot, so one pass covers all
-messages whatever the number of slots.
+computed once per basis and layer, and one fused op,
+``autodiff.basis_message_pass``, mixes the basis outputs of each message's
+source row by the coefficients of its slot and scatters the result to its
+destination, so one pass covers all messages whatever the number of slots.
+Its hand-written VJP re-gathers the basis rows it needs, so no
+(messages x bases x d_out) array stays on the tape, and its ``HV`` gradient
+scatters in the ``src``-sorted order ``Messages`` precomputes. The
+attention logit a . (W h) needs no per-message W h either: it equals
+sum_b C[slot, b] * (a . H V_b), an (m, B) mix of per-node basis scores.
 
 A layer takes a Subgraph or a ``Messages``: the message arrays of one
 subgraph or of the disjoint union of many, built once by the caller and
@@ -26,8 +32,8 @@ import numpy as np
 
 from .autodiff import (
     Tensor,
+    basis_message_pass,
     circular_correlation,
-    concat,
     gather_rows,
     matmul,
     mul,
@@ -99,7 +105,9 @@ class Messages:
     ``edges`` are local (src, dst, rel) rows. Each yields a forward message
     src -> dst and an inverse message dst -> src; ``slot`` is 2 * rel + dir,
     and ``norm`` is 1/c for the c messages its destination receives in that
-    slot. Messages are ordered by (dst, slot).
+    slot. Messages are ordered by (dst, slot); ``src_order`` is the stable
+    argsort of ``src``, the order in which the ``HV`` gradient of
+    ``basis_message_pass`` scatters by source.
     """
 
     def __init__(self, edges: np.ndarray, num_nodes: int):
@@ -114,6 +122,7 @@ class Messages:
         _, counts = np.unique(key[order], return_counts=True)
         self.src, self.dst, self.slot = msrc[order], mdst[order], slot[order]
         self.norm = np.repeat(1.0 / counts, counts)
+        self.src_order = np.argsort(self.src, kind="stable")
 
 
 def messages(sub) -> Messages:
@@ -128,17 +137,16 @@ def _check_features(ms: Messages, H: Tensor, d_in: int):
 
 
 def _basis_outputs(H: Tensor, P: LayerParams) -> Tensor:
-    """H @ V_b for every basis b, side by side: (n, B * d_out)."""
+    """H @ V_b for every basis b: (n, B, d_out)."""
     B = P.bases.shape[0]
     V = transpose(reshape(P.bases, (B, P.d_in, P.d_out)), (1, 0, 2))
-    return matmul(H, reshape(V, (P.d_in, B * P.d_out)))
+    HV = matmul(H, reshape(V, (P.d_in, B * P.d_out)))
+    return reshape(HV, (H.shape[0], B, P.d_out))
 
 
-def _mix(HV: Tensor, rows, C: Tensor) -> Tensor:
-    """W_slot h for each message: the basis outputs of ``rows`` weighted by C."""
-    m, B = C.shape
-    per_basis = reshape(gather_rows(HV, rows), (m, B, HV.shape[1] // B))
-    return tsum(mul(per_basis, reshape(C, (m, B, 1))), axis=1)
+def _pass(ms: Messages, HV: Tensor, P: LayerParams, alpha=None) -> Tensor:
+    return basis_message_pass(HV, P.coeffs, ms.src, ms.dst, ms.slot, ms.norm,
+                              ms.num_nodes, alpha=alpha, src_order=ms.src_order)
 
 
 def rgcn_layer(sub, H: Tensor, P: LayerParams, activation=True) -> Tensor:
@@ -148,9 +156,7 @@ def rgcn_layer(sub, H: Tensor, P: LayerParams, activation=True) -> Tensor:
     """
     ms = messages(sub)
     _check_features(ms, H, P.d_in)
-    msgs = _mix(_basis_outputs(H, P), ms.src, gather_rows(P.coeffs, ms.slot))
-    out = matmul(H, P.self_weight) + segment_sum(
-        mul(msgs, ms.norm[:, None]), ms.dst, ms.num_nodes)
+    out = matmul(H, P.self_weight) + _pass(ms, _basis_outputs(H, P), P)
     return relu(out) if activation else out
 
 
@@ -167,13 +173,20 @@ def rel_att_layer(sub, H: Tensor, P: LayerParams, rel_emb: Tensor,
     _check_features(ms, H, P.d_in)
     target = np.broadcast_to(np.asarray(target_rel, dtype=np.int64), (ms.num_nodes,))
     HV = _basis_outputs(H, P)
-    C = gather_rows(P.coeffs, ms.slot)
-    wh_src = _mix(HV, ms.src, C)
-    z = concat([wh_src, _mix(HV, ms.dst, C), gather_rows(rel_emb, ms.slot // 2),
-                gather_rows(rel_emb, target[ms.dst])], axis=1)
-    alpha = reshape(sigmoid(matmul(z, P.att_a)), (len(ms.slot), 1))
-    out = matmul(H, P.self_weight) + segment_sum(
-        mul(mul(wh_src, alpha), ms.norm[:, None]), ms.dst, ms.num_nodes)
+    n, B, d = HV.shape
+    d_rel = rel_emb.shape[1]
+    a_src, a_dst, a_rel, a_tgt = (
+        gather_rows(P.att_a, idx)
+        for idx in np.split(np.arange(P.att_a.shape[0]), [d, 2 * d, 2 * d + d_rel]))
+    # a . (W h) = sum_b C[slot, b] * (HV_b . a): contract the bases first
+    flat = reshape(HV, (n * B, d))
+    u_src = reshape(matmul(flat, a_src), (n, B))
+    u_dst = reshape(matmul(flat, a_dst), (n, B))
+    mix = mul(gather_rows(P.coeffs, ms.slot),
+              gather_rows(u_src, ms.src) + gather_rows(u_dst, ms.dst))
+    logit = (tsum(mix, axis=1) + gather_rows(matmul(rel_emb, a_rel), ms.slot // 2)
+             + gather_rows(matmul(rel_emb, a_tgt), target[ms.dst]))
+    out = matmul(H, P.self_weight) + _pass(ms, HV, P, alpha=sigmoid(logit))
     return relu(out) if activation else out
 
 

@@ -33,6 +33,7 @@ from .autodiff import (
     tsum,
 )
 from .errors import (
+    CorruptHeader,
     IsolatedEntity,
     LengthMismatch,
     MissingFile,
@@ -393,7 +394,13 @@ def load_checkpoint(path):
         shape = tuple(rd.read_array(rd.read_u64(), "<u8").tolist())
         # math.prod cannot wrap around, so a corrupt shape fails as truncation
         tensors[name] = rd.read_array(math.prod(shape), "<f8").reshape(shape)
-    return json.loads(header[0]), tensors
+    try:
+        config = json.loads(header[0])
+    except json.JSONDecodeError as exc:
+        raise CorruptHeader(f"checkpoint config is not JSON: {exc}") from None
+    if not isinstance(config, dict):
+        raise CorruptHeader("checkpoint config is not a JSON object")
+    return config, tensors
 
 
 def restore_model(model, arrays: dict[str, np.ndarray]) -> None:

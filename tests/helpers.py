@@ -232,6 +232,17 @@ def grow_region_loop_oracle(triples, start, region_size):
 
 # -- dense message-passing oracles ------------------------------------------
 
+def basis_message_pass_loop_oracle(HV, coeffs, src, dst, slot, norm, num_nodes,
+                                   alpha=None):
+    """``autodiff.basis_message_pass`` as a loop over messages and bases."""
+    out = np.zeros((num_nodes, HV.shape[2]))
+    for e in range(len(src)):
+        gate = 1.0 if alpha is None else alpha[e]
+        for b in range(HV.shape[1]):
+            out[dst[e]] += norm[e] * gate * coeffs[slot[e], b] * HV[src[e], b]
+    return out
+
+
 def slot_weight_dense(P, slot):
     return (P.coeffs.data[slot] @ P.bases.data).reshape(P.d_in, P.d_out)
 

@@ -3,6 +3,7 @@ import pytest
 
 from indkg.autodiff import (
     Tensor,
+    basis_message_pass,
     circular_correlation,
     concat,
     gather_rows,
@@ -19,7 +20,7 @@ from indkg.autodiff import (
 from indkg.errors import NonFiniteGradient, ShapeMismatch
 from indkg.model import gradient_check
 
-from helpers import corr_oracle
+from helpers import basis_message_pass_loop_oracle, corr_oracle
 
 
 def numeric_grad(f, x, eps=1e-6):
@@ -135,6 +136,69 @@ def test_scatter_matches_add_at_oracle(trailing, idx):
     for got in (table.grad, summed):
         assert got.shape == oracle.shape
         assert np.allclose(got, oracle, rtol=1e-12, atol=1e-15)
+
+
+def message_pass_case(m, rng, n=5, B=3, d=2, S=4):
+    """Leaves and message arrays for ``basis_message_pass``: repeated
+    sources and destinations, dst not sorted."""
+    HV = Tensor(rng.normal(size=(n, B, d)), requires_grad=True)
+    coeffs = Tensor(rng.normal(size=(S, B)), requires_grad=True)
+    alpha = Tensor(rng.uniform(0.1, 1.0, size=m), requires_grad=True)
+    src, dst, slot = (rng.integers(k, size=m) for k in (n, n, S))
+    norm = rng.uniform(0.2, 1.0, size=m)
+    return HV, coeffs, alpha, src, dst, slot, norm
+
+
+@pytest.mark.parametrize("gated", [False, True], ids=["plain", "alpha"])
+def test_basis_message_pass_matches_loop_oracle(gated):
+    rng = np.random.default_rng(9)
+    HV, coeffs, alpha, src, dst, slot, norm = message_pass_case(11, rng)
+    assert (dst[1:] < dst[:-1]).any() and len(set(src)) < len(src)
+    gate = alpha if gated else None
+    oracle = basis_message_pass_loop_oracle(
+        HV.data, coeffs.data, src, dst, slot, norm, 6,
+        alpha=alpha.data if gated else None)
+    order = np.argsort(src, kind="stable")
+    out = basis_message_pass(HV, coeffs, src, dst, slot, norm, 6,
+                             alpha=gate, src_order=order)
+    assert out.shape == (6, 2)
+    assert np.allclose(out.data, oracle, rtol=1e-12, atol=1e-14)
+
+    w = rng.normal(size=(6, 2))
+    params = {"HV": HV, "coeffs": coeffs}
+    if gated:
+        params["alpha"] = alpha
+    err = gradient_check(
+        params,
+        lambda: tsum(basis_message_pass(HV, coeffs, src, dst, slot, norm, 6,
+                                        alpha=gate, src_order=order) * w),
+        sample_frac=1.0, rng=np.random.default_rng(0))
+    assert err < 1e-4
+
+
+def test_basis_message_pass_empty_message_list():
+    rng = np.random.default_rng(10)
+    HV, coeffs, alpha, src, dst, slot, norm = message_pass_case(0, rng)
+    for gate in (None, alpha):
+        out = basis_message_pass(HV, coeffs, src, dst, slot, norm, 5, alpha=gate,
+                                 src_order=np.argsort(src, kind="stable"))
+        assert out.shape == (5, 2) and not out.data.any()
+        tsum(out * 3.0).backward()
+        assert HV.grad.shape == HV.shape and not HV.grad.any()
+        assert coeffs.grad.shape == coeffs.shape and not coeffs.grad.any()
+    assert alpha.grad.shape == (0,)
+
+
+def test_basis_message_pass_shape_error():
+    rng = np.random.default_rng(11)
+    HV, coeffs, _, src, dst, slot, norm = message_pass_case(4, rng)
+    order = np.argsort(src, kind="stable")
+    with pytest.raises(ShapeMismatch):
+        basis_message_pass(HV, Tensor(np.zeros((4, 2))), src, dst, slot, norm, 5,
+                           src_order=order)
+    with pytest.raises(ShapeMismatch):
+        basis_message_pass(reshape(HV, (5, 6)), coeffs, src, dst, slot, norm, 5,
+                           src_order=order)
 
 
 def test_circular_correlation_matches_oracle():

@@ -5,11 +5,12 @@ import pytest
 
 from indkg import binio, kgcore
 from indkg.autodiff import Tensor
-from indkg.errors import IndkgError, TruncatedFile
+from indkg.cli import main
+from indkg.errors import CorruptHeader, IndkgError, TruncatedFile
 from indkg.model import load_checkpoint, save_checkpoint
 from indkg.store import StoreReader, StoreWriter
 
-from helpers import random_subgraph
+from helpers import make_raw_dataset_dir, random_subgraph
 
 ARRAY_CASES = [
     ("<i8", "<q", [2**35, 0, -1, 127, 2**63 - 1, -2**63, 128]),
@@ -139,3 +140,39 @@ def test_every_truncation_raises_package_error(tmp_path):
             cut_path.write_bytes(data[:cut])
             with pytest.raises(IndkgError):
                 read(cut_path)
+
+
+def test_non_utf8_label_is_corrupt_header(tmp_path, capsys):
+    # an IKGD3 bundle whose lengths are consistent: one entity label, the
+    # single byte 0xff, one relation label and six empty triple blocks
+    buf = bytearray(kgcore.MAGIC)
+    binio.write_u64(buf, 1)
+    binio.write_array(buf, [1], "<u8")
+    buf += b"\xff"
+    binio.write_strings(buf, ["r"])
+    for _ in range(6):
+        binio.write_u64(buf, 0)
+    with pytest.raises(CorruptHeader):
+        kgcore.deserialize_dataset(bytes(buf))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "dataset.ikgd").write_bytes(bytes(buf))
+    assert main(["extract", "--output_dir", str(out), "--seed", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_non_json_checkpoint_config_is_corrupt_header(tmp_path, capsys):
+    raw, out = tmp_path / "raw", tmp_path / "out"
+    make_raw_dataset_dir(str(raw), np.random.default_rng(1))
+    base = ["--data_root", str(raw), "--output_dir", str(out), "--seed", "1"]
+    assert main(["preprocess"] + base) == 0
+    path = out / "model.ikgm"
+    for config in ("{", "[]"):
+        buf = bytearray(b"IKGM2")
+        binio.write_strings(buf, [config])
+        path.write_bytes(bytes(buf))
+        with pytest.raises(CorruptHeader):
+            load_checkpoint(path)
+        capsys.readouterr()
+        assert main(["eval"] + base) == 2
+        assert capsys.readouterr().err.startswith("error: ")

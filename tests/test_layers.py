@@ -221,6 +221,42 @@ def test_tape_size_independent_of_slot_count():
     assert len(sizes) == 1, sizes
 
 
+def tape_arrays(out):
+    """Every array the tape of ``out`` holds: each node's data and each
+    array a VJP closure keeps."""
+    seen, stack = set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        yield node.data
+        for parent, vjp in node._parents:
+            stack.append(parent)
+            for cell in vjp.__closure__ or ():
+                held = cell.cell_contents
+                if isinstance(held, (np.ndarray, Tensor)):
+                    yield held.data if isinstance(held, Tensor) else held
+
+
+def test_no_message_by_basis_array_on_the_tape():
+    # an (m, B, d_out) gather of basis rows per message must not outlive
+    # the forward: the tape holds (m, d_out) or (m, B) arrays at most
+    sub = fixture_subgraph(1, n=30, density=0.3)
+    num_bases = 3
+    m = 2 * len(sub.edges)
+    assert m > sub.num_nodes
+    rng = np.random.default_rng(9)
+    P = init_basis_layer(rng, D_IN, D_OUT, R, num_bases=num_bases,
+                         d_rel=3, attention=True)
+    rel_emb = Tensor(rng.normal(size=(R, 3)), requires_grad=True)
+    H = Tensor(rng.normal(size=(sub.num_nodes, D_IN)), requires_grad=True)
+    for out in (rgcn_layer(sub, H, P), rel_att_layer(sub, H, P, rel_emb, 0)):
+        sizes = [a.size for a in tape_arrays(out)]
+        assert max(sizes) < m * num_bases * D_OUT, max(sizes)
+        assert m * D_OUT in sizes or m * num_bases in sizes
+
+
 def star_subgraph(num_leaves, rel=1):
     """Every leaf 2..num_leaves+1 points at node 0 under the same relation."""
     n = num_leaves + 2

@@ -218,6 +218,35 @@ def test_batched_scores_match_per_item(layer_kind, comp_op):
     assert np.abs(single - dense).max() <= 1e-12 * scale
 
 
+def test_att_union_gradients_match_per_item():
+    # each item of a union scored against its own relation gets the score
+    # and the parameter gradients it gets when scored alone
+    model = mixed_model("att", seed=3)
+    items = mixed_scored_items(np.random.default_rng(22))
+    assert len({it.rel for it in items}) > 1
+    params = model.tensors()
+
+    def grads(score, seed=None):
+        for t in params.values():
+            t.grad = None
+        score.backward(seed)
+        return {name: np.zeros_like(t.data) if t.grad is None else t.grad
+                for name, t in params.items()}
+
+    for g, it in enumerate(items):
+        onehot = np.eye(len(items))[g]
+        batch = score_subgraphs(model, items)
+        in_union = grads(batch, onehot)
+        single = subgraph_score(model, it.sub, it.labels, it.rel)
+        assert abs(batch.data[g] - single.item()) <= 1e-12 * abs(single.item())
+        alone = grads(single)
+        for name in params:
+            scale = max(np.abs(alone[name]).max(), 1e-300)
+            assert np.abs(in_union[name] - alone[name]).max() <= 1e-12 * scale, name
+    for t in params.values():
+        t.grad = None
+
+
 def test_adam_first_step_closed_form():
     # with any finite gradient g, the first bias-corrected step is
     # lr * g / (|g| + eps), i.e. almost exactly lr * sign(g)
