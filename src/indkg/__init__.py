@@ -29,9 +29,7 @@ from .store import StoreReader, StoreWriter, collect_stats
 from .sampling import (
     ClassificationBatch,
     MetaTask,
-    NegativeSpec,
     RankingBatch,
-    TrainInstance,
     corrupt_triple,
     make_classification_batch,
     make_ranking_batch,

@@ -9,6 +9,8 @@ reals so finite-difference checks at 1e-4 relative tolerance are meaningful.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NonFiniteGradient, ShapeMismatch
@@ -265,22 +267,15 @@ def concat(tensors, axis=0) -> Tensor:
 def _scatter_rows(rows: np.ndarray, idx: np.ndarray, num_rows: int) -> np.ndarray:
     """out[i] = sum of rows[j] over every j with idx[j] == i; other rows 0.
 
-    One stable argsort groups equal indices in their original order, unless
-    ``idx`` is sorted already, and ``np.add.reduceat`` sums each group;
-    ``rows`` may have any trailing shape.
+    One ``np.bincount`` over the flattened (row, column) index sums each
+    output cell in the order of ``idx``, with no sort; ``rows`` may have any
+    trailing shape.
     """
-    if len(idx) == 0:
-        return np.zeros((num_rows,) + rows.shape[1:], dtype=np.float64)
-    if (idx[1:] < idx[:-1]).any():
-        order = np.argsort(idx, kind="stable")
-        idx, rows = idx[order], rows[order]
-    starts = np.flatnonzero(np.concatenate([[True], idx[1:] != idx[:-1]]))
-    sums = np.add.reduceat(rows, starts, axis=0)
-    if len(starts) == num_rows and idx[0] == 0 and idx[-1] == num_rows - 1:
-        return sums                     # every row 0..num_rows-1 has an entry
-    out = np.zeros((num_rows,) + rows.shape[1:], dtype=np.float64)
-    out[idx[starts]] = sums
-    return out
+    tail = rows.shape[1:]
+    width = math.prod(tail)
+    flat = (idx[:, None] * width + np.arange(width)).ravel()
+    out = np.bincount(flat, rows.reshape(-1), num_rows * width)
+    return out.reshape((num_rows,) + tail)
 
 
 def gather_rows(a, idx) -> Tensor:
@@ -298,7 +293,7 @@ def segment_sum(a, idx, num_segments: int) -> Tensor:
 
 
 def basis_message_pass(HV, coeffs, src, dst, slot, norm, num_nodes: int,
-                       alpha=None, *, src_order) -> Tensor:
+                       alpha=None) -> Tensor:
     """Aggregated basis-mixed messages, ``(num_nodes, d)``:
 
         out[i] = sum over e with dst[e] == i of
@@ -306,9 +301,7 @@ def basis_message_pass(HV, coeffs, src, dst, slot, norm, num_nodes: int,
 
     ``HV`` holds the ``(n, B, d)`` basis outputs, ``coeffs`` the ``(S, B)``
     mixing table, and ``src``, ``dst``, ``slot``, ``norm`` and the optional
-    gate ``alpha`` one entry per message. ``src_order`` is a stable argsort
-    of ``src``: the ``HV`` gradient scatters in that order, so the caller
-    sorts once per message list, not once per layer and backward pass.
+    gate ``alpha`` one entry per message.
 
     The forward is one einsum over the gathered basis rows and one scatter
     by ``dst``; the VJPs re-gather ``HV[src]`` for the ``coeffs`` gradient.
@@ -321,21 +314,19 @@ def basis_message_pass(HV, coeffs, src, dst, slot, norm, num_nodes: int,
     norm = np.asarray(norm, dtype=np.float64)
     if HV.data.ndim != 3 or coeffs.data.ndim != 2 or coeffs.shape[1] != HV.shape[1]:
         raise ShapeMismatch(f"coeffs {coeffs.shape} do not mix bases {HV.shape}")
-    n, B, d = HV.shape
+    n = HV.shape[0]
     C = coeffs.data[slot]                                   # (m, B)
     raw = np.einsum("mb,mbd->md", C, HV.data[src])          # (m, d)
     w = norm if alpha is None else norm * alpha.data
     out = _scatter_rows(raw * w[:, None], dst, num_nodes)
 
     def vjp_hv(g):
-        gr = g[dst[src_order]] * w[src_order, None]
-        per_basis = C[src_order][:, :, None] * gr[:, None, :]
-        return _scatter_rows(per_basis, src[src_order], n)
+        gr = g[dst] * w[:, None]
+        return _scatter_rows(C[:, :, None] * gr[:, None, :], src, n)
 
     def vjp_coeffs(g):
         dC = np.einsum("md,mbd->mb", g[dst] * w[:, None], HV.data[src])
-        flat = (slot[:, None] * B + np.arange(B)).ravel()
-        return np.bincount(flat, dC.ravel(), coeffs.data.size).reshape(coeffs.shape)
+        return _scatter_rows(dC, slot, coeffs.shape[0])
 
     def vjp_alpha(g):
         return np.einsum("md,md->m", g[dst], raw) * norm

@@ -29,7 +29,7 @@ class RunConfig:
     split: str = "train"
     # subgraph extraction
     k: int = 3
-    max_nodes: int = 0              # 0 = unlimited
+    max_nodes: int = 0              # 0 = unlimited, else >= 2
     # model
     model_family: str = "subgraph"  # "subgraph" | "entity"
     layer_kind: str = "att"         # "rgcn" | "att" | "comp"
@@ -101,6 +101,8 @@ def validate(cfg: RunConfig) -> RunConfig:
         raise ConfigTypeError("support_frac", cfg.support_frac, "value in (0, 1)")
     if cfg.region_size < 2:     # a meta task splits its region into support and query
         raise ConfigTypeError("region_size", cfg.region_size, "integer >= 2")
+    if cfg.max_nodes < 0 or cfg.max_nodes == 1:     # a subgraph keeps its target pair
+        raise ConfigTypeError("max_nodes", cfg.max_nodes, "0 (no cap) or integer >= 2")
     return cfg
 
 

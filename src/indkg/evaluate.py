@@ -152,9 +152,10 @@ def _link_prediction(scorer, side, query_triples, seed: int) -> MetricsReport:
 
 def run_link_prediction(scorer, graph, query_triples, k: int, num_neg: int,
                         seed: int, max_nodes=None) -> MetricsReport:
-    """Sampled ranking protocol: rank the truth against ``num_neg`` filtered
-    corruptions on each side, each candidate a ScoredItem with its enclosing
-    subgraph."""
+    """Filtered ranking protocol: rank the truth against ``min(num_neg,
+    pool size)`` filtered corruptions on each side (``make_ranking_candidates``;
+    ``num_neg`` at or above the entity count ranks against the whole pool),
+    each candidate a ScoredItem with its enclosing subgraph."""
     def side(triple, direction, rng):
         batch = make_ranking_batch(graph, triple, k, direction, num_neg, rng,
                                    max_nodes=max_nodes)

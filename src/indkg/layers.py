@@ -12,10 +12,10 @@ computed once per basis and layer, and one fused op,
 source row by the coefficients of its slot and scatters the result to its
 destination, so one pass covers all messages whatever the number of slots.
 Its hand-written VJP re-gathers the basis rows it needs, so no
-(messages x bases x d_out) array stays on the tape, and its ``HV`` gradient
-scatters in the ``src``-sorted order ``Messages`` precomputes. The
-attention logit a . (W h) needs no per-message W h either: it equals
-sum_b C[slot, b] * (a . H V_b), an (m, B) mix of per-node basis scores.
+(messages x bases x d_out) array stays on the tape, and every scatter-add
+is one ``np.bincount`` with no sort. The attention logit a . (W h) needs
+no per-message W h either: it equals sum_b C[slot, b] * (a . H V_b), an
+(m, B) mix of per-node basis scores.
 
 A layer takes a Subgraph or a ``Messages``: the message arrays of one
 subgraph or of the disjoint union of many, built once by the caller and
@@ -105,9 +105,7 @@ class Messages:
     ``edges`` are local (src, dst, rel) rows. Each yields a forward message
     src -> dst and an inverse message dst -> src; ``slot`` is 2 * rel + dir,
     and ``norm`` is 1/c for the c messages its destination receives in that
-    slot. Messages are ordered by (dst, slot); ``src_order`` is the stable
-    argsort of ``src``, the order in which the ``HV`` gradient of
-    ``basis_message_pass`` scatters by source.
+    slot. Messages are ordered by (dst, slot).
     """
 
     def __init__(self, edges: np.ndarray, num_nodes: int):
@@ -122,7 +120,6 @@ class Messages:
         _, counts = np.unique(key[order], return_counts=True)
         self.src, self.dst, self.slot = msrc[order], mdst[order], slot[order]
         self.norm = np.repeat(1.0 / counts, counts)
-        self.src_order = np.argsort(self.src, kind="stable")
 
 
 def messages(sub) -> Messages:
@@ -146,7 +143,7 @@ def _basis_outputs(H: Tensor, P: LayerParams) -> Tensor:
 
 def _pass(ms: Messages, HV: Tensor, P: LayerParams, alpha=None) -> Tensor:
     return basis_message_pass(HV, P.coeffs, ms.src, ms.dst, ms.slot, ms.norm,
-                              ms.num_nodes, alpha=alpha, src_order=ms.src_order)
+                              ms.num_nodes, alpha=alpha)
 
 
 def rgcn_layer(sub, H: Tensor, P: LayerParams, activation=True) -> Tensor:

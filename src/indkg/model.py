@@ -282,10 +282,7 @@ def init_entity_embeddings(triples: np.ndarray, entity_ids: np.ndarray,
     if (counts == 0).any():
         missing = entity_ids[counts == 0][:5].tolist()
         raise IsolatedEntity(f"entities with no incident triple: {missing}")
-    # gathered grouped by entity, so the segment sum needs no sorted copy
-    order = np.argsort(seg_idx, kind="stable")
-    summed = segment_sum(gather_rows(psi, psi_idx[hit][order]), seg_idx[order],
-                         len(entity_ids))
+    summed = segment_sum(gather_rows(psi, psi_idx[hit]), seg_idx, len(entity_ids))
     return mul(summed, (1.0 / counts)[:, None])
 
 

@@ -21,35 +21,25 @@ log = logging.getLogger(__name__)
 RETRY_CAP = 1000
 
 
-@dataclass(frozen=True)
-class NegativeSpec:
-    mode: str = "both-uniform"    # "corrupt-head" | "corrupt-tail" | "both-uniform"
-    num_neg: int = 1
-    filtered: bool = True
+def corrupt_triple(triple, graph: IndexedGraph, rng, filtered: bool = True,
+                   entities=None):
+    """Replace the head or the tail with a uniformly drawn entity.
 
-    def __post_init__(self):
-        if self.num_neg < 1:
-            raise ValueError("num_neg must be >= 1")
-        if self.mode not in ("corrupt-head", "corrupt-tail", "both-uniform"):
-            raise ValueError(f"unknown corruption mode {self.mode!r}")
-
-
-def corrupt_triple(triple, graph: IndexedGraph, mode: str, rng,
-                   filtered: bool = True):
-    """Replace the head or tail with a uniformly drawn entity.
-
-    Rejection-samples until the corruption differs from the input and, when
-    filtered, is absent from the graph's known-triple set.
+    Each draw picks the side (head when ``rng.random() < 0.5``), then the
+    entity from ``entities`` (default: every id of ``graph``). Rejection-
+    samples until the corruption differs from the input and, when filtered,
+    is absent from the graph's known-triple set; raises ExhaustedRetries
+    after ``RETRY_CAP`` draws.
     """
     h, r, t = (int(x) for x in triple)
-    if graph.num_entities == 0:
-        raise EmptyInput("graph has no entities")
+    if entities is None:
+        entities = range(graph.num_entities)
+    if len(entities) == 0:
+        raise EmptyInput("no entities to corrupt with")
     for _ in range(RETRY_CAP):
-        side = mode
-        if mode == "both-uniform":
-            side = "corrupt-head" if rng.random() < 0.5 else "corrupt-tail"
-        e = int(rng.integers(graph.num_entities))
-        cand = (e, r, t) if side == "corrupt-head" else (h, r, e)
+        corrupt_head = rng.random() < 0.5
+        e = int(entities[rng.integers(len(entities))])
+        cand = (e, r, t) if corrupt_head else (h, r, e)
         if cand == (h, r, t):
             continue
         if filtered and graph.contains(*cand):
@@ -66,26 +56,19 @@ class ScoredItem:
     rel: int
 
 
-@dataclass
-class TrainInstance:
-    pos: ScoredItem
-    negs: list[ScoredItem]
-
-
 def _item(graph, triple, k, max_nodes=None) -> ScoredItem:
     sub = extract_enclosing_subgraph(graph, triple, k, max_nodes=max_nodes)
     return ScoredItem(sub, label_nodes(sub), int(triple[1]))
 
 
-def make_train_instance(graph: IndexedGraph, triple, k: int,
-                        spec: NegativeSpec, rng, max_nodes=None) -> TrainInstance:
-    """Positive enclosing subgraph plus ``spec.num_neg`` corrupted ones."""
-    pos = _item(graph, tuple(int(x) for x in triple), k, max_nodes)
-    negs = []
-    for _ in range(spec.num_neg):
-        neg_triple = corrupt_triple(triple, graph, spec.mode, rng, spec.filtered)
-        negs.append(_item(graph, neg_triple, k, max_nodes))
-    return TrainInstance(pos, negs)
+def make_train_instance(graph: IndexedGraph, triple, k: int, num_neg: int,
+                        rng, filtered: bool = True,
+                        max_nodes=None) -> list[ScoredItem]:
+    """The positive's ScoredItem, then those of ``num_neg`` corruptions."""
+    triples = [tuple(int(x) for x in triple)]
+    triples += [corrupt_triple(triple, graph, rng, filtered)
+                for _ in range(num_neg)]
+    return [_item(graph, t, k, max_nodes) for t in triples]
 
 
 @dataclass
@@ -106,7 +89,7 @@ def make_classification_batch(graph: IndexedGraph, triples, k: int, rng,
         raise EmptyInput("no triples to classify")
     items = [_item(graph, tuple(t), k, max_nodes) for t in triples.tolist()]
     for t in triples.tolist():
-        neg = corrupt_triple(t, graph, "both-uniform", rng, filtered=True)
+        neg = corrupt_triple(t, graph, rng)
         items.append(_item(graph, neg, k, max_nodes))
     labels01 = np.concatenate([np.ones(len(triples), np.int64),
                                np.zeros(len(triples), np.int64)])
@@ -120,16 +103,15 @@ class RankingBatch:
     truth_idx: int
 
 
-def _corruption_pool(graph, triple, direction, filtered):
-    """(n, 3) corruptions of one side, in ascending entity id, truth excluded."""
+def _corruption_pool(graph, triple, direction):
+    """(n, 3) filtered corruptions of one side, in ascending entity id:
+    neither the truth nor a known triple."""
     ents = np.arange(graph.num_entities, dtype=np.int64)
     pool = np.empty((len(ents), 3), dtype=np.int64)
     pool[:] = triple
     side = 0 if direction == "head" else 2
     pool[:, side] = ents
-    keep = ents != triple[side]
-    if filtered:
-        keep &= ~graph.contains_many(pool)
+    keep = (ents != triple[side]) & ~graph.contains_many(pool)
     return pool[keep]
 
 
@@ -137,23 +119,20 @@ def make_ranking_candidates(graph: IndexedGraph, triple, direction: str,
                             num_neg: int, rng):
     """Candidate triples for one ranking query: (triples, truth_idx).
 
-    Negatives are drawn without replacement from the filtered corruption
-    pool; if the pool is too small the unfiltered pool is used with a
-    warning, and if even that is too small every available corruption is
-    taken. The truth is planted at a uniformly random position.
+    ``min(num_neg, len(pool))`` negatives are drawn without replacement
+    from the filtered corruption pool, so none is a known triple; a short
+    side logs one warning with its pool size, and a side with an empty pool
+    ranks the truth alone. ``num_neg`` at or above the entity count is thus
+    full filtered ranking. The truth is planted at a uniformly random
+    position.
     """
     if direction not in ("head", "tail"):
         raise ValueError(f"unknown ranking direction {direction!r}")
     triple = tuple(int(x) for x in triple)
-    pool = _corruption_pool(graph, triple, direction, filtered=True)
+    pool = _corruption_pool(graph, triple, direction)
     if len(pool) < num_neg:
-        unfiltered = _corruption_pool(graph, triple, direction, filtered=False)
-        if not len(unfiltered):
-            raise ExhaustedRetries(f"no corruption of {triple} exists")
-        log.warning("only %d filtered negatives for %s (%s side); "
-                    "falling back to unfiltered pool of %d",
-                    len(pool), triple, direction, len(unfiltered))
-        pool = unfiltered
+        log.warning("only %d filtered negatives for %s (%s side)",
+                    len(pool), triple, direction)
     picks = rng.choice(len(pool), size=min(num_neg, len(pool)), replace=False)
     chosen = list(map(tuple, pool[picks].tolist()))
     truth_idx = int(rng.integers(len(chosen) + 1))

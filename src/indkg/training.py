@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from .config import RunConfig
-from .errors import NonFiniteLoss
+from .errors import ExhaustedRetries, NonFiniteLoss
 from .evaluate import (
     MonitorState,
     classification_metrics,
@@ -37,7 +37,8 @@ from .model import (
 )
 from .autodiff import Tensor, gather_rows
 from .sampling import (
-    NegativeSpec,
+    RETRY_CAP,
+    corrupt_triple,
     make_classification_batch,
     make_train_instance,
     sample_meta_task,
@@ -68,7 +69,7 @@ def _check_finite_loss(value: float, params: dict, context: str) -> None:
 
 
 def _max_nodes(cfg: RunConfig):
-    return cfg.max_nodes if cfg.max_nodes > 0 else None
+    return cfg.max_nodes or None
 
 
 def validation_classification(model: ModelParams, graph, triples, cfg: RunConfig,
@@ -94,8 +95,6 @@ def train_subgraph_model(bundle: DatasetBundle, cfg: RunConfig):
     params = model.tensors()
     opt = Adam(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
                eps=cfg.adam_eps)
-    spec = NegativeSpec(mode="both-uniform", num_neg=cfg.num_neg,
-                        filtered=cfg.filtered)
     monitor = MonitorState(patience=cfg.patience, min_delta=cfg.min_delta)
     graph = bundle.train_graph
     triples = bundle.train
@@ -110,11 +109,12 @@ def train_subgraph_model(bundle: DatasetBundle, cfg: RunConfig):
             items, pos_idx, neg_idx = [], [], []
             for bi, triple in enumerate(batch.tolist()):
                 item_rng = np.random.default_rng((cfg.seed, epoch, start + bi))
-                inst = make_train_instance(graph, triple, cfg.k, spec, item_rng,
+                inst = make_train_instance(graph, triple, cfg.k, cfg.num_neg,
+                                           item_rng, cfg.filtered,
                                            max_nodes=_max_nodes(cfg))
-                pos_idx += [len(items)] * len(inst.negs)
-                neg_idx += range(len(items) + 1, len(items) + 1 + len(inst.negs))
-                items += [inst.pos] + inst.negs
+                pos_idx += [len(items)] * (len(inst) - 1)
+                neg_idx += range(len(items) + 1, len(items) + len(inst))
+                items += inst
             scores = score_subgraphs(model, items)
             loss = margin_loss([gather_rows(scores, pos_idx)],
                                [gather_rows(scores, neg_idx)], cfg.margin)
@@ -152,30 +152,27 @@ def train_subgraph_model(bundle: DatasetBundle, cfg: RunConfig):
 def episode_loss(enc: EntityEncoderParams, task, graph, cfg: RunConfig, rng):
     """Margin loss of one meta-task: support-derived embeddings score the
     query triples (one decoder call) against per-query corruptions (one
-    more). A corruption redrawn 100 times without escaping the known triples
-    is dropped; the drops are counted in one warning per episode."""
+    more). Negatives come from ``corrupt_triple`` over the support entities,
+    so each has an embedding; one that raises ExhaustedRetries is dropped,
+    and the drops are counted in one warning per episode."""
     ents = np.unique(task.support[:, [0, 2]])
     local = {int(e): i for i, e in enumerate(ents)}
     queries = task.query.tolist()
     owner, neg_h, neg_t = [], [], []
-    for qi, (h, r, t) in enumerate(queries):
-        # corrupt within the task region so the negative has an embedding
+    for qi, triple in enumerate(queries):
         for _ in range(cfg.num_neg):
-            for _attempt in range(100):
-                e = int(ents[rng.integers(len(ents))])
-                corrupt_head = rng.random() < 0.5
-                cand = (e, r, t) if corrupt_head else (h, r, e)
-                if cand != (h, r, t) and not graph.contains(*cand):
-                    break
-            else:
+            try:
+                neg = corrupt_triple(triple, graph, rng, entities=ents)
+            except ExhaustedRetries:
                 continue
             owner.append(qi)
-            neg_h.append(local[cand[0]])
-            neg_t.append(local[cand[2]])
+            neg_h.append(local[neg[0]])
+            neg_t.append(local[neg[2]])
     wanted = cfg.num_neg * len(queries)
     if len(owner) < wanted:
-        log.warning("episode dropped %d of %d negatives: each of their 100 "
-                    "draws hit a known triple", wanted - len(owner), wanted)
+        log.warning("episode dropped %d of %d negatives: each of their %d "
+                    "draws hit a known triple", wanted - len(owner), wanted,
+                    RETRY_CAP)
     if not owner:
         return None
     emb = init_entity_embeddings(task.support, ents, enc.psi)

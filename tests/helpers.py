@@ -171,28 +171,42 @@ def enclosing_subgraph_oracle(triples, n, target, k, max_nodes=None):
 
 # -- negative-sampling oracles ----------------------------------------------
 
-def corruption_pool_oracle(known, num_entities, triple, direction, filtered):
-    """Per-entity loop over one side's corruptions; ``known`` is a set of
-    (h, r, t) tuples."""
+def corrupt_triple_oracle(known, num_entities, triple, rng, filtered=True,
+                          entities=None, retries=1000):
+    """Reference for ``corrupt_triple``: per draw, the side (the head when
+    ``rng.random() < 0.5``), then an entity position in ``entities``
+    (default every id below ``num_entities``). Returns the first candidate
+    that is not the input and, when filtered, not in the set ``known``, or
+    None after ``retries`` draws."""
+    entities = range(num_entities) if entities is None else [int(e) for e in entities]
+    h, r, t = triple
+    for _ in range(retries):
+        corrupt_head = rng.random() < 0.5
+        e = entities[int(rng.integers(len(entities)))]
+        cand = (e, r, t) if corrupt_head else (h, r, e)
+        if cand != (h, r, t) and not (filtered and cand in known):
+            return cand
+    return None
+
+
+def corruption_pool_oracle(known, num_entities, triple, direction):
+    """Per-entity loop over one side's filtered corruptions; ``known`` is a
+    set of (h, r, t) tuples."""
     h, r, t = triple
     pool = []
     for e in range(num_entities):
         cand = (e, r, t) if direction == "head" else (h, r, e)
-        if cand == triple:
-            continue
-        if filtered and cand in known:
-            continue
-        pool.append(cand)
+        if cand != triple and cand not in known:
+            pool.append(cand)
     return pool
 
 
 def ranking_candidates_oracle(known, num_entities, triple, direction, num_neg, rng):
-    """Reference for ``make_ranking_candidates``: the same draws from the
-    per-entity pool, with the unfiltered fallback."""
+    """Reference for ``make_ranking_candidates``: ``min(num_neg, len(pool))``
+    draws without replacement from the per-entity filtered pool, then the
+    truth's position."""
     triple = tuple(int(x) for x in triple)
-    pool = corruption_pool_oracle(known, num_entities, triple, direction, True)
-    if len(pool) < num_neg:
-        pool = corruption_pool_oracle(known, num_entities, triple, direction, False)
+    pool = corruption_pool_oracle(known, num_entities, triple, direction)
     chosen = [pool[i] for i in rng.choice(len(pool), size=min(num_neg, len(pool)),
                                           replace=False)]
     truth_idx = int(rng.integers(len(chosen) + 1))

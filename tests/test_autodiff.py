@@ -158,9 +158,7 @@ def test_basis_message_pass_matches_loop_oracle(gated):
     oracle = basis_message_pass_loop_oracle(
         HV.data, coeffs.data, src, dst, slot, norm, 6,
         alpha=alpha.data if gated else None)
-    order = np.argsort(src, kind="stable")
-    out = basis_message_pass(HV, coeffs, src, dst, slot, norm, 6,
-                             alpha=gate, src_order=order)
+    out = basis_message_pass(HV, coeffs, src, dst, slot, norm, 6, alpha=gate)
     assert out.shape == (6, 2)
     assert np.allclose(out.data, oracle, rtol=1e-12, atol=1e-14)
 
@@ -171,7 +169,7 @@ def test_basis_message_pass_matches_loop_oracle(gated):
     err = gradient_check(
         params,
         lambda: tsum(basis_message_pass(HV, coeffs, src, dst, slot, norm, 6,
-                                        alpha=gate, src_order=order) * w),
+                                        alpha=gate) * w),
         sample_frac=1.0, rng=np.random.default_rng(0))
     assert err < 1e-4
 
@@ -180,8 +178,7 @@ def test_basis_message_pass_empty_message_list():
     rng = np.random.default_rng(10)
     HV, coeffs, alpha, src, dst, slot, norm = message_pass_case(0, rng)
     for gate in (None, alpha):
-        out = basis_message_pass(HV, coeffs, src, dst, slot, norm, 5, alpha=gate,
-                                 src_order=np.argsort(src, kind="stable"))
+        out = basis_message_pass(HV, coeffs, src, dst, slot, norm, 5, alpha=gate)
         assert out.shape == (5, 2) and not out.data.any()
         tsum(out * 3.0).backward()
         assert HV.grad.shape == HV.shape and not HV.grad.any()
@@ -192,13 +189,10 @@ def test_basis_message_pass_empty_message_list():
 def test_basis_message_pass_shape_error():
     rng = np.random.default_rng(11)
     HV, coeffs, _, src, dst, slot, norm = message_pass_case(4, rng)
-    order = np.argsort(src, kind="stable")
     with pytest.raises(ShapeMismatch):
-        basis_message_pass(HV, Tensor(np.zeros((4, 2))), src, dst, slot, norm, 5,
-                           src_order=order)
+        basis_message_pass(HV, Tensor(np.zeros((4, 2))), src, dst, slot, norm, 5)
     with pytest.raises(ShapeMismatch):
-        basis_message_pass(reshape(HV, (5, 6)), coeffs, src, dst, slot, norm, 5,
-                           src_order=order)
+        basis_message_pass(reshape(HV, (5, 6)), coeffs, src, dst, slot, norm, 5)
 
 
 def test_circular_correlation_matches_oracle():

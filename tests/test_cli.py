@@ -45,6 +45,17 @@ def test_region_size_below_two_rejected(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("value", ["-1", "1"])
+def test_max_nodes_below_two_rejected(value, capsys):
+    # -1 used to mean "no cap" and 1 to give 2-node subgraphs, both silently
+    with pytest.raises(ConfigTypeError):
+        parse_config(None, {"seed": "7", "max_nodes": value})
+    assert main(["train", "--seed", "7", "--max_nodes", value]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    for ok in ("0", "2"):
+        assert parse_config(None, {"seed": "7", "max_nodes": ok}).max_nodes == int(ok)
+
+
 def test_parse_config_bad_enum():
     with pytest.raises(ConfigTypeError):
         parse_config(None, {"seed": "7", "layer_kind": "gat"})

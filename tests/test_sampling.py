@@ -5,7 +5,7 @@ from scipy.stats import chisquare
 from indkg.errors import EmptyInput, ExhaustedRetries
 from indkg.kgcore import build_graph
 from indkg.sampling import (
-    NegativeSpec,
+    RETRY_CAP,
     _corruption_pool,
     corrupt_triple,
     make_classification_batch,
@@ -18,6 +18,7 @@ from indkg import sampling
 from indkg.evaluate import compute_rank
 
 from helpers import (
+    corrupt_triple_oracle,
     corruption_pool_oracle,
     grow_region_loop_oracle,
     masked_adjacency,
@@ -28,32 +29,44 @@ from helpers import (
 
 
 def test_corrupt_only_option():
+    # over entities {0, 1}, (0, 0, 1) has one head and one tail corruption
     g = build_graph([(0, 0, 1)], 2, 1)
-    rng = np.random.default_rng(0)
-    assert corrupt_triple((0, 0, 1), g, "corrupt-tail", rng) == (0, 0, 0)
+    drawn = {corrupt_triple((0, 0, 1), g, np.random.default_rng(s))
+             for s in range(50)}
+    assert drawn == {(1, 0, 1), (0, 0, 0)}
+    # entity 0 as the head is the input itself, so only the tail side is left
+    for s in range(20):
+        assert corrupt_triple((0, 0, 1), g, np.random.default_rng(s),
+                              entities=[0]) == (0, 0, 0)
 
 
 def test_corrupt_exhausted():
     g = build_graph([(0, 0, 0)], 1, 1)
     rng = np.random.default_rng(0)
     with pytest.raises(ExhaustedRetries):
-        corrupt_triple((0, 0, 0), g, "corrupt-tail", rng)
+        corrupt_triple((0, 0, 0), g, rng)
+    with pytest.raises(EmptyInput):
+        corrupt_triple((0, 0, 0), g, rng, entities=np.empty(0, np.int64))
 
 
 def test_corrupt_uniform_chi_square():
     n = 100
-    triples = [(0, 0, 1)]
-    g = build_graph(triples, n, 1)
+    g = build_graph([(0, 0, 1)], n, 1)
     rng = np.random.default_rng(1)
-    counts = np.zeros(n)
-    draws = 10_000
-    for _ in range(draws):
-        _, _, t = corrupt_triple((0, 0, 1), g, "corrupt-tail", rng)
-        counts[t] += 1
-    # tails 1 is excluded (equals input); all other ids equally likely
-    allowed = [i for i in range(n) if i != 1]
-    assert counts[1] == 0
-    _, p = chisquare(counts[allowed])
+    counts = {"head": np.zeros(n), "tail": np.zeros(n)}
+    for _ in range(10_000):
+        h, _, t = corrupt_triple((0, 0, 1), g, rng)
+        assert (h == 0) != (t == 1)         # exactly one side corrupted
+        if h != 0:
+            counts["head"][h] += 1
+        else:
+            counts["tail"][t] += 1
+    # a draw equal to the input is redrawn: the 99 heads other than 0 and
+    # the 99 tails other than 1 are equally likely
+    assert counts["head"][0] == 0 and counts["tail"][1] == 0
+    cells = np.concatenate([np.delete(counts["head"], 0),
+                            np.delete(counts["tail"], 1)])
+    _, p = chisquare(cells)
     assert p > 0.001
 
 
@@ -61,33 +74,65 @@ def test_corrupt_filtered_avoids_known():
     triples = [(0, 0, t) for t in range(1, 50)]
     g = build_graph(triples, 60, 1)
     rng = np.random.default_rng(2)
+    sides = set()
     for _ in range(200):
-        cand = corrupt_triple((0, 0, 1), g, "corrupt-tail", rng, filtered=True)
+        cand = corrupt_triple((0, 0, 1), g, rng, filtered=True)
         assert not g.contains(*cand)
+        sides.add("head" if cand[0] != 0 else "tail")
+    assert sides == {"head", "tail"}
+
+
+def test_corrupt_triple_matches_oracle():
+    # pins the draw stream: side, then entity, rejection in the same order
+    rng = np.random.default_rng(31)
+    seen = {"exhausted": 0, "entities": 0, "unfiltered": 0}
+    for trial in range(60):
+        n, nr = int(rng.integers(1, 25)), int(rng.integers(1, 4))
+        triples = random_triples(rng, n, nr, float(rng.uniform(0.05, 0.9)))
+        known = np.vstack([triples, random_triples(rng, n, nr, 0.1)]).reshape(-1, 3)
+        if len(triples) == 0:
+            continue
+        g = build_graph(triples, n, nr, known_triples=known)
+        known_set = set(map(tuple, known.tolist()))
+        ents = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        triple = tuple(triples[int(rng.integers(len(triples)))].tolist())
+        for filtered in (True, False):
+            for entities in (None, ents):
+                seed = (trial, filtered, entities is None)
+                got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
+                for _ in range(4):
+                    want = corrupt_triple_oracle(known_set, n, triple, want_rng,
+                                                 filtered, entities, RETRY_CAP)
+                    try:
+                        got = corrupt_triple(triple, g, got_rng, filtered, entities)
+                    except ExhaustedRetries:
+                        got = None
+                    assert got == want
+                    assert got is None or all(type(x) is int for x in got)
+                    seen["exhausted"] += got is None
+                    seen["entities"] += entities is not None
+                    seen["unfiltered"] += not filtered
+    assert all(seen.values()), seen
 
 
 def test_train_instance():
     rng = np.random.default_rng(3)
     triples = random_triples(rng, 20, 3, 0.15)
     g = build_graph(triples, 20, 3)
-    spec = NegativeSpec(num_neg=1)
-    inst = make_train_instance(g, tuple(g.triples[0]), 2, spec,
-                               np.random.default_rng(7))
-    assert len(inst.negs) == 1
-    assert inst.negs[0].sub.target != inst.pos.sub.target
+    pos, neg = make_train_instance(g, tuple(g.triples[0]), 2, 1,
+                                   np.random.default_rng(7))
+    assert pos.sub.target == tuple(g.triples[0])
+    assert neg.sub.target != pos.sub.target
 
 
 def test_train_instance_deterministic():
     rng = np.random.default_rng(4)
     triples = random_triples(rng, 20, 3, 0.15)
     g = build_graph(triples, 20, 3)
-    spec = NegativeSpec(num_neg=2)
-    a = make_train_instance(g, tuple(g.triples[1]), 2, spec,
-                            np.random.default_rng(7))
-    b = make_train_instance(g, tuple(g.triples[1]), 2, spec,
-                            np.random.default_rng(7))
-    assert a.pos.sub == b.pos.sub
-    for x, y in zip(a.negs, b.negs):
+    a = make_train_instance(g, tuple(g.triples[1]), 2, 2, np.random.default_rng(7))
+    b = make_train_instance(g, tuple(g.triples[1]), 2, 2, np.random.default_rng(7))
+    assert len(a) == 3
+    for x, y in zip(a, b):
         assert x.sub == y.sub
         assert np.array_equal(x.labels, y.labels)
 
@@ -150,15 +195,31 @@ def test_ranking_truth_recoverable():
     assert compute_rank(scores, batch.truth_idx) == 1.0
 
 
+def test_ranking_batch_matches_candidates():
+    rng = np.random.default_rng(12)
+    triples = random_triples(rng, 30, 2, 0.1)
+    g = build_graph(triples, 30, 2)
+    for i, triple in enumerate(g.triples[:4].tolist()):
+        for direction in ("head", "tail"):
+            for num_neg in (3, 50):
+                want, truth_idx = make_ranking_candidates(
+                    g, triple, direction, num_neg, np.random.default_rng((i, num_neg)))
+                batch = make_ranking_batch(g, triple, 2, direction, num_neg,
+                                           np.random.default_rng((i, num_neg)))
+                assert batch.direction == direction
+                assert batch.truth_idx == truth_idx
+                assert [c.sub.target for c in batch.candidates] == want
+
+
 def test_ranking_mean_rank_random_scorer():
     g = build_graph([(0, 0, 1)], 60, 1)
     rng = np.random.default_rng(9)
     ranks = []
     for i in range(2000):
-        batch = make_ranking_batch(g, (0, 0, 1), 1, "tail", 50,
-                                   np.random.default_rng((5, i)))
-        scores = rng.normal(size=len(batch.candidates))
-        ranks.append(compute_rank(scores, batch.truth_idx))
+        cands, truth_idx = make_ranking_candidates(g, (0, 0, 1), "tail", 50,
+                                                   np.random.default_rng((5, i)))
+        scores = rng.normal(size=len(cands))
+        ranks.append(compute_rank(scores, truth_idx))
     assert abs(np.mean(ranks) - 26.0) < 0.5
 
 
@@ -176,11 +237,10 @@ def test_ranking_candidates_match_per_entity_loop():
         targets.append((int(rng.integers(n)), int(rng.integers(3)), int(rng.integers(n))))
         for i, triple in enumerate(targets):
             for direction in ("head", "tail"):
-                for filtered in (True, False):
-                    pool = _corruption_pool(g, triple, direction, filtered)
-                    assert pool.dtype == np.int64
-                    assert list(map(tuple, pool.tolist())) == corruption_pool_oracle(
-                        known_set, n, triple, direction, filtered)
+                pool = _corruption_pool(g, triple, direction)
+                assert pool.dtype == np.int64
+                assert list(map(tuple, pool.tolist())) == corruption_pool_oracle(
+                    known_set, n, triple, direction)
                 for num_neg in (1, 5, 50):
                     seed = (trial, i, num_neg)
                     got = make_ranking_candidates(g, triple, direction, num_neg,
@@ -192,20 +252,38 @@ def test_ranking_candidates_match_per_entity_loop():
 
 
 def test_ranking_candidates_fallback_matches_loop(caplog):
-    # every tail corruption of (0, 0, 1) but (0, 0, 0) is a known triple
+    # every tail corruption of (0, 0, 1) but (0, 0, 0) is a known triple;
+    # the head side has five filtered corruptions
     triples = [(0, 0, t) for t in range(1, 6)]
     g = build_graph(triples, 6, 1)
     known_set = set(triples)
-    for direction in ("head", "tail"):
-        with caplog.at_level("WARNING", logger="indkg.sampling"):
-            caplog.clear()
-            got = make_ranking_candidates(g, (0, 0, 1), direction, 3,
-                                          np.random.default_rng(4))
-        want = ranking_candidates_oracle(known_set, 6, (0, 0, 1), direction, 3,
-                                         np.random.default_rng(4))
-        assert got == want
-        fell_back = "falling back to unfiltered pool" in caplog.text
-        assert fell_back == (direction == "tail")
+    for num_neg in (3, 6, 50):           # 6 and 50 reach the entity count
+        for direction in ("head", "tail"):
+            pool = corruption_pool_oracle(known_set, 6, (0, 0, 1), direction)
+            with caplog.at_level("WARNING", logger="indkg.sampling"):
+                caplog.clear()
+                got = make_ranking_candidates(g, (0, 0, 1), direction, num_neg,
+                                              np.random.default_rng(4))
+            want = ranking_candidates_oracle(known_set, 6, (0, 0, 1), direction,
+                                             num_neg, np.random.default_rng(4))
+            assert got == want
+            cands, truth_idx = got
+            assert cands[truth_idx] == (0, 0, 1)
+            negs = cands[:truth_idx] + cands[truth_idx + 1:]
+            assert not any(g.contains(*c) for c in negs)
+            short = len(pool) < num_neg
+            if short:                    # the whole filtered pool, nothing else
+                assert sorted(negs) == pool
+            else:
+                assert len(negs) == num_neg
+            warnings = [r.getMessage() for r in caplog.records]
+            assert len(warnings) == short
+            if short:
+                assert f"only {len(pool)} filtered negatives" in warnings[0]
+    # every tail corruption known: the truth is ranked alone
+    full = build_graph([(0, 0, t) for t in range(6)], 6, 1)
+    assert make_ranking_candidates(full, (0, 0, 1), "tail", 5,
+                                   np.random.default_rng(0)) == ([(0, 0, 1)], 0)
 
 
 def test_meta_task_split_arithmetic():

@@ -12,7 +12,7 @@ from indkg.model import (
     init_model,
     subgraph_score,
 )
-from indkg.sampling import MetaTask, NegativeSpec, make_train_instance
+from indkg.sampling import RETRY_CAP, MetaTask, make_train_instance
 from indkg.training import (
     entity_triple_scorer,
     episode_loss,
@@ -117,15 +117,11 @@ def test_subgraph_scorer_matches_model():
     bundle = small_bundle(5)
     cfg = small_config(epochs=1)
     model, _ = train_subgraph_model(bundle, cfg)
-    from indkg.sampling import NegativeSpec, make_train_instance
-    inst = make_train_instance(bundle.train_graph, tuple(bundle.train[0]),
-                               cfg.k, NegativeSpec(num_neg=1),
-                               np.random.default_rng(0))
+    pos, _ = make_train_instance(bundle.train_graph, tuple(bundle.train[0]),
+                                 cfg.k, 1, np.random.default_rng(0))
     scorer = subgraph_item_scorer(model)
-    from indkg.model import subgraph_score
-    direct = subgraph_score(model, inst.pos.sub, inst.pos.labels,
-                            inst.pos.rel).item()
-    assert scorer([inst.pos])[0] == direct
+    direct = subgraph_score(model, pos.sub, pos.labels, pos.rel).item()
+    assert scorer([pos])[0] == direct
 
 
 def test_item_scorer_chunks_match_per_item(monkeypatch):
@@ -172,14 +168,15 @@ def test_batched_training_step_matches_per_item_loss(layer_kind, monkeypatch):
                        rel_dim=cfg.rel_dim, num_layers=cfg.num_layers,
                        num_bases=cfg.num_bases, layer_kind=cfg.layer_kind,
                        comp_op=cfg.comp_op, rng=np.random.default_rng((cfg.seed, 0x1017)))
-    spec = NegativeSpec(mode="both-uniform", num_neg=cfg.num_neg, filtered=cfg.filtered)
     hinges = []
     for i, triple in enumerate(bundle.train.tolist()):
-        inst = make_train_instance(bundle.train_graph, triple, cfg.k, spec,
-                                   np.random.default_rng((cfg.seed, 0, i)))
-        pos = subgraph_score(model, inst.pos.sub, inst.pos.labels, inst.pos.rel)
-        hinges += [relu(subgraph_score(model, neg.sub, neg.labels, neg.rel) - pos
-                        + cfg.margin) for neg in inst.negs]
+        pos, *negs = make_train_instance(bundle.train_graph, triple, cfg.k,
+                                         cfg.num_neg,
+                                         np.random.default_rng((cfg.seed, 0, i)),
+                                         cfg.filtered)
+        pos_score = subgraph_score(model, pos.sub, pos.labels, pos.rel)
+        hinges += [relu(subgraph_score(model, neg.sub, neg.labels, neg.rel)
+                        - pos_score + cfg.margin) for neg in negs]
     tmean(concat(hinges)).backward()
     for name, t in model.tensors().items():
         assert np.abs(grads[0][name] - t.grad).max() <= 1e-12 * np.abs(t.grad).max(), name
@@ -304,3 +301,4 @@ def test_episode_loss_counts_dropped_negatives(caplog):
     assert loss is None
     warnings = [r.getMessage() for r in caplog.records if r.name == "indkg.training"]
     assert len(warnings) == 1 and "dropped 3 of 3 negatives" in warnings[0]
+    assert f"each of their {RETRY_CAP} draws" in warnings[0]
