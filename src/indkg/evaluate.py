@@ -7,6 +7,7 @@ classification batch, and both link-prediction entry points share one loop.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field
 
@@ -18,6 +19,8 @@ from .sampling import (
     make_ranking_batch,
     make_ranking_candidates,
 )
+
+log = logging.getLogger(__name__)
 
 
 def compute_rank(scores, truth_idx: int) -> float:
@@ -129,21 +132,29 @@ class MetricsReport:
         return "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
 
 
-def _link_prediction(scorer, side, query_triples, seed: int) -> MetricsReport:
+def _link_prediction(scorer, side, query_triples, num_neg: int,
+                     seed: int) -> MetricsReport:
     """The ranking loop of both model families: ``side(triple, direction,
     rng)`` draws (candidates, truth_idx) from the RNG (seed, query index,
     0 | 1 for head | tail), ``scorer`` scores them in one call, and the head
-    and tail ranks are pooled."""
+    and tail ranks are pooled. Sides with fewer than ``num_neg`` negatives
+    are counted in one warning per run."""
     start = time.monotonic()
     query_triples = np.asarray(query_triples, dtype=np.int64).reshape(-1, 3)
     if len(query_triples) == 0:
         raise EmptyInput("no query triples")
-    ranks = []
+    ranks, short = [], []
     for qi, triple in enumerate(query_triples.tolist()):
         for si, direction in enumerate(("head", "tail")):
             cands, truth_idx = side(triple, direction,
                                     np.random.default_rng((seed, qi, si)))
+            if len(cands) - 1 < num_neg:
+                short.append(len(cands) - 1)
             ranks.append(compute_rank(scorer(cands), truth_idx))
+    if short:
+        log.warning("%d of %d ranking sides had fewer than %d filtered "
+                    "negatives; the smallest pool held %d", len(short),
+                    len(ranks), num_neg, min(short))
     mrr, hits = ranking_metrics(ranks)
     return MetricsReport(mrr=mrr, hits=hits, n_queries=len(query_triples),
                          seed=seed,
@@ -160,7 +171,7 @@ def run_link_prediction(scorer, graph, query_triples, k: int, num_neg: int,
         batch = make_ranking_batch(graph, triple, k, direction, num_neg, rng,
                                    max_nodes=max_nodes)
         return batch.candidates, batch.truth_idx
-    return _link_prediction(scorer, side, query_triples, seed)
+    return _link_prediction(scorer, side, query_triples, num_neg, seed)
 
 
 def run_link_prediction_triples(scorer, graph, query_triples, num_neg: int,
@@ -169,7 +180,7 @@ def run_link_prediction_triples(scorer, graph, query_triples, num_neg: int,
     extraction; used by entity-encoding models."""
     def side(triple, direction, rng):
         return make_ranking_candidates(graph, triple, direction, num_neg, rng)
-    return _link_prediction(scorer, side, query_triples, seed)
+    return _link_prediction(scorer, side, query_triples, num_neg, seed)
 
 
 def run_triple_classification(scorer, graph, triples, k: int, seed: int,

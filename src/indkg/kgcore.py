@@ -241,18 +241,21 @@ class IndexedGraph:
 
 def _build_csr(triples, n, num_relations):
     """``(indptr, out_end, nbr, rel)``: row e holds e's out-entries (t, r),
-    then its in-entries (h, r), ordered by one stable sort of the key
-    ``((src * 2 + is_in) * n + nbr) * R + rel``. That key reaches 2 * n^2 * R,
-    so it is uint64, which holds it wherever ``triple_keys`` fit int64."""
+    then its in-entries (h, r), ordered by the key
+    ``((src * 2 + is_in) * n + nbr) * R + rel``. One ``np.sort`` of the keys
+    orders them, and ``nbr, rel`` are decoded from the sorted keys by
+    ``divmod``; equal keys carry equal entries, so the sort need not be
+    stable. The key reaches 2 * n^2 * R, so it is uint64, which holds it
+    wherever ``triple_keys`` fit int64."""
     h, r, t = triples.T
     src2 = np.concatenate([h * 2, t * 2 + 1]).astype(np.uint64)
-    nbr = np.concatenate([t, h])
-    rel = np.concatenate([r, r])
-    key = src2 * np.uint64(n * num_relations) + (nbr * num_relations + rel).astype(np.uint64)
-    order = np.argsort(key, kind="stable")
+    entry = (np.concatenate([t, h]) * num_relations + np.concatenate([r, r])).astype(np.uint64)
+    width = np.uint64(max(n * num_relations, 1))
+    key = np.sort(src2 * width + entry)
+    nbr, rel = divmod((key % width).astype(np.int64), num_relations)
     out_deg = np.bincount(h, minlength=n)
     indptr = np.concatenate([[0], np.cumsum(out_deg + np.bincount(t, minlength=n))])
-    return indptr, indptr[:-1] + out_deg, nbr[order], rel[order]
+    return indptr, indptr[:-1] + out_deg, nbr, rel
 
 
 def build_graph(triples, num_entities: int, num_relations: int,

@@ -6,16 +6,20 @@ dst -> src, so information reaches both endpoints of the target pair, and
 each message carries a slot index 2 * rel + direction. Every layer averages
 the messages a node receives per slot (mean normalisation by 1/c).
 
-The basis-decomposed layers never build a per-slot weight: H @ V_b is
-computed once per basis and layer, and one fused op,
-``autodiff.basis_message_pass``, mixes the basis outputs of each message's
-source row by the coefficients of its slot and scatters the result to its
-destination, so one pass covers all messages whatever the number of slots.
-Its hand-written VJP re-gathers the basis rows it needs, so no
-(messages x bases x d_out) array stays on the tape, and every scatter-add
-is one ``np.bincount`` with no sort. The attention logit a . (W h) needs
-no per-message W h either: it equals sum_b C[slot, b] * (a . H V_b), an
-(m, B) mix of per-node basis scores.
+The basis-decomposed layers (``rgcn_layer``, ``rel_att_layer``) are the
+self term plus one autodiff op, ``autodiff.basis_conv``. It computes
+H @ V_b once per basis, mixes the basis outputs of each message's source
+row by the coefficients of its slot and scatters the result to its
+destination, so one pass covers all messages whatever the number of slots,
+and no per-slot weight is built. The attention logit a . (W h) needs no
+per-message W h either: it equals sum_b C[slot, b] * (a . H V_b), an
+(m, B) mix of per-node basis scores, taken inside the same op.
+
+Gradients take one route: the op's hand-written VJP returns the gradients
+of the features, bases, coefficients, attention vector and relation table
+together, from (m, d_out) and (m, B) arrays kept on the tape; no
+(messages x bases x d_out) array outlives the forward, and every scatter-add
+is one ``np.bincount`` with no sort.
 
 A layer takes a Subgraph or a ``Messages``: the message arrays of one
 subgraph or of the disjoint union of many, built once by the caller and
@@ -32,17 +36,13 @@ import numpy as np
 
 from .autodiff import (
     Tensor,
-    basis_message_pass,
+    basis_conv,
     circular_correlation,
     gather_rows,
     matmul,
     mul,
     relu,
-    reshape,
     segment_sum,
-    sigmoid,
-    transpose,
-    tsum,
 )
 from .errors import ShapeMismatch, UnknownCompositionOp
 
@@ -133,19 +133,6 @@ def _check_features(ms: Messages, H: Tensor, d_in: int):
             f"features {H.shape} do not match ({ms.num_nodes}, {d_in})")
 
 
-def _basis_outputs(H: Tensor, P: LayerParams) -> Tensor:
-    """H @ V_b for every basis b: (n, B, d_out)."""
-    B = P.bases.shape[0]
-    V = transpose(reshape(P.bases, (B, P.d_in, P.d_out)), (1, 0, 2))
-    HV = matmul(H, reshape(V, (P.d_in, B * P.d_out)))
-    return reshape(HV, (H.shape[0], B, P.d_out))
-
-
-def _pass(ms: Messages, HV: Tensor, P: LayerParams, alpha=None) -> Tensor:
-    return basis_message_pass(HV, P.coeffs, ms.src, ms.dst, ms.slot, ms.norm,
-                              ms.num_nodes, alpha=alpha)
-
-
 def rgcn_layer(sub, H: Tensor, P: LayerParams, activation=True) -> Tensor:
     """Basis-decomposed R-GCN convolution with mean aggregation per slot.
 
@@ -153,7 +140,8 @@ def rgcn_layer(sub, H: Tensor, P: LayerParams, activation=True) -> Tensor:
     """
     ms = messages(sub)
     _check_features(ms, H, P.d_in)
-    out = matmul(H, P.self_weight) + _pass(ms, _basis_outputs(H, P), P)
+    out = matmul(H, P.self_weight) + basis_conv(
+        H, P.bases, P.coeffs, ms.src, ms.dst, ms.slot, ms.norm, ms.num_nodes)
     return relu(out) if activation else out
 
 
@@ -168,22 +156,9 @@ def rel_att_layer(sub, H: Tensor, P: LayerParams, rel_emb: Tensor,
     """
     ms = messages(sub)
     _check_features(ms, H, P.d_in)
-    target = np.broadcast_to(np.asarray(target_rel, dtype=np.int64), (ms.num_nodes,))
-    HV = _basis_outputs(H, P)
-    n, B, d = HV.shape
-    d_rel = rel_emb.shape[1]
-    a_src, a_dst, a_rel, a_tgt = (
-        gather_rows(P.att_a, idx)
-        for idx in np.split(np.arange(P.att_a.shape[0]), [d, 2 * d, 2 * d + d_rel]))
-    # a . (W h) = sum_b C[slot, b] * (HV_b . a): contract the bases first
-    flat = reshape(HV, (n * B, d))
-    u_src = reshape(matmul(flat, a_src), (n, B))
-    u_dst = reshape(matmul(flat, a_dst), (n, B))
-    mix = mul(gather_rows(P.coeffs, ms.slot),
-              gather_rows(u_src, ms.src) + gather_rows(u_dst, ms.dst))
-    logit = (tsum(mix, axis=1) + gather_rows(matmul(rel_emb, a_rel), ms.slot // 2)
-             + gather_rows(matmul(rel_emb, a_tgt), target[ms.dst]))
-    out = matmul(H, P.self_weight) + _pass(ms, HV, P, alpha=sigmoid(logit))
+    out = matmul(H, P.self_weight) + basis_conv(
+        H, P.bases, P.coeffs, ms.src, ms.dst, ms.slot, ms.norm, ms.num_nodes,
+        att_a=P.att_a, rel_emb=rel_emb, target=target_rel)
     return relu(out) if activation else out
 
 

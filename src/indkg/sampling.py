@@ -7,7 +7,6 @@ item_index))``, so results are independent of worker scheduling.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,8 +14,6 @@ import numpy as np
 from .errors import EmptyInput, ExhaustedRetries
 from .kgcore import IndexedGraph
 from .subgraph import Subgraph, extract_enclosing_subgraph, label_nodes
-
-log = logging.getLogger(__name__)
 
 RETRY_CAP = 1000
 
@@ -120,19 +117,15 @@ def make_ranking_candidates(graph: IndexedGraph, triple, direction: str,
     """Candidate triples for one ranking query: (triples, truth_idx).
 
     ``min(num_neg, len(pool))`` negatives are drawn without replacement
-    from the filtered corruption pool, so none is a known triple; a short
-    side logs one warning with its pool size, and a side with an empty pool
-    ranks the truth alone. ``num_neg`` at or above the entity count is thus
-    full filtered ranking. The truth is planted at a uniformly random
-    position.
+    from the filtered corruption pool, so none is a known triple, and a side
+    with an empty pool ranks the truth alone. ``num_neg`` at or above the
+    entity count is thus full filtered ranking; the ranking loop counts the
+    short sides. The truth is planted at a uniformly random position.
     """
     if direction not in ("head", "tail"):
         raise ValueError(f"unknown ranking direction {direction!r}")
     triple = tuple(int(x) for x in triple)
     pool = _corruption_pool(graph, triple, direction)
-    if len(pool) < num_neg:
-        log.warning("only %d filtered negatives for %s (%s side)",
-                    len(pool), triple, direction)
     picks = rng.choice(len(pool), size=min(num_neg, len(pool)), replace=False)
     chosen = list(map(tuple, pool[picks].tolist()))
     truth_idx = int(rng.integers(len(chosen) + 1))

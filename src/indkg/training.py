@@ -35,7 +35,7 @@ from .model import (
     no_grad_view,
     score_subgraphs,
 )
-from .autodiff import Tensor, gather_rows
+from .autodiff import Tensor, gather_rows, single_blas_thread
 from .sampling import (
     RETRY_CAP,
     corrupt_triple,
@@ -82,8 +82,10 @@ def validation_classification(model: ModelParams, graph, triples, cfg: RunConfig
                                   batch.labels01)
 
 
+@single_blas_thread()
 def train_subgraph_model(bundle: DatasetBundle, cfg: RunConfig):
-    """Margin-loss training of the subgraph scorer with per-epoch validation.
+    """Margin-loss training of the subgraph scorer with per-epoch validation,
+    with BLAS on one thread.
 
     Returns (model at best validation AUC-PR, list of metric-log dicts).
     """
@@ -245,10 +247,12 @@ def subgraph_item_scorer(model: ModelParams):
 
     Consecutive items are scored together by ``score_subgraphs``, in chunks
     of whole subgraphs holding at most ``MESSAGE_BUDGET`` messages (a larger
-    subgraph is a chunk of its own), through a no-grad view of the model.
+    subgraph is a chunk of its own), through a no-grad view of the model,
+    with BLAS on one thread.
     """
     view = no_grad_view(model)
 
+    @single_blas_thread()
     def score(items) -> np.ndarray:
         items = list(items)
         out = np.empty(len(items), dtype=np.float64)

@@ -248,13 +248,28 @@ def grow_region_loop_oracle(triples, start, region_size):
 
 def basis_message_pass_loop_oracle(HV, coeffs, src, dst, slot, norm, num_nodes,
                                    alpha=None):
-    """``autodiff.basis_message_pass`` as a loop over messages and bases."""
+    """``autodiff.basis_conv`` as a loop over messages and bases, given the
+    basis outputs ``HV[:, b] = H @ V_b`` and the gates ``alpha``."""
     out = np.zeros((num_nodes, HV.shape[2]))
     for e in range(len(src)):
         gate = 1.0 if alpha is None else alpha[e]
         for b in range(HV.shape[1]):
             out[dst[e]] += norm[e] * gate * coeffs[slot[e], b] * HV[src[e], b]
     return out
+
+
+def attention_gate_loop_oracle(H, V, coeffs, att_a, rel_emb, target, src, dst,
+                               slot):
+    """The gate of each message of ``autodiff.basis_conv``, one at a time:
+    sigmoid(a . [W h_src ++ W h_dst ++ e_rel ++ e_target]) with the slot
+    weight W built from the ``(B, d_in, d_out)`` bases ``V``."""
+    alpha = np.zeros(len(src))
+    for e in range(len(src)):
+        W = sum(coeffs[slot[e], b] * V[b] for b in range(len(V)))
+        z = np.concatenate([H[src[e]] @ W, H[dst[e]] @ W, rel_emb[slot[e] // 2],
+                            rel_emb[target[dst[e]]]])
+        alpha[e] = 1.0 / (1.0 + np.exp(-(z @ att_a)))
+    return alpha
 
 
 def slot_weight_dense(P, slot):

@@ -3,16 +3,18 @@ import pytest
 
 from indkg.autodiff import (
     Tensor,
-    basis_message_pass,
+    basis_conv,
     circular_correlation,
     concat,
     gather_rows,
+    loaded_openblas,
     matmul,
     norm,
     relu,
     reshape,
     segment_sum,
     sigmoid,
+    single_blas_thread,
     tmean,
     transpose,
     tsum,
@@ -20,7 +22,11 @@ from indkg.autodiff import (
 from indkg.errors import NonFiniteGradient, ShapeMismatch
 from indkg.model import gradient_check
 
-from helpers import basis_message_pass_loop_oracle, corr_oracle
+from helpers import (
+    attention_gate_loop_oracle,
+    basis_message_pass_loop_oracle,
+    corr_oracle,
+)
 
 
 def numeric_grad(f, x, eps=1e-6):
@@ -138,61 +144,105 @@ def test_scatter_matches_add_at_oracle(trailing, idx):
         assert np.allclose(got, oracle, rtol=1e-12, atol=1e-15)
 
 
-def message_pass_case(m, rng, n=5, B=3, d=2, S=4):
-    """Leaves and message arrays for ``basis_message_pass``: repeated
-    sources and destinations, dst not sorted."""
-    HV = Tensor(rng.normal(size=(n, B, d)), requires_grad=True)
-    coeffs = Tensor(rng.normal(size=(S, B)), requires_grad=True)
-    alpha = Tensor(rng.uniform(0.1, 1.0, size=m), requires_grad=True)
+def conv_case(m, rng, n=5, d_in=3, B=3, d_out=2, S=4, d_rel=2):
+    """Leaves and message arrays for ``basis_conv``: repeated sources and
+    destinations, dst not sorted, and one target relation per node."""
+    leaves = {
+        "H": rng.normal(size=(n, d_in)),
+        "bases": rng.normal(size=(B, d_in * d_out)),
+        "coeffs": rng.normal(size=(S, B)),
+        "att_a": rng.normal(size=2 * d_out + 2 * d_rel),
+        "rel_emb": rng.normal(size=(S // 2, d_rel)),
+    }
+    leaves = {k: Tensor(v, requires_grad=True) for k, v in leaves.items()}
     src, dst, slot = (rng.integers(k, size=m) for k in (n, n, S))
     norm = rng.uniform(0.2, 1.0, size=m)
-    return HV, coeffs, alpha, src, dst, slot, norm
+    target = rng.integers(S // 2, size=n)
+    return leaves, src, dst, slot, norm, target
+
+
+def conv(leaves, src, dst, slot, norm, target, num_nodes, gated):
+    L = leaves
+    att = dict(att_a=L["att_a"], rel_emb=L["rel_emb"], target=target) if gated else {}
+    return basis_conv(L["H"], L["bases"], L["coeffs"], src, dst, slot, norm,
+                      num_nodes, **att)
 
 
 @pytest.mark.parametrize("gated", [False, True], ids=["plain", "alpha"])
-def test_basis_message_pass_matches_loop_oracle(gated):
+def test_basis_conv_matches_loop_oracle(gated):
     rng = np.random.default_rng(9)
-    HV, coeffs, alpha, src, dst, slot, norm = message_pass_case(11, rng)
+    leaves, src, dst, slot, norm, target = conv_case(11, rng)
     assert (dst[1:] < dst[:-1]).any() and len(set(src)) < len(src)
-    gate = alpha if gated else None
-    oracle = basis_message_pass_loop_oracle(
-        HV.data, coeffs.data, src, dst, slot, norm, 6,
-        alpha=alpha.data if gated else None)
-    out = basis_message_pass(HV, coeffs, src, dst, slot, norm, 6, alpha=gate)
+    H, bases, coeffs = (leaves[k].data for k in ("H", "bases", "coeffs"))
+    B, d_in = bases.shape[0], H.shape[1]
+    V = bases.reshape(B, d_in, -1)
+    HV = np.stack([H @ V[b] for b in range(B)], axis=1)
+    alpha = attention_gate_loop_oracle(
+        H, V, coeffs, leaves["att_a"].data, leaves["rel_emb"].data, target,
+        src, dst, slot) if gated else None
+    oracle = basis_message_pass_loop_oracle(HV, coeffs, src, dst, slot, norm, 6,
+                                            alpha=alpha)
+    out = conv(leaves, src, dst, slot, norm, target, 6, gated)
     assert out.shape == (6, 2)
     assert np.allclose(out.data, oracle, rtol=1e-12, atol=1e-14)
 
     w = rng.normal(size=(6, 2))
-    params = {"HV": HV, "coeffs": coeffs}
-    if gated:
-        params["alpha"] = alpha
+    params = leaves if gated else {k: leaves[k] for k in ("H", "bases", "coeffs")}
     err = gradient_check(
-        params,
-        lambda: tsum(basis_message_pass(HV, coeffs, src, dst, slot, norm, 6,
-                                        alpha=gate) * w),
+        params, lambda: tsum(conv(leaves, src, dst, slot, norm, target, 6, gated) * w),
         sample_frac=1.0, rng=np.random.default_rng(0))
-    assert err < 1e-4
+    assert err < 1e-6
 
 
-def test_basis_message_pass_empty_message_list():
+def test_basis_conv_empty_message_list():
     rng = np.random.default_rng(10)
-    HV, coeffs, alpha, src, dst, slot, norm = message_pass_case(0, rng)
-    for gate in (None, alpha):
-        out = basis_message_pass(HV, coeffs, src, dst, slot, norm, 5, alpha=gate)
+    leaves, src, dst, slot, norm, target = conv_case(0, rng)
+    for gated in (False, True):
+        out = conv(leaves, src, dst, slot, norm, target, 5, gated)
         assert out.shape == (5, 2) and not out.data.any()
         tsum(out * 3.0).backward()
-        assert HV.grad.shape == HV.shape and not HV.grad.any()
-        assert coeffs.grad.shape == coeffs.shape and not coeffs.grad.any()
-    assert alpha.grad.shape == (0,)
+    for t in leaves.values():
+        assert t.grad.shape == t.shape and not t.grad.any()
 
 
-def test_basis_message_pass_shape_error():
+def test_basis_conv_shape_error():
     rng = np.random.default_rng(11)
-    HV, coeffs, _, src, dst, slot, norm = message_pass_case(4, rng)
-    with pytest.raises(ShapeMismatch):
-        basis_message_pass(HV, Tensor(np.zeros((4, 2))), src, dst, slot, norm, 5)
-    with pytest.raises(ShapeMismatch):
-        basis_message_pass(reshape(HV, (5, 6)), coeffs, src, dst, slot, norm, 5)
+    L, src, dst, slot, norm, target = conv_case(4, rng)
+    args = (src, dst, slot, norm, 5)
+    with pytest.raises(ShapeMismatch):       # coeffs mix 2 bases, not 3
+        basis_conv(L["H"], L["bases"], Tensor(np.zeros((4, 2))), *args)
+    with pytest.raises(ShapeMismatch):       # 7 columns are not 3 * d_out
+        basis_conv(L["H"], Tensor(np.zeros((3, 7))), L["coeffs"], *args)
+    with pytest.raises(ShapeMismatch):       # att_a is not 2 * 2 + 2 * 2 wide
+        basis_conv(L["H"], L["bases"], L["coeffs"], *args,
+                   att_a=Tensor(np.zeros(7)), rel_emb=L["rel_emb"], target=target)
+
+
+def test_single_blas_thread_scope_restores_counts():
+    apis = loaded_openblas()
+    if not apis:
+        pytest.skip("numpy runs on no OpenBLAS in this process")
+
+    def counts():
+        return [get() for get, _ in apis]
+
+    original = counts()
+    try:
+        for _, put in apis:          # a count other than 1 to give back
+            put(2)
+        before = counts()
+        with single_blas_thread():
+            assert counts() == [1] * len(apis)
+            with single_blas_thread():
+                assert counts() == [1] * len(apis)
+            assert counts() == [1] * len(apis)
+        assert counts() == before
+        with pytest.raises(RuntimeError), single_blas_thread():
+            raise RuntimeError("inside the scope")
+        assert counts() == before
+    finally:
+        for (_, put), count in zip(apis, original):
+            put(count)
 
 
 def test_circular_correlation_matches_oracle():

@@ -4,7 +4,9 @@ import pytest
 from indkg.autodiff import Tensor, tsum
 from indkg.errors import ShapeMismatch, UnknownCompositionOp
 from indkg.kgcore import build_graph
+from indkg.model import gradient_check
 from indkg.layers import (
+    Messages,
     init_basis_layer,
     init_comp_layer,
     rel_att_layer,
@@ -193,6 +195,40 @@ def test_layer_gradients():
         cparams,
         lambda: tsum(rel_comp_layer(sub, H, E, C, op="corr")[0]),
         sample_frac=0.5, rng=np.random.default_rng(1))
+    assert err < 1e-6
+
+
+def edge_case_union():
+    """Messages of a three-member union: member 0 has two edges with the
+    same (src, slot), a self-loop and an isolated node, member 1 no edge,
+    and member 2 two edges into one node under one relation."""
+    edges = np.array([[0, 1, 0], [2, 1, 1], [2, 0, 1], [3, 3, 2], [1, 2, 0],
+                      [7, 8, 1], [9, 8, 1], [8, 9, 2]], dtype=np.int64)
+    target = np.repeat([0, 1, 2], [5, 2, 3])
+    return Messages(edges, 10), target
+
+
+@pytest.mark.parametrize("kind", ["rgcn", "att"])
+def test_basis_layer_gradients_over_edge_case_union(kind):
+    ms, target = edge_case_union()
+    rng = np.random.default_rng(12)
+    P = init_basis_layer(rng, D_IN, D_OUT, R, num_bases=3,
+                         d_rel=3, attention=kind == "att")
+    H = Tensor(rng.normal(size=(ms.num_nodes, D_IN)), requires_grad=True)
+    rel_emb = Tensor(rng.normal(size=(R, 3)), requires_grad=True)
+    w = rng.normal(size=(ms.num_nodes, D_OUT))
+    params = P.tensors("l0")
+    params["H"] = H
+    if kind == "att":
+        params["rel_emb"] = rel_emb
+
+    def loss():
+        if kind == "rgcn":
+            return tsum(rgcn_layer(ms, H, P, activation=False) * w)
+        return tsum(rel_att_layer(ms, H, P, rel_emb, target, activation=False) * w)
+
+    err = gradient_check(params, loss, sample_frac=1.0,
+                         rng=np.random.default_rng(0))
     assert err < 1e-6
 
 

@@ -15,7 +15,12 @@ from indkg.evaluate import (
 )
 from indkg.kgcore import build_graph
 
-from helpers import ap_grouped_oracle, auc_pair_oracle, rank_sort_oracle
+from helpers import (
+    ap_grouped_oracle,
+    auc_pair_oracle,
+    random_triples,
+    rank_sort_oracle,
+)
 
 
 def test_rank_examples():
@@ -159,6 +164,20 @@ def test_link_prediction_triples_random_scorer_mrr():
     expect = np.sum(1.0 / np.arange(1, 52)) / 51.0
     assert abs(rep.mrr - expect) < 0.02
     assert rep.n_queries == 200
+
+
+def test_full_filtered_ranking_logs_one_warning(caplog):
+    # num_neg above the entity count: every side is short, and the run
+    # says so once, not once per side
+    rng = np.random.default_rng(4)
+    g = build_graph(random_triples(rng, 12, 2, 0.2), 12, 2)
+    queries = g.triples[:5]
+    with caplog.at_level("WARNING", logger="indkg"):
+        run_link_prediction_triples(lambda c: np.zeros(len(c)), g, queries, 50,
+                                    seed=1)
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == 1
+    assert messages[0].startswith("10 of 10 ranking sides had fewer than 50")
 
 
 def test_early_stopping_patience():

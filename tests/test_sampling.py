@@ -15,7 +15,7 @@ from indkg.sampling import (
     sample_meta_task,
 )
 from indkg import sampling
-from indkg.evaluate import compute_rank
+from indkg.evaluate import compute_rank, run_link_prediction_triples
 
 from helpers import (
     corrupt_triple_oracle,
@@ -258,12 +258,11 @@ def test_ranking_candidates_fallback_matches_loop(caplog):
     g = build_graph(triples, 6, 1)
     known_set = set(triples)
     for num_neg in (3, 6, 50):           # 6 and 50 reach the entity count
+        short_pools = []
         for direction in ("head", "tail"):
             pool = corruption_pool_oracle(known_set, 6, (0, 0, 1), direction)
-            with caplog.at_level("WARNING", logger="indkg.sampling"):
-                caplog.clear()
-                got = make_ranking_candidates(g, (0, 0, 1), direction, num_neg,
-                                              np.random.default_rng(4))
+            got = make_ranking_candidates(g, (0, 0, 1), direction, num_neg,
+                                          np.random.default_rng(4))
             want = ranking_candidates_oracle(known_set, 6, (0, 0, 1), direction,
                                              num_neg, np.random.default_rng(4))
             assert got == want
@@ -271,15 +270,20 @@ def test_ranking_candidates_fallback_matches_loop(caplog):
             assert cands[truth_idx] == (0, 0, 1)
             negs = cands[:truth_idx] + cands[truth_idx + 1:]
             assert not any(g.contains(*c) for c in negs)
-            short = len(pool) < num_neg
-            if short:                    # the whole filtered pool, nothing else
+            if len(pool) < num_neg:      # the whole filtered pool, nothing else
                 assert sorted(negs) == pool
+                short_pools.append(len(pool))
             else:
                 assert len(negs) == num_neg
-            warnings = [r.getMessage() for r in caplog.records]
-            assert len(warnings) == short
-            if short:
-                assert f"only {len(pool)} filtered negatives" in warnings[0]
+        # the ranking run counts the short sides in one warning
+        with caplog.at_level("WARNING", logger="indkg"):
+            caplog.clear()
+            run_link_prediction_triples(lambda c: np.zeros(len(c)), g,
+                                        [(0, 0, 1)], num_neg, seed=4)
+        warnings = [r.getMessage() for r in caplog.records]
+        assert len(warnings) == 1
+        assert warnings[0].startswith(f"{len(short_pools)} of 2 ranking sides")
+        assert f"smallest pool held {min(short_pools)}" in warnings[0]
     # every tail corruption known: the truth is ranked alone
     full = build_graph([(0, 0, t) for t in range(6)], 6, 1)
     assert make_ranking_candidates(full, (0, 0, 1), "tail", 5,
