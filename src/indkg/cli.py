@@ -192,7 +192,13 @@ _COMMANDS = {"preprocess": cmd_preprocess, "extract": cmd_extract,
              "train": cmd_train, "eval": cmd_eval, "stats": cmd_stats}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``indkg`` parser with all five subcommands.
+
+    Only ``command``'s subparser gets its flags (every subparser when None):
+    about 37 flags each, so building all five costs more than a short stage
+    such as ``stats`` runs.
+    """
     parser = argparse.ArgumentParser(
         prog="indkg",
         description="Inductive knowledge-graph representation learning pipeline")
@@ -200,6 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     registry = key_registry()
     for name in SUBCOMMANDS:
         p = sub.add_parser(name, help=f"run the {name} stage")
+        if command is not None and name != command:
+            continue
         p.add_argument("--config", default=None,
                        help="path to a flat 'key = value' config file")
         if name == "eval":
@@ -226,8 +234,10 @@ def _setup_logging():
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser takes no values, so its first positional names the stage
+    command = next((a for a in argv if not a.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     overrides = {key: getattr(args, f"cfg_{key}")
                  for key in key_registry()
                  if getattr(args, f"cfg_{key}", None) is not None}

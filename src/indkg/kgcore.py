@@ -184,7 +184,9 @@ class IndexedGraph:
     ``known_keys`` is the sorted, duplicate-free ``triple_keys`` array of
     *all* triples the graph is meant to know about (used for filtered
     negative sampling), which may be a superset of the edges present in the
-    adjacency; ``contains`` and ``contains_many`` look triples up in it.
+    adjacency; ``contains`` and ``contains_many`` look triples up in it, and
+    ``sampling._corruption_pool`` reads a ranking side's known triples from
+    it by key range.
     The extraction kernels in ``indkg.subgraph`` read the CSR arrays
     directly.
     """

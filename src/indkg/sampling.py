@@ -101,15 +101,32 @@ class RankingBatch:
 
 
 def _corruption_pool(graph, triple, direction):
-    """(n, 3) filtered corruptions of one side, in ascending entity id:
-    neither the truth nor a known triple."""
-    ents = np.arange(graph.num_entities, dtype=np.int64)
-    pool = np.empty((len(ents), 3), dtype=np.int64)
-    pool[:] = triple
-    side = 0 if direction == "head" else 2
-    pool[:, side] = ents
-    keep = (ents != triple[side]) & ~graph.contains_many(pool)
-    return pool[keep]
+    """Ascending int64 ids of the entities that corrupt one side of
+    ``triple`` into neither the truth nor a known triple.
+
+    Read from ``graph.known_keys``, keys ``(h * R + r) * E + t``: a tail
+    side ``(h, r, .)`` is the key range
+    ``[(h * R + r) * E, (h * R + r + 1) * E)``, and a head side ``(., r, t)``
+    the keys equal to ``r * E + t`` modulo ``R * E``, whose head is
+    ``key // (R * E)``. One boolean mask over the entities clears those and
+    the truth; an id outside the graph has no known triple and clears nothing.
+    """
+    h, r, t = triple
+    ne, nr = graph.num_entities, graph.num_relations
+    keys = graph.known_keys
+    keep = np.ones(ne, dtype=bool)
+    if direction == "tail" and 0 <= h < ne and 0 <= r < nr:
+        lo = (h * nr + r) * ne
+        # an inclusive upper bound: lo + ne may reach 2**63 (_check_key_space)
+        hi = keys.searchsorted(lo + ne - 1, side="right")
+        keep[keys[keys.searchsorted(lo):hi] - lo] = False
+    elif direction == "head" and 0 <= t < ne and 0 <= r < nr:
+        width = nr * ne
+        keep[keys[keys % width == r * ne + t] // width] = False
+    truth = t if direction == "tail" else h
+    if 0 <= truth < ne:
+        keep[truth] = False
+    return np.flatnonzero(keep)
 
 
 def make_ranking_candidates(graph: IndexedGraph, triple, direction: str,
@@ -124,10 +141,12 @@ def make_ranking_candidates(graph: IndexedGraph, triple, direction: str,
     """
     if direction not in ("head", "tail"):
         raise ValueError(f"unknown ranking direction {direction!r}")
-    triple = tuple(int(x) for x in triple)
+    triple = h, r, t = tuple(int(x) for x in triple)
     pool = _corruption_pool(graph, triple, direction)
     picks = rng.choice(len(pool), size=min(num_neg, len(pool)), replace=False)
-    chosen = list(map(tuple, pool[picks].tolist()))
+    ents = pool[picks].tolist()
+    chosen = ([(e, r, t) for e in ents] if direction == "head"
+              else [(h, r, e) for e in ents])
     truth_idx = int(rng.integers(len(chosen) + 1))
     return chosen[:truth_idx] + [triple] + chosen[truth_idx:], truth_idx
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -76,6 +77,30 @@ def test_flag_values_reach_config():
     args = parser.parse_args(["train", "--seed", "3", "--epochs", "2",
                               "--layer_kind", "rgcn"])
     assert args.cfg_seed == "3" and args.cfg_epochs == "2"
+
+
+@pytest.mark.parametrize("command", ["preprocess", "extract", "train", "eval", "stats"])
+def test_subcommand_help_lists_every_config_key(command, capsys):
+    # main builds only the invoked subcommand's flags; its help lists them all
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for key in key_registry():
+        assert re.search(rf"--{key}\b", text), key
+
+
+def test_top_level_help_and_unknown_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for name in ("preprocess", "extract", "train", "eval", "stats"):
+        assert name in text
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 def test_extract_all_threads_identical():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
@@ -239,8 +241,9 @@ def test_ranking_candidates_match_per_entity_loop():
             for direction in ("head", "tail"):
                 pool = _corruption_pool(g, triple, direction)
                 assert pool.dtype == np.int64
-                assert list(map(tuple, pool.tolist())) == corruption_pool_oracle(
-                    known_set, n, triple, direction)
+                side = 0 if direction == "head" else 2
+                assert pool.tolist() == [c[side] for c in corruption_pool_oracle(
+                    known_set, n, triple, direction)]
                 for num_neg in (1, 5, 50):
                     seed = (trial, i, num_neg)
                     got = make_ranking_candidates(g, triple, direction, num_neg,
@@ -249,6 +252,46 @@ def test_ranking_candidates_match_per_entity_loop():
                                                      num_neg, np.random.default_rng(seed))
                     assert got == want
                     assert all(type(x) is int for c in got[0] for x in c)
+
+
+def test_corruption_pool_at_key_range_edges():
+    # entities 0..4, relations 0..2; the known set outgrows the adjacency
+    ne, nr = 5, 3
+    adjacency = [(0, 0, 0), (0, 0, 4), (4, 2, 4), (1, 0, 2)]
+    known = adjacency + [(4, 2, e) for e in range(ne)] + [(2, 0, 0), (3, 0, 0),
+                                                          (3, 1, 0), (1, 2, 3)]
+    g = build_graph(adjacency, ne, nr, known_triples=known)
+    known_set = set(known)
+
+    def pool(triple, direction):
+        return _corruption_pool(g, triple, direction).tolist()
+
+    # every side of every triple whose ids reach one past each end of the graph
+    ids = range(-2, ne + 2)
+    for i, triple in enumerate(itertools.product(ids, range(-1, nr + 1), ids)):
+        for direction, side in (("head", 0), ("tail", 2)):
+            want = corruption_pool_oracle(known_set, ne, triple, direction)
+            assert pool(triple, direction) == [c[side] for c in want]
+            got = make_ranking_candidates(g, triple, direction, 3,
+                                          np.random.default_rng(i))
+            assert got == ranking_candidates_oracle(
+                known_set, ne, triple, direction, 3, np.random.default_rng(i))
+    # entity 0 and E-1, relation 0 and R-1 at the ends of the key space
+    assert pool((0, 0, 0), "tail") == [1, 2, 3]
+    assert pool((0, 0, 0), "head") == [1, 4]
+    assert pool((4, 2, 4), "head") == [0, 1, 2, 3]
+    assert pool((4, 2, 1), "tail") == []                   # every tail known
+    assert pool((2, 1, 3), "tail") == [0, 1, 2, 4]         # no known (2, 1, .)
+    assert pool((1, 1, 1), "head") == [0, 2, 3, 4]         # no known (., 1, 1)
+    # ids outside the graph know no triple: an out-of-range relation or
+    # endpoint must not alias another key range, and a negative truth must
+    # not clear entity E-1
+    assert pool((2, 1, -1), "tail") == [0, 1, 2, 3, 4]
+    assert pool((-1, 1, 2), "head") == [0, 1, 2, 3, 4]
+    assert pool((-1, 0, 0), "tail") == [1, 2, 3, 4]
+    assert pool((0, nr, 0), "tail") == [1, 2, 3, 4]        # not (1, 0, .)'s range
+    assert pool((0, 0, ne), "head") == [1, 2, 3, 4]        # not (., 1, 0)'s heads
+    assert pool((0, -1, ne - 1), "head") == [1, 2, 3, 4]
 
 
 def test_ranking_candidates_fallback_matches_loop(caplog):
