@@ -47,9 +47,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
     # -- graph traversal ----------------------------------------------------
 
     def backward(self, seed=None) -> None:
@@ -185,12 +182,6 @@ def relu(a) -> Tensor:
     a = as_tensor(a)
     mask = a.data > 0  # subgradient 0 at the kink
     return _unary(a, np.where(mask, a.data, 0.0), lambda g: g * mask)
-
-
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    s = 1.0 / (1.0 + np.exp(-a.data))
-    return _unary(a, s, lambda g: g * s * (1.0 - s))
 
 
 def absolute(a) -> Tensor:

@@ -25,7 +25,6 @@ from .model import (DecoderKind, init_entity_encoder, init_model, load_checkpoin
                     restore_model, save_checkpoint)
 from .subgraph import extract_enclosing_subgraph
 from .training import (
-    _max_nodes,
     entity_triple_scorer,
     subgraph_item_scorer,
     train_entity_encoder_model,
@@ -46,7 +45,7 @@ def _extract_worker(index: int):
                                       max_nodes=max_nodes)
 
 
-def extract_all(graph, triples, k, max_nodes=None, threads: int = 1):
+def extract_all(graph, triples, k, max_nodes: int = 0, threads: int = 1):
     """Enclosing subgraphs for a triple list, in input order.
 
     Data-parallel over triples when threads > 1; the result is identical to
@@ -95,12 +94,12 @@ def cmd_extract(cfg: RunConfig) -> int:
         raise ConfigError(f"unknown split {cfg.split!r}; choose from {sorted(splits)}")
     graph = bundle.train_graph if _SPLIT_GRAPH[cfg.split] == "train" else bundle.ind_graph
     subs = extract_all(graph, splits[cfg.split], cfg.k,
-                       max_nodes=_max_nodes(cfg), threads=cfg.threads)
+                       max_nodes=cfg.max_nodes, threads=cfg.threads)
     path = os.path.join(cfg.output_dir, f"subgraphs-{cfg.split}.ikgs")
     with store.StoreWriter(path) as writer:
         for sub in subs:
             writer.write(sub)
-    stats = store.collect_stats(store.StoreReader(path))
+    stats = store.collect_stats(subs)
     print(json.dumps(stats.to_dict(), sort_keys=True))
     return 0
 
@@ -155,11 +154,11 @@ def cmd_eval(cfg: RunConfig) -> int:
         if cfg.task == "lp":
             report = run_link_prediction(scorer, graph, bundle.query, cfg.k,
                                          cfg.num_neg_eval, cfg.seed,
-                                         max_nodes=_max_nodes(cfg))
+                                         max_nodes=cfg.max_nodes)
         else:
             report = run_triple_classification(scorer, graph, bundle.query,
                                                cfg.k, cfg.seed,
-                                               max_nodes=_max_nodes(cfg))
+                                               max_nodes=cfg.max_nodes)
     else:
         # query entities without a support triple cannot be embedded; the
         # scorer gives their triples -inf
@@ -173,7 +172,7 @@ def cmd_eval(cfg: RunConfig) -> int:
             # the candidate subgraphs are extracted only for their targets
             report = run_triple_classification(
                 lambda items: score_triples([it.sub.target for it in items]),
-                graph, bundle.query, cfg.k, cfg.seed, max_nodes=_max_nodes(cfg))
+                graph, bundle.query, cfg.k, cfg.seed, max_nodes=cfg.max_nodes)
     with open(os.path.join(cfg.output_dir, "report.json"), "w") as fh:
         json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -210,12 +209,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             continue
         p.add_argument("--config", default=None,
                        help="path to a flat 'key = value' config file")
-        if name == "eval":
-            p.add_argument("--task", dest="task_flag", choices=("lp", "tc"),
-                           default=None, help="evaluation task")
         for key, typ in registry.items():
-            if name == "eval" and key == "task":
-                continue  # eval exposes --task above with explicit choices
             text = f"config key {key} ({typ.__name__})"
             if key == "threads":
                 text += "; worker processes for the extract stage only"
@@ -241,8 +235,6 @@ def main(argv=None) -> int:
     overrides = {key: getattr(args, f"cfg_{key}")
                  for key in key_registry()
                  if getattr(args, f"cfg_{key}", None) is not None}
-    if getattr(args, "task_flag", None):
-        overrides["task"] = args.task_flag
     try:
         cfg = parse_config(args.config, overrides)
     except (ConfigError, MissingFile) as exc:

@@ -46,24 +46,13 @@ def ranking_metrics(ranks, hits_at=(1, 5, 10)):
     return mrr, hits
 
 
-def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks of ``scores`` ascending, tied values sharing their mean rank.
-
-    The ranks are exact half-integers; any NaN score makes every rank NaN.
-    """
-    if np.isnan(scores).any():
-        return np.full(scores.shape, np.nan)
-    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
-    # a block of c tied values ending at rank e has mean rank e - (c - 1) / 2
-    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
-
-
 def classification_metrics(scores, labels01):
     """Exact AUC (Mann-Whitney pair count) and grouped-tie average precision.
 
-    AUC counts a tied positive/negative pair as half a success. AUC-PR treats
-    every block of tied scores as a single step of the precision/recall
-    curve, so the result is deterministic under ties.
+    One grouping of tied scores serves both. AUC counts a tied
+    positive/negative pair as half a success. AUC-PR treats every block of
+    tied scores as a single step of the precision/recall curve, so the
+    result is deterministic under ties. Any NaN score makes both NaN.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels01 = np.asarray(labels01, dtype=np.int64)
@@ -73,26 +62,21 @@ def classification_metrics(scores, labels01):
     n_neg = int(len(labels01) - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise SingleClass("both classes required")
-    # Mann-Whitney U via average ranks; equals explicit pair counting
-    ranks = _average_ranks(scores)
-    u = ranks[labels01 == 1].sum() - n_pos * (n_pos + 1) / 2.0
+    if np.isnan(scores).any():
+        return float("nan"), float("nan")
+    # ascending blocks of tied scores: their sizes and their positives
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    tp = np.bincount(inverse, weights=labels01, minlength=len(counts))
+    # Mann-Whitney U: a block of c ties ending at rank e has mean rank
+    # e - (c - 1) / 2, so the rank sum is exact in half-integers
+    mean_rank = np.cumsum(counts) - (counts - 1) / 2.0
+    u = (mean_rank * tp).sum() - n_pos * (n_pos + 1) / 2.0
     auc = float(u / (n_pos * n_neg))
-    # grouped-tie average precision, descending score blocks
-    order = np.argsort(-scores, kind="stable")
-    s_sorted, y_sorted = scores[order], labels01[order]
-    # compare, not subtract: -inf - -inf is NaN, which would split a tie
-    boundaries = np.flatnonzero(s_sorted[1:] != s_sorted[:-1]) + 1
-    blocks = np.split(y_sorted, boundaries)
-    ap = 0.0
-    cum_tp = cum_n = 0
-    for block in blocks:
-        tp = int(block.sum())
-        cum_tp += tp
-        cum_n += len(block)
-        if tp:
-            ap += tp * (cum_tp / cum_n)
-    auc_pr = float(ap / n_pos)
-    return auc, auc_pr
+    # AUC-PR over descending blocks; cumsum adds the per-block terms one by
+    # one, in order, where np.sum would add them pairwise and round otherwise
+    tp, counts = tp[::-1], counts[::-1]
+    ap = np.cumsum(tp * (np.cumsum(tp) / np.cumsum(counts)))[-1]
+    return auc, float(ap / n_pos)
 
 
 @dataclass
@@ -162,7 +146,7 @@ def _link_prediction(scorer, side, query_triples, num_neg: int,
 
 
 def run_link_prediction(scorer, graph, query_triples, k: int, num_neg: int,
-                        seed: int, max_nodes=None) -> MetricsReport:
+                        seed: int, max_nodes: int = 0) -> MetricsReport:
     """Filtered ranking protocol: rank the truth against ``min(num_neg,
     pool size)`` filtered corruptions on each side (``make_ranking_candidates``;
     ``num_neg`` at or above the entity count ranks against the whole pool),
@@ -184,7 +168,7 @@ def run_link_prediction_triples(scorer, graph, query_triples, num_neg: int,
 
 
 def run_triple_classification(scorer, graph, triples, k: int, seed: int,
-                              max_nodes=None) -> MetricsReport:
+                              max_nodes: int = 0) -> MetricsReport:
     """Binary discrimination of query triples from uniform corruptions,
     scored as one batch of ScoredItems."""
     start = time.monotonic()

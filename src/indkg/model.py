@@ -219,13 +219,12 @@ def subgraph_score(model: ModelParams, sub: Subgraph, labels: np.ndarray,
     return reshape(score_subgraphs(model, [ScoredItem(sub, labels, int(rel))]), ())
 
 
-def margin_loss(pos_scores, neg_scores, gamma: float) -> Tensor:
-    """Mean hinge over the pairs of two concatenated lists of score tensors."""
-    pos = concat(list(pos_scores), axis=0)
-    neg = concat(list(neg_scores), axis=0)
+def margin_loss(pos: Tensor, neg: Tensor, gamma: float) -> Tensor:
+    """Mean hinge ``relu(neg - pos + gamma)`` over two equal-shape score
+    tensors, one pair per position."""
     if pos.shape != neg.shape:
-        raise LengthMismatch(
-            f"{pos.shape[0]} positive vs {neg.shape[0]} negative scores")
+        raise LengthMismatch(f"positive scores of shape {pos.shape} vs "
+                             f"negative scores of shape {neg.shape}")
     return tmean(relu(neg - pos + gamma))
 
 

@@ -53,14 +53,14 @@ class ScoredItem:
     rel: int
 
 
-def _item(graph, triple, k, max_nodes=None) -> ScoredItem:
+def _item(graph, triple, k, max_nodes: int = 0) -> ScoredItem:
     sub = extract_enclosing_subgraph(graph, triple, k, max_nodes=max_nodes)
     return ScoredItem(sub, label_nodes(sub), int(triple[1]))
 
 
 def make_train_instance(graph: IndexedGraph, triple, k: int, num_neg: int,
                         rng, filtered: bool = True,
-                        max_nodes=None) -> list[ScoredItem]:
+                        max_nodes: int = 0) -> list[ScoredItem]:
     """The positive's ScoredItem, then those of ``num_neg`` corruptions."""
     triples = [tuple(int(x) for x in triple)]
     triples += [corrupt_triple(triple, graph, rng, filtered)
@@ -75,7 +75,7 @@ class ClassificationBatch:
 
 
 def make_classification_batch(graph: IndexedGraph, triples, k: int, rng,
-                              max_nodes=None) -> ClassificationBatch:
+                              max_nodes: int = 0) -> ClassificationBatch:
     """One uniform head-or-tail corruption per positive.
 
     Items are ordered all positives then all negatives, with binary labels
@@ -95,7 +95,6 @@ def make_classification_batch(graph: IndexedGraph, triples, k: int, rng,
 
 @dataclass
 class RankingBatch:
-    direction: str                # "head" | "tail"
     candidates: list[ScoredItem]
     truth_idx: int
 
@@ -152,28 +151,25 @@ def make_ranking_candidates(graph: IndexedGraph, triple, direction: str,
 
 
 def make_ranking_batch(graph: IndexedGraph, triple, k: int, direction: str,
-                       num_neg: int, rng, max_nodes=None) -> RankingBatch:
+                       num_neg: int, rng, max_nodes: int = 0) -> RankingBatch:
     """Ranking candidates with their enclosing subgraphs extracted."""
     cands, truth_idx = make_ranking_candidates(graph, triple, direction,
                                                num_neg, rng)
     candidates = [_item(graph, c, k, max_nodes) for c in cands]
-    return RankingBatch(direction, candidates, truth_idx)
+    return RankingBatch(candidates, truth_idx)
 
 
 @dataclass
 class MetaTask:
-    """A sampled training-graph region split into support and query triples."""
-    nodes: np.ndarray
+    """A sampled training-graph region split into support and query triples,
+    each an (n, 3) int64 array."""
     support: np.ndarray
     query: np.ndarray
 
-    @property
-    def num_triples(self) -> int:
-        return len(self.support) + len(self.query)
-
 
 def _grow_region(graph: IndexedGraph, start: int, region_size: int):
-    """BFS from start, collecting triples among visited nodes until enough."""
+    """BFS from start, collecting the triples of visited nodes until enough;
+    returns them sorted."""
     visited = {start}
     frontier = [start]
     triples = set()
@@ -195,7 +191,7 @@ def _grow_region(graph: IndexedGraph, start: int, region_size: int):
             if len(triples) >= region_size:
                 break
         frontier = nxt
-    return visited, sorted(triples)
+    return sorted(triples)
 
 
 def sample_meta_task(graph: IndexedGraph, region_size: int, support_frac: float,
@@ -212,7 +208,7 @@ def sample_meta_task(graph: IndexedGraph, region_size: int, support_frac: float,
         raise ValueError("support_frac must be in (0, 1)")
     for _ in range(max_attempts):
         start = int(rng.integers(graph.num_entities))
-        visited, triples = _grow_region(graph, start, region_size)
+        triples = _grow_region(graph, start, region_size)
         if len(triples) < region_size:
             continue
         order = rng.permutation(len(triples))
@@ -229,8 +225,7 @@ def sample_meta_task(graph: IndexedGraph, region_size: int, support_frac: float,
         query = [q for q, c in zip(query, covered) if c]
         if not query:
             continue
-        return MetaTask(np.asarray(sorted(visited), dtype=np.int64),
-                        np.asarray(support, dtype=np.int64),
+        return MetaTask(np.asarray(support, dtype=np.int64),
                         np.asarray(query, dtype=np.int64))
     raise ExhaustedRetries(
         f"no valid meta-task found in {max_attempts} attempts")

@@ -129,13 +129,14 @@ class StoreReader:
             yield self.read(i)
 
 
-def collect_stats(store: StoreReader) -> CorpusStats:
-    """Exact aggregates over every record in the store."""
-    if store.count == 0:
+def collect_stats(subs) -> CorpusStats:
+    """Exact aggregates over a sized iterable of subgraphs, such as a
+    StoreReader or the list a store was written from."""
+    if len(subs) == 0:
         raise EmptyStore("cannot aggregate over an empty store")
     n_nodes, n_edges, pruning = [], [], []
     empty = 0
-    for sub in store:
+    for sub in subs:
         n_nodes.append(sub.num_nodes)
         n_edges.append(len(sub.edges))
         if len(sub.edges) == 0:
@@ -143,7 +144,7 @@ def collect_stats(store: StoreReader) -> CorpusStats:
         if sub.union_size > 0:
             pruning.append(1.0 - sub.num_nodes / sub.union_size)
     return CorpusStats(
-        count=store.count,
+        count=len(subs),
         max_nodes=int(max(n_nodes)),
         mean_nodes=float(np.mean(n_nodes)),
         max_edges=int(max(n_edges)),

@@ -9,7 +9,7 @@ one-hot encodings of the two distances, clamped into k + 2 buckets per side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -120,13 +120,13 @@ def bfs_distances(graph: IndexedGraph, source: int, k: int,
 
 
 def extract_enclosing_subgraph(graph: IndexedGraph, target: tuple[int, int, int],
-                               k: int, max_nodes: int | None = None) -> Subgraph:
+                               k: int, max_nodes: int = 0) -> Subgraph:
     """Extract the enclosing subgraph of the target triple.
 
     Distances are computed with the target edge masked; the target edge is
     likewise excluded from the edge list so it never leaks into message
-    passing. When ``max_nodes`` is set, interior nodes are retained in
-    ascending (d_h + d_t, id) order until the cap is met.
+    passing. ``max_nodes`` 0 means no cap; otherwise interior nodes are
+    retained in ascending (d_h + d_t, id) order until the cap is met.
     """
     h, r, t = (int(x) for x in target)
     _check_query(graph, (h, t), k)
@@ -137,7 +137,7 @@ def extract_enclosing_subgraph(graph: IndexedGraph, target: tuple[int, int, int]
     inner = (d_h >= 0) & (d_t >= 0) & (d_h + d_t <= k + 1)
     inner[[h, t]] = False
     interior = np.flatnonzero(inner)
-    if max_nodes is not None and len(interior) + 2 > max_nodes:
+    if max_nodes and len(interior) + 2 > max_nodes:
         order = np.lexsort((interior, d_h[interior] + d_t[interior]))
         interior = np.sort(interior[order[:max(0, max_nodes - 2)]])
 
@@ -185,12 +185,4 @@ class CorpusStats:
     empty_count: int
 
     def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "max_nodes": self.max_nodes,
-            "mean_nodes": self.mean_nodes,
-            "max_edges": self.max_edges,
-            "mean_edges": self.mean_edges,
-            "pruning_ratio": self.pruning_ratio,
-            "empty_count": self.empty_count,
-        }
+        return asdict(self)

@@ -68,16 +68,12 @@ def _check_finite_loss(value: float, params: dict, context: str) -> None:
     raise NonFiniteLoss(f"{context}: loss = {value}")
 
 
-def _max_nodes(cfg: RunConfig):
-    return cfg.max_nodes or None
-
-
 def validation_classification(model: ModelParams, graph, triples, cfg: RunConfig,
                               seed_tag: int):
     """AUC / AUC-PR of the current model on a classification batch."""
     rng = np.random.default_rng((cfg.seed, 0x5EED, seed_tag))
     batch = make_classification_batch(graph, triples, cfg.k, rng,
-                                      max_nodes=_max_nodes(cfg))
+                                      max_nodes=cfg.max_nodes)
     return classification_metrics(subgraph_item_scorer(model)(batch.items),
                                   batch.labels01)
 
@@ -113,13 +109,13 @@ def train_subgraph_model(bundle: DatasetBundle, cfg: RunConfig):
                 item_rng = np.random.default_rng((cfg.seed, epoch, start + bi))
                 inst = make_train_instance(graph, triple, cfg.k, cfg.num_neg,
                                            item_rng, cfg.filtered,
-                                           max_nodes=_max_nodes(cfg))
+                                           max_nodes=cfg.max_nodes)
                 pos_idx += [len(items)] * (len(inst) - 1)
                 neg_idx += range(len(items) + 1, len(items) + len(inst))
                 items += inst
             scores = score_subgraphs(model, items)
-            loss = margin_loss([gather_rows(scores, pos_idx)],
-                               [gather_rows(scores, neg_idx)], cfg.margin)
+            loss = margin_loss(gather_rows(scores, pos_idx),
+                               gather_rows(scores, neg_idx), cfg.margin)
             _check_finite_loss(loss.item(), params, f"epoch {epoch}")
             epoch_losses.append(loss.item())
             loss.backward()
@@ -184,7 +180,7 @@ def episode_loss(enc: EntityEncoderParams, task, graph, cfg: RunConfig, rng):
                     gather_rows(emb, q_rows[:, 1]))
     neg = kge_score(enc.decoder, gather_rows(emb, neg_h),
                     gather_rows(r_vec, owner), gather_rows(emb, neg_t))
-    return margin_loss([gather_rows(pos, owner)], [neg], cfg.margin)
+    return margin_loss(gather_rows(pos, owner), neg, cfg.margin)
 
 
 def train_entity_encoder_model(bundle: DatasetBundle, cfg: RunConfig):

@@ -103,6 +103,16 @@ def test_top_level_help_and_unknown_subcommand(capsys):
     assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
+def test_bad_task_is_a_validation_error(capsys):
+    # --task is a config key like any other, so a bad value is a validation error
+    assert main(["eval", "--task", "foo", "--seed", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--help"])
+    assert exc.value.code == 0
+    assert re.search(r"--task\b", capsys.readouterr().out)
+
+
 def test_extract_all_threads_identical():
     rng = np.random.default_rng(0)
     triples = random_triples(rng, 40, 3, 0.12)
@@ -166,6 +176,17 @@ def test_pipeline_stats(pipeline_dir, capsys):
     assert main(["stats", "--split", "query"] + base) == 0
     stats = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert stats["count"] > 0
+
+
+@pytest.mark.parametrize("split, max_nodes", [("query", "0"), ("valid", "3")])
+def test_extract_prints_the_stats_of_its_store(pipeline_dir, capsys, split, max_nodes):
+    out, base = pipeline_dir
+    assert main(["extract", "--split", split, "--max_nodes", max_nodes] + base) == 0
+    printed = capsys.readouterr().out.strip().splitlines()[-1]
+    assert main(["stats", "--split", split] + base) == 0
+    assert printed == capsys.readouterr().out.strip().splitlines()[-1]
+    if max_nodes != "0":
+        assert json.loads(printed)["max_nodes"] <= int(max_nodes)
 
 
 def test_eval_before_train_exits_1(tmp_path):

@@ -50,3 +50,17 @@ def test_package_modules_use_every_import():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert not unused, unused
+
+
+def test_package_modules_import_no_private_sibling_names():
+    # a name that starts with "_" belongs to its module; a sibling that needs
+    # it needs a public name or the value itself
+    private = []
+    for path in sorted(Path(indkg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "indkg"):
+                private += [f"{path.name}:{node.lineno} {alias.name}"
+                            for alias in node.names if alias.name.startswith("_")]
+    assert not private, private

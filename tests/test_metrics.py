@@ -132,6 +132,13 @@ def test_auc_matches_scipy_average_ranks_bitwise():
     assert np.isnan(classification_metrics(scores, [1, 0, 0])[0])
 
 
+def test_nan_score_makes_both_metrics_nan():
+    auc, auc_pr = classification_metrics([0.3, np.nan, 0.1], [1, 0, 0])
+    assert np.isnan(auc) and np.isnan(auc_pr)
+    auc, auc_pr = classification_metrics([np.nan, 0.2, 0.1, 0.4], [1, 1, 0, 0])
+    assert np.isnan(auc) and np.isnan(auc_pr)
+
+
 def test_auc_antisymmetry():
     rng = np.random.default_rng(2)
     scores = rng.normal(size=50)

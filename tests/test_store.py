@@ -15,7 +15,7 @@ from indkg.kgcore import build_graph
 from indkg.store import StoreReader, StoreWriter, collect_stats, decode_record, encode_record
 from indkg.subgraph import Subgraph, extract_enclosing_subgraph
 
-from helpers import random_subgraph
+from helpers import random_subgraph, random_triples
 
 
 def minimal_subgraph():
@@ -154,6 +154,23 @@ def test_stats_empty_store(tmp_path):
     StoreWriter(path).close()
     with pytest.raises(EmptyStore):
         collect_stats(StoreReader(path))
+
+
+def test_stats_of_written_subgraphs_equal_stats_of_store(tmp_path):
+    rng = np.random.default_rng(4)
+    g = build_graph(random_triples(rng, 30, 3, 0.1), 30, 3)
+    subs = [extract_enclosing_subgraph(g, tuple(t), 2, max_nodes=cap)
+            for t in g.triples[:30].tolist() for cap in (0, 3)]
+    path = tmp_path / "s.ikgs"
+    with StoreWriter(path) as w:
+        for sub in subs:
+            w.write(sub)
+    stats = collect_stats(subs)
+    assert stats == collect_stats(StoreReader(path))
+    assert stats.to_dict() == collect_stats(StoreReader(path)).to_dict()
+    assert stats.count == 60 and stats.empty_count > 0
+    with pytest.raises(EmptyStore):
+        collect_stats([])
 
 
 def test_pruning_ratio_matches_recomputation(tmp_path):

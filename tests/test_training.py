@@ -273,7 +273,7 @@ def region_task(n_query):
     """A meta-task over entities 0..7 whose query holds ``n_query`` triples."""
     triples = np.array([(i, i % 2, (i + 1) % 8) for i in range(8)]
                        + [(i, 1, (i + 3) % 8) for i in range(8)], dtype=np.int64)
-    task = MetaTask(np.arange(8), triples[n_query:], triples[:n_query])
+    task = MetaTask(triples[n_query:], triples[:n_query])
     return task, build_graph(triples, 8, 2)
 
 
@@ -293,7 +293,7 @@ def test_episode_loss_counts_dropped_negatives(caplog):
     # every (a, 0, b) over the region {0, 1} is known, so no corruption of
     # the query survives the rejection test
     known = np.array([(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1)], dtype=np.int64)
-    task = MetaTask(np.arange(2), known[1:], known[:1])
+    task = MetaTask(known[1:], known[:1])
     enc = init_entity_encoder(1, 4, DecoderKind("transe"), np.random.default_rng(0))
     with caplog.at_level("WARNING", logger="indkg.training"):
         loss = episode_loss(enc, task, build_graph(known, 2, 1),
