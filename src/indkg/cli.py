@@ -148,16 +148,17 @@ def cmd_eval(cfg: RunConfig) -> int:
         raise MissingFile(f"missing model.ikgm under {cfg.output_dir!r}; run train first")
     bundle = kgcore.load_dataset(_dataset_path(cfg))
     echo, model = load_model_checkpoint(model_path)
-    graph = bundle.ind_graph
+    # the scored model fixes k; --k sets only what extract writes
+    graph, k = bundle.ind_graph, echo["k"]
     if echo["model_family"] == "subgraph":
         scorer = subgraph_item_scorer(model)
         if cfg.task == "lp":
-            report = run_link_prediction(scorer, graph, bundle.query, cfg.k,
+            report = run_link_prediction(scorer, graph, bundle.query, k,
                                          cfg.num_neg_eval, cfg.seed,
                                          max_nodes=cfg.max_nodes)
         else:
             report = run_triple_classification(scorer, graph, bundle.query,
-                                               cfg.k, cfg.seed,
+                                               k, cfg.seed,
                                                max_nodes=cfg.max_nodes)
     else:
         # query entities without a support triple cannot be embedded; the
@@ -172,7 +173,7 @@ def cmd_eval(cfg: RunConfig) -> int:
             # the candidate subgraphs are extracted only for their targets
             report = run_triple_classification(
                 lambda items: score_triples([it.sub.target for it in items]),
-                graph, bundle.query, cfg.k, cfg.seed, max_nodes=cfg.max_nodes)
+                graph, bundle.query, k, cfg.seed, max_nodes=cfg.max_nodes)
     with open(os.path.join(cfg.output_dir, "report.json"), "w") as fh:
         json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -195,7 +196,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The ``indkg`` parser with all five subcommands.
 
     Only ``command``'s subparser gets its flags (every subparser when None):
-    about 37 flags each, so building all five costs more than a short stage
+    32 flags each, so building all five costs more than a short stage
     such as ``stats`` runs.
     """
     parser = argparse.ArgumentParser(

@@ -43,9 +43,6 @@ class RunConfig:
     num_layers: int = 3
     # optimization
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 16
     epochs: int = 50
     episodes: int = 500
@@ -78,10 +75,9 @@ def key_registry() -> dict[str, type]:
 
 
 _POSITIVE_KEYS = ("k", "dim", "rel_dim", "num_bases", "num_layers", "lr",
-                  "beta1", "beta2", "adam_eps", "batch_size", "num_neg",
-                  "num_neg_eval", "check_per_epoch", "patience",
-                  "support_frac", "region_size", "threads", "margin",
-                  "transe_p")
+                  "batch_size", "num_neg", "num_neg_eval", "check_per_epoch",
+                  "patience", "support_frac", "region_size", "threads",
+                  "margin", "transe_p")
 
 
 def validate(cfg: RunConfig) -> RunConfig:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -52,12 +52,15 @@ def classification_metrics(scores, labels01):
     One grouping of tied scores serves both. AUC counts a tied
     positive/negative pair as half a success. AUC-PR treats every block of
     tied scores as a single step of the precision/recall curve, so the
-    result is deterministic under ties. Any NaN score makes both NaN.
+    result is deterministic under ties. Any NaN score makes both NaN. A
+    label other than 0 or 1 raises ValueError.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    labels01 = np.asarray(labels01, dtype=np.int64)
+    labels01 = np.asarray(labels01)
     if scores.shape != labels01.shape:
         raise ValueError("scores and labels must align")
+    if not ((labels01 == 0) | (labels01 == 1)).all():
+        raise ValueError("labels must be 0 or 1")
     n_pos = int(labels01.sum())
     n_neg = int(len(labels01) - n_pos)
     if n_pos == 0 or n_neg == 0:
@@ -91,16 +94,7 @@ class MetricsReport:
     wall_ms: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "auc": self.auc,
-            "auc_pr": self.auc_pr,
-            "mrr": self.mrr,
-            "hits": {str(k): v for k, v in sorted(self.hits.items())},
-            "n_queries": self.n_queries,
-            "n_classified": self.n_classified,
-            "seed": self.seed,
-            "wall_ms": self.wall_ms,
-        }
+        return dict(asdict(self), hits={str(k): v for k, v in sorted(self.hits.items())})
 
     def format_table(self) -> str:
         rows = []

@@ -53,7 +53,6 @@ FWD, BWD = 0, 1
 class LayerParams:
     d_in: int
     d_out: int
-    num_relations: int
     bases: Tensor = None        # (B, d_in * d_out)
     coeffs: Tensor = None       # (2 * num_relations, B)
     self_weight: Tensor = None  # (d_in, d_out)
@@ -80,7 +79,7 @@ def _glorot(rng, *shape):
 
 def init_basis_layer(rng, d_in, d_out, num_relations, num_bases,
                      d_rel=None, attention=False) -> LayerParams:
-    p = LayerParams(d_in, d_out, num_relations)
+    p = LayerParams(d_in, d_out)
     p.bases = _glorot(rng, num_bases, d_in * d_out)
     p.coeffs = _glorot(rng, 2 * num_relations, num_bases)
     p.self_weight = _glorot(rng, d_in, d_out)
@@ -89,8 +88,8 @@ def init_basis_layer(rng, d_in, d_out, num_relations, num_bases,
     return p
 
 
-def init_comp_layer(rng, d_in, d_out, num_relations) -> LayerParams:
-    p = LayerParams(d_in, d_out, num_relations)
+def init_comp_layer(rng, d_in, d_out) -> LayerParams:
+    p = LayerParams(d_in, d_out)
     p.w_fwd = _glorot(rng, d_in, d_out)
     p.w_bwd = _glorot(rng, d_in, d_out)
     p.w_self = _glorot(rng, d_in, d_out)

@@ -108,13 +108,8 @@ def kge_score(kind: DecoderKind, h_vec: Tensor, r_vec: Tensor, t_vec: Tensor) ->
 
 @dataclass
 class ModelParams:
-    """All trainable tensors of the subgraph scoring model."""
-    k: int
-    dim: int
-    rel_dim: int
-    num_relations: int
-    num_layers: int
-    num_bases: int
+    """All trainable tensors of the subgraph scoring model. Its sizes are
+    those of the tensors; a checkpoint's config records the settings."""
     layer_kind: str = "att"         # "rgcn" | "att" | "comp"
     comp_op: str = "sub"
     input_proj: Tensor = None       # (2*(k+2), dim)
@@ -136,14 +131,13 @@ def init_model(num_relations: int, k: int, dim: int = 32, rel_dim: int = 32,
     rng = rng if rng is not None else np.random.default_rng(0)
     if layer_kind == "comp" and rel_dim != dim:
         raise ShapeMismatch("composition layers require rel_dim == dim")
-    m = ModelParams(k, dim, rel_dim, num_relations, num_layers, num_bases,
-                    layer_kind, comp_op)
+    m = ModelParams(layer_kind, comp_op)
     in_dim = 2 * (k + 2)
     scale = np.sqrt(2.0 / (in_dim + dim))
     m.input_proj = Tensor(rng.normal(0, scale, (in_dim, dim)), requires_grad=True)
     for _ in range(num_layers):
         if layer_kind == "comp":
-            m.layers.append(init_comp_layer(rng, dim, dim, num_relations))
+            m.layers.append(init_comp_layer(rng, dim, dim))
         else:
             m.layers.append(init_basis_layer(
                 rng, dim, dim, num_relations, num_bases,
@@ -181,11 +175,12 @@ def score_subgraphs(model: ModelParams, items) -> Tensor:
     w . [meanpool_g ++ h_head ++ h_tail ++ e_rel], the mean over its own
     nodes.
     """
+    width = model.input_proj.shape[0]      # 2 * (k + 2) for the model's k
     for it in items:
-        if it.labels.shape != (it.sub.num_nodes, 2 * (it.sub.k + 2)):
-            raise ShapeMismatch(
-                f"labels {it.labels.shape} do not match "
-                f"({it.sub.num_nodes}, {2 * (it.sub.k + 2)})")
+        want = (it.sub.num_nodes, 2 * (it.sub.k + 2))
+        if it.labels.shape != want or want[1] != width:
+            raise ShapeMismatch(f"labels {it.labels.shape} do not match {want} "
+                                f"and the model's width {width}")
     sizes = np.array([it.sub.num_nodes for it in items], dtype=np.int64)
     offsets = np.cumsum(sizes) - sizes
     edge_counts = [len(it.sub.edges) for it in items]
@@ -233,8 +228,6 @@ def margin_loss(pos: Tensor, neg: Tensor, gamma: float) -> Tensor:
 @dataclass
 class EntityEncoderParams:
     """Relation-derived entity initializer plus a KGE decoder."""
-    dim: int
-    num_relations: int
     decoder: DecoderKind
     psi: Tensor = None       # (2 * num_relations, dim); row 2r+dir
     dec_rel: Tensor = None   # (num_relations, dim) or (num_relations, dim/2) phases
@@ -246,7 +239,7 @@ class EntityEncoderParams:
 def init_entity_encoder(num_relations: int, dim: int, decoder: DecoderKind,
                         rng=None) -> EntityEncoderParams:
     rng = rng if rng is not None else np.random.default_rng(0)
-    p = EntityEncoderParams(dim, num_relations, decoder)
+    p = EntityEncoderParams(decoder)
     p.psi = Tensor(rng.normal(0, 1.0 / np.sqrt(dim), (2 * num_relations, dim)),
                    requires_grad=True)
     rel_width = dim // 2 if decoder.name == "rotate" else dim

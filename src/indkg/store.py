@@ -72,10 +72,6 @@ class StoreWriter:
         self._records.append(encode_record(sub))
         return len(self._records) - 1
 
-    @property
-    def count(self) -> int:
-        return len(self._records)
-
     def close(self) -> None:
         if self._closed:
             return

@@ -74,21 +74,20 @@ def _masked_entries(graph: IndexedGraph, masked_edge) -> np.ndarray:
 
 
 def _hop_distances(graph: IndexedGraph, source: int, k: int,
-                   masked_edge: tuple[int, int, int] | None) -> np.ndarray:
+                   masked: np.ndarray) -> np.ndarray:
     """Dense undirected hop distances from ``source``: -1 beyond ``k`` hops.
 
     One level per step: the adjacency rows of the whole frontier are
-    gathered at once. ``masked_edge`` drops exactly its own two adjacency
-    entries, so a reverse twin (t, r, h) still connects the pair.
+    gathered at once. The ``masked`` adjacency positions (``_masked_entries``
+    of one triple: none or two) are skipped, so a reverse twin (t, r, h)
+    still connects the pair.
     """
-    masked = _masked_entries(graph, masked_edge)
     dist = np.full(graph.num_entities, -1, dtype=np.int64)
     dist[source] = 0
     frontier = np.array([source], dtype=np.int64)
     for d in range(1, k + 1):
         idx, _ = _csr_slices(graph.indptr[frontier], graph.indptr[frontier + 1])
-        # the two masked entries sit in the slices of the triple's endpoints
-        if len(masked) and (dist[masked_edge[0]] == d - 1 or dist[masked_edge[2]] == d - 1):
+        if len(masked):
             idx = idx[(idx != masked[0]) & (idx != masked[1])]
         nbr = graph.nbr[idx]
         dist[nbr[dist[nbr] < 0]] = d
@@ -114,7 +113,7 @@ def bfs_distances(graph: IndexedGraph, source: int, k: int,
     that one triple in both traversal directions.
     """
     _check_query(graph, (source,), k)
-    dist = _hop_distances(graph, source, k, masked_edge)
+    dist = _hop_distances(graph, source, k, _masked_entries(graph, masked_edge))
     reached = np.flatnonzero(dist >= 0)
     return dict(zip(reached.tolist(), dist[reached].tolist()))
 
@@ -123,15 +122,17 @@ def extract_enclosing_subgraph(graph: IndexedGraph, target: tuple[int, int, int]
                                k: int, max_nodes: int = 0) -> Subgraph:
     """Extract the enclosing subgraph of the target triple.
 
-    Distances are computed with the target edge masked; the target edge is
-    likewise excluded from the edge list so it never leaks into message
-    passing. ``max_nodes`` 0 means no cap; otherwise interior nodes are
-    retained in ascending (d_h + d_t, id) order until the cap is met.
+    The target edge's two adjacency positions are found once and skipped
+    by both distance searches and by the edge gather, so the edge never
+    leaks into message passing. ``max_nodes`` 0 means no cap; otherwise
+    interior nodes are retained in ascending (d_h + d_t, id) order until
+    the cap is met.
     """
     h, r, t = (int(x) for x in target)
     _check_query(graph, (h, t), k)
-    d_h = _hop_distances(graph, h, k, (h, r, t))
-    d_t = _hop_distances(graph, t, k, (h, r, t))
+    masked = _masked_entries(graph, (h, r, t))
+    d_h = _hop_distances(graph, h, k, masked)
+    d_t = _hop_distances(graph, t, k, masked)
     union_size = int(np.count_nonzero((d_h >= 0) | (d_t >= 0)))
 
     inner = (d_h >= 0) & (d_t >= 0) & (d_h + d_t <= k + 1)
@@ -152,7 +153,9 @@ def extract_enclosing_subgraph(graph: IndexedGraph, target: tuple[int, int, int]
     src = np.repeat(np.arange(len(nodes)), lens)
     dst = local[graph.nbr[idx]]
     rel = graph.rel[idx]
-    keep = (dst >= 0) & ~((src == 0) & (dst == local[t]) & (rel == r))
+    keep = dst >= 0
+    if len(masked):
+        keep &= (idx != masked[0]) & (idx != masked[1])
     src, dst, rel = src[keep], dst[keep], rel[keep]
     order = np.lexsort((rel, dst, src))
     edges = np.column_stack([src[order], dst[order], rel[order]])

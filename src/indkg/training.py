@@ -91,8 +91,7 @@ def train_subgraph_model(bundle: DatasetBundle, cfg: RunConfig):
                        num_bases=cfg.num_bases, layer_kind=cfg.layer_kind,
                        comp_op=cfg.comp_op, rng=rng)
     params = model.tensors()
-    opt = Adam(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
-               eps=cfg.adam_eps)
+    opt = Adam(params, lr=cfg.lr)
     monitor = MonitorState(patience=cfg.patience, min_delta=cfg.min_delta)
     graph = bundle.train_graph
     triples = bundle.train
@@ -189,8 +188,7 @@ def train_entity_encoder_model(bundle: DatasetBundle, cfg: RunConfig):
     decoder = DecoderKind(cfg.decoder, p=cfg.transe_p, margin=cfg.margin)
     enc = init_entity_encoder(bundle.vocab.num_relations, cfg.dim, decoder, rng=rng)
     params = enc.tensors()
-    opt = Adam(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
-               eps=cfg.adam_eps)
+    opt = Adam(params, lr=cfg.lr)
     graph = bundle.train_graph
     records = []
     for episode in range(cfg.episodes):

@@ -189,6 +189,21 @@ def test_extract_prints_the_stats_of_its_store(pipeline_dir, capsys, split, max_
         assert json.loads(printed)["max_nodes"] <= int(max_nodes)
 
 
+@pytest.mark.parametrize("task", ["tc", "lp"])
+def test_eval_reads_k_from_the_checkpoint(pipeline_dir, task):
+    # the model was trained with --k 2; eval without --k (default 3) scores
+    # it with the k its checkpoint records
+    out, base = pipeline_dir
+    i = base.index("--k")
+    reports = []
+    for flags in (base, base[:i] + base[i + 2:]):
+        assert main(["eval", "--task", task, "--num_neg_eval", "5"] + flags) == 0
+        report = json.loads((out / "report.json").read_text())
+        del report["wall_ms"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
 def test_eval_before_train_exits_1(tmp_path):
     raw = tmp_path / "raw"
     make_raw_dataset_dir(str(raw), np.random.default_rng(1))

@@ -68,7 +68,7 @@ def test_rgcn_isolated_nodes_get_self_term_only():
     rel_emb = Tensor(rng.normal(size=(R, 3)))
     out = rel_att_layer(sub, H, P, rel_emb, 0, activation=False)
     assert np.allclose(out.data, self_term, atol=1e-12)
-    C = init_comp_layer(rng, D_IN, D_OUT, R)
+    C = init_comp_layer(rng, D_IN, D_OUT)
     out, _ = rel_comp_layer(sub, H, Tensor(rng.normal(size=(R, D_IN))), C,
                             activation=False)
     assert np.allclose(out.data, H.data @ C.w_self.data, atol=1e-12)
@@ -119,7 +119,7 @@ def test_comp_matches_dense_oracle_all_ops():
         for seed in range(4):
             sub = fixture_subgraph(seed)
             rng = np.random.default_rng(300 + seed)
-            P = init_comp_layer(rng, D_IN, D_OUT, R)
+            P = init_comp_layer(rng, D_IN, D_OUT)
             H = Tensor(rng.normal(size=(sub.num_nodes, D_IN)))
             E = Tensor(rng.normal(size=(R, D_IN)))
             out, new_rel = rel_comp_layer(sub, H, E, P, op=op)
@@ -131,7 +131,7 @@ def test_comp_matches_dense_oracle_all_ops():
 def test_comp_rel_dim_must_match():
     sub = fixture_subgraph(4)
     rng = np.random.default_rng(4)
-    P = init_comp_layer(rng, D_IN, D_OUT, R)
+    P = init_comp_layer(rng, D_IN, D_OUT)
     H = Tensor(np.zeros((sub.num_nodes, D_IN)))
     with pytest.raises(ShapeMismatch):
         rel_comp_layer(sub, H, Tensor(np.zeros((R, D_IN + 2))), P)
@@ -140,7 +140,7 @@ def test_comp_rel_dim_must_match():
 def test_comp_unknown_op():
     sub = fixture_subgraph(4)
     rng = np.random.default_rng(4)
-    P = init_comp_layer(rng, D_IN, D_OUT, R)
+    P = init_comp_layer(rng, D_IN, D_OUT)
     H = Tensor(np.zeros((sub.num_nodes, D_IN)))
     with pytest.raises(UnknownCompositionOp):
         rel_comp_layer(sub, H, Tensor(np.zeros((R, D_IN))), P, op="div")
@@ -186,7 +186,7 @@ def test_layer_gradients():
         sample_frac=0.5, rng=np.random.default_rng(0))
     assert err < 1e-6
 
-    C = init_comp_layer(rng, D_IN, D_OUT, R)
+    C = init_comp_layer(rng, D_IN, D_OUT)
     E = Tensor(rng.normal(size=(R, D_IN)), requires_grad=True)
     cparams = C.tensors("c0")
     cparams["H"] = H
@@ -307,7 +307,7 @@ def test_identical_messages_are_mean_normalised(kind):
     rng = np.random.default_rng(8)
     h_hub, h_other, h_leaf = rng.normal(size=(3, D_IN))
     if kind == "comp":
-        P = init_comp_layer(rng, D_IN, D_IN, R)
+        P = init_comp_layer(rng, D_IN, D_IN)
     else:
         P = init_basis_layer(rng, D_IN, D_IN, R, num_bases=2,
                              d_rel=3, attention=kind == "att")

@@ -139,6 +139,12 @@ def test_nan_score_makes_both_metrics_nan():
     assert np.isnan(auc) and np.isnan(auc_pr)
 
 
+@pytest.mark.parametrize("labels", [[2, 0, 0], [1, -1, 0], [0.5, 1, 0]])
+def test_labels_outside_zero_one_rejected(labels):
+    with pytest.raises(ValueError, match="0 or 1"):
+        classification_metrics([0.3, 0.2, 0.1], labels)
+
+
 def test_auc_antisymmetry():
     rng = np.random.default_rng(2)
     scores = rng.normal(size=50)

@@ -26,6 +26,7 @@ from indkg.model import (
     score_subgraphs,
     subgraph_score,
 )
+from indkg.sampling import ScoredItem
 from indkg.subgraph import extract_enclosing_subgraph, label_nodes
 
 from helpers import (
@@ -185,6 +186,16 @@ def test_score_label_shape_guard():
     model, sub, labels, target = scoring_fixture("rgcn")
     with pytest.raises(ShapeMismatch):
         subgraph_score(model, sub, labels[:, :-1], 0)
+
+
+def test_score_rejects_labels_of_another_k():
+    # subgraph and labels agree on k = 3, but the model was built for k = 2
+    model = scoring_fixture("rgcn")[0]
+    rng = np.random.default_rng(0)
+    g = build_graph(random_triples(rng, 18, 3, 0.2), 18, 3)
+    sub = extract_enclosing_subgraph(g, tuple(g.triples[0]), 3)
+    with pytest.raises(ShapeMismatch, match="model's width 8"):
+        score_subgraphs(model, [ScoredItem(sub, label_nodes(sub), 0)])
 
 
 def mixed_model(layer_kind, comp_op="sub", seed=0):
