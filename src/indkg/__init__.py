@@ -23,6 +23,7 @@ from .subgraph import (
     Subgraph,
     bfs_distances,
     extract_enclosing_subgraph,
+    extract_enclosing_subgraphs,
     label_nodes,
 )
 from .store import StoreReader, StoreWriter, collect_stats

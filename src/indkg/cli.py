@@ -23,7 +23,7 @@ from .errors import ConfigError, IndkgError, MissingFile
 from .evaluate import run_link_prediction, run_link_prediction_triples, run_triple_classification
 from .model import (DecoderKind, init_entity_encoder, init_model, load_checkpoint,
                     restore_model, save_checkpoint)
-from .subgraph import extract_enclosing_subgraph
+from .subgraph import extract_enclosing_subgraphs
 from .training import (
     entity_triple_scorer,
     subgraph_item_scorer,
@@ -39,30 +39,31 @@ SUBCOMMANDS = ("preprocess", "extract", "train", "eval", "stats")
 _EXTRACT_CTX = None
 
 
-def _extract_worker(index: int):
+def _extract_span(span):
     graph, triples, k, max_nodes = _EXTRACT_CTX
-    return extract_enclosing_subgraph(graph, tuple(triples[index]), k,
-                                      max_nodes=max_nodes)
+    return extract_enclosing_subgraphs(graph, triples[span[0]:span[1]], k,
+                                       max_nodes=max_nodes)
 
 
 def extract_all(graph, triples, k, max_nodes: int = 0, threads: int = 1):
     """Enclosing subgraphs for a triple list, in input order.
 
-    Data-parallel over triples when threads > 1; the result is identical to
-    the sequential path because records are committed in input order.
+    One batched ``extract_enclosing_subgraphs`` call in process; with
+    threads > 1, each forked worker makes that call on one span of
+    consecutive rows. The result is identical either way, because extraction
+    is row by row and the spans are joined in input order.
     """
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     if threads <= 1 or len(triples) < 2:
-        return [extract_enclosing_subgraph(graph, tuple(t), k, max_nodes=max_nodes)
-                for t in triples.tolist()]
+        return extract_enclosing_subgraphs(graph, triples, k, max_nodes=max_nodes)
     global _EXTRACT_CTX
-    _EXTRACT_CTX = (graph, triples.tolist(), k, max_nodes)
+    _EXTRACT_CTX = (graph, triples, k, max_nodes)
     try:
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=threads, mp_context=ctx) as ex:
-            chunk = max(1, len(triples) // (4 * threads))
-            return list(ex.map(_extract_worker, range(len(triples)),
-                               chunksize=chunk))
+            cuts = [len(triples) * i // threads for i in range(threads + 1)]
+            return [sub for part in ex.map(_extract_span, zip(cuts, cuts[1:]))
+                    for sub in part]
     finally:
         _EXTRACT_CTX = None
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import EmptyInput, ExhaustedRetries
 from .kgcore import IndexedGraph
-from .subgraph import Subgraph, extract_enclosing_subgraph, label_nodes
+from .subgraph import Subgraph, extract_enclosing_subgraphs, label_nodes
 
 RETRY_CAP = 1000
 
@@ -53,9 +53,10 @@ class ScoredItem:
     rel: int
 
 
-def _item(graph, triple, k, max_nodes: int = 0) -> ScoredItem:
-    sub = extract_enclosing_subgraph(graph, triple, k, max_nodes=max_nodes)
-    return ScoredItem(sub, label_nodes(sub), int(triple[1]))
+def _items(graph, triples, k, max_nodes: int = 0) -> list[ScoredItem]:
+    """ScoredItems of the triples, extracted in one batched call."""
+    subs = extract_enclosing_subgraphs(graph, triples, k, max_nodes=max_nodes)
+    return [ScoredItem(sub, label_nodes(sub), sub.target[1]) for sub in subs]
 
 
 def make_train_instance(graph: IndexedGraph, triple, k: int, num_neg: int,
@@ -65,7 +66,7 @@ def make_train_instance(graph: IndexedGraph, triple, k: int, num_neg: int,
     triples = [tuple(int(x) for x in triple)]
     triples += [corrupt_triple(triple, graph, rng, filtered)
                 for _ in range(num_neg)]
-    return [_item(graph, t, k, max_nodes) for t in triples]
+    return _items(graph, triples, k, max_nodes)
 
 
 @dataclass
@@ -79,15 +80,14 @@ def make_classification_batch(graph: IndexedGraph, triples, k: int, rng,
     """One uniform head-or-tail corruption per positive.
 
     Items are ordered all positives then all negatives, with binary labels
-    to match.
+    to match. Every negative is drawn before the one batched extraction,
+    which draws nothing from ``rng``.
     """
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     if len(triples) == 0:
         raise EmptyInput("no triples to classify")
-    items = [_item(graph, tuple(t), k, max_nodes) for t in triples.tolist()]
-    for t in triples.tolist():
-        neg = corrupt_triple(t, graph, rng)
-        items.append(_item(graph, neg, k, max_nodes))
+    negs = [corrupt_triple(t, graph, rng) for t in triples.tolist()]
+    items = _items(graph, np.vstack([triples, negs]), k, max_nodes)
     labels01 = np.concatenate([np.ones(len(triples), np.int64),
                                np.zeros(len(triples), np.int64)])
     return ClassificationBatch(items, labels01)
@@ -152,11 +152,11 @@ def make_ranking_candidates(graph: IndexedGraph, triple, direction: str,
 
 def make_ranking_batch(graph: IndexedGraph, triple, k: int, direction: str,
                        num_neg: int, rng, max_nodes: int = 0) -> RankingBatch:
-    """Ranking candidates with their enclosing subgraphs extracted."""
+    """Ranking candidates with their enclosing subgraphs extracted in one
+    batched call."""
     cands, truth_idx = make_ranking_candidates(graph, triple, direction,
                                                num_neg, rng)
-    candidates = [_item(graph, c, k, max_nodes) for c in cands]
-    return RankingBatch(candidates, truth_idx)
+    return RankingBatch(_items(graph, cands, k, max_nodes), truth_idx)
 
 
 @dataclass

@@ -5,6 +5,8 @@ short undirected path between them: node i is kept when d(i,h) <= k,
 d(i,t) <= k and d(i,h) + d(i,t) <= k + 1, with both distances computed in
 the graph with the target edge removed. Node features are the concatenated
 one-hot encodings of the two distances, clamped into k + 2 buckets per side.
+``extract_enclosing_subgraphs`` extracts a batch of targets with one
+level-synchronous BFS per chunk of rows.
 """
 
 from __future__ import annotations
@@ -15,6 +17,10 @@ import numpy as np
 
 from .errors import IdOutOfBounds
 from .kgcore import IndexedGraph
+
+# bytes of one extraction chunk's (sources, E) distance array; it stays in a
+# core's cache, where each BFS level's frontier scan is cheap
+_CHUNK_BYTES = 1 << 17
 
 
 @dataclass
@@ -56,51 +62,79 @@ def _csr_slices(starts: np.ndarray, stops: np.ndarray):
     return np.arange(ends[-1]) + np.repeat(starts - ends + lens, lens), lens
 
 
-def _masked_entries(graph: IndexedGraph, masked_edge) -> np.ndarray:
-    """Adjacency positions of a triple's two entries, (t, r) in the out-run
-    of h and (h, r) in the in-run of t: both when the graph holds the
-    triple, else none."""
-    if masked_edge is None:
-        return np.empty(0, dtype=np.int64)
-    mh, mr, mt = masked_edge
-    if not (0 <= mh < graph.num_entities and 0 <= mt < graph.num_entities):
-        return np.empty(0, dtype=np.int64)
-    pos = []
-    for s, e, v in ((graph.indptr[mh], graph.out_end[mh], mt),
-                    (graph.out_end[mt], graph.indptr[mt + 1], mh)):
-        hit = (graph.nbr[s:e] == v) & (graph.rel[s:e] == mr)
-        pos.append(s + np.flatnonzero(hit))
-    return np.concatenate(pos)
+def _edge_positions(graph: IndexedGraph, triples: np.ndarray) -> np.ndarray:
+    """(C, 2) adjacency positions of each row's two entries, (t, r) in the
+    out-run of h and (h, r) in the in-run of t; -1 for a row that is not an
+    edge of the graph.
 
-
-def _hop_distances(graph: IndexedGraph, source: int, k: int,
-                   masked: np.ndarray) -> np.ndarray:
-    """Dense undirected hop distances from ``source``: -1 beyond ``k`` hops.
-
-    One level per step: the adjacency rows of the whole frontier are
-    gathered at once. The ``masked`` adjacency positions (``_masked_entries``
-    of one triple: none or two) are skipped, so a reverse twin (t, r, h)
-    still connects the pair.
+    ``contains_many`` picks the known rows; a known triple outside the
+    adjacency finds neither entry.
     """
-    dist = np.full(graph.num_entities, -1, dtype=np.int64)
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
+    pos = np.full((len(triples), 2), -1, dtype=np.int64)
+    rows = np.flatnonzero(graph.contains_many(triples))
+    if not len(rows):
+        return pos
+    h, r, t = triples[rows].T
+    # the out-runs of the heads, then the in-runs of the tails
+    idx, lens = _csr_slices(np.concatenate([graph.indptr[h], graph.out_end[t]]),
+                            np.concatenate([graph.out_end[h], graph.indptr[t + 1]]))
+    run = np.repeat(np.arange(2 * len(rows)), lens)
+    hit = ((graph.nbr[idx] == np.concatenate([t, h])[run])
+           & (graph.rel[idx] == np.concatenate([r, r])[run]))
+    col, at = np.divmod(run[hit], len(rows))
+    pos[rows[at], col] = idx[hit]
+    return pos
+
+
+def _dist_dtype(k: int):
+    """int8 while it holds d_h + d_t up to 2k + 2, else int64."""
+    return np.int8 if 2 * k + 2 <= np.iinfo(np.int8).max else np.int64
+
+
+def _bfs(graph: IndexedGraph, sources: np.ndarray, masks: np.ndarray,
+         k: int, dtype) -> np.ndarray:
+    """(S, E) undirected hop distances from each source, -1 beyond ``k``.
+
+    One level-synchronous search over a flat ``S * E`` array: each level
+    gathers the adjacency runs of every source's frontier at once. Source
+    ``s`` skips the adjacency positions ``masks[s]`` (a row's two
+    ``_edge_positions``, or -1), so a reverse twin (t, r, h) still connects
+    the pair.
+    """
+    ne = graph.num_entities
+    dist = np.full(len(sources) * ne, -1, dtype=dtype)
+    frontier = np.arange(len(sources)) * ne + sources
+    dist[frontier] = 0
+    # each masked position, as (flat index of the source's node whose run
+    # holds it, offset in that run)
+    m_src, m_col = np.nonzero(masks >= 0)
+    m_pos = masks[m_src, m_col]
+    m_node = graph.indptr.searchsorted(m_pos, side="right") - 1
+    m_flat = m_src * ne + m_node
+    m_off = m_pos - graph.indptr[m_node]
     for d in range(1, k + 1):
-        idx, _ = _csr_slices(graph.indptr[frontier], graph.indptr[frontier + 1])
-        if len(masked):
-            idx = idx[(idx != masked[0]) & (idx != masked[1])]
-        nbr = graph.nbr[idx]
-        dist[nbr[dist[nbr] < 0]] = d
+        owner, node = np.divmod(frontier, ne)
+        idx, lens = _csr_slices(graph.indptr[node], graph.indptr[node + 1])
+        reached = np.repeat(owner * ne, lens) + graph.nbr[idx]
+        if len(m_flat):
+            # a masked entry leads back to its own frontier node, reached already
+            j = np.minimum(frontier.searchsorted(m_flat), len(frontier) - 1)
+            at = frontier[j] == m_flat
+            reached[(np.cumsum(lens) - lens)[j[at]] + m_off[at]] = frontier[j[at]]
+        dist[reached[dist[reached] < 0]] = d
+        if d == k:
+            break
         frontier = np.flatnonzero(dist == d)
         if not len(frontier):
             break
-    return dist
+    return dist.reshape(len(sources), ne)
 
 
 def _check_query(graph: IndexedGraph, entities, k: int) -> None:
-    for e in entities:
-        if not (0 <= e < graph.num_entities):
-            raise IdOutOfBounds(f"entity {e} outside [0, {graph.num_entities})")
+    ents = np.asarray(entities, dtype=np.int64).ravel()
+    bad = ents[(ents < 0) | (ents >= graph.num_entities)]
+    if len(bad):
+        raise IdOutOfBounds(f"entity {bad[0]} outside [0, {graph.num_entities})")
     if k < 1:
         raise ValueError("hop budget k must be >= 1")
 
@@ -110,56 +144,136 @@ def bfs_distances(graph: IndexedGraph, source: int, k: int,
     """Undirected hop distances from ``source``, truncated at ``k`` hops.
 
     Every triple acts as a bidirectional edge; ``masked_edge`` suppresses
-    that one triple in both traversal directions.
+    that one triple in both traversal directions. The batched extraction's
+    search with one source.
     """
     _check_query(graph, (source,), k)
-    dist = _hop_distances(graph, source, k, _masked_entries(graph, masked_edge))
+    masks = (np.full((1, 2), -1, dtype=np.int64) if masked_edge is None else
+             _edge_positions(graph, np.asarray(masked_edge, dtype=np.int64).reshape(1, 3)))
+    dist = _bfs(graph, np.array([source], dtype=np.int64), masks, k, _dist_dtype(k))[0]
     reached = np.flatnonzero(dist >= 0)
     return dict(zip(reached.tolist(), dist[reached].tolist()))
 
 
-def extract_enclosing_subgraph(graph: IndexedGraph, target: tuple[int, int, int],
-                               k: int, max_nodes: int = 0) -> Subgraph:
-    """Extract the enclosing subgraph of the target triple.
+def _chunks(source_keys: list, cap: int):
+    """Consecutive row spans, each with at most ``cap`` rows and ``cap``
+    distinct sources: (start, stop, the span's source keys in first-seen
+    order, (rows, 2) indices of each row's two sources among them)."""
+    start, seen, row_src = 0, {}, []
+    for c, pair in enumerate(source_keys):
+        new = {key for key in pair if key not in seen}
+        if row_src and (len(row_src) == cap or len(seen) + len(new) > cap):
+            yield start, c, list(seen), np.array(row_src, dtype=np.int64)
+            start, seen, row_src = c, {}, []
+        row_src.append([seen.setdefault(key, len(seen)) for key in pair])
+    if row_src:
+        yield start, len(source_keys), list(seen), np.array(row_src, dtype=np.int64)
 
-    The target edge's two adjacency positions are found once and skipped
-    by both distance searches and by the edge gather, so the edge never
-    leaks into message passing. ``max_nodes`` 0 means no cap; otherwise
+
+def extract_enclosing_subgraphs(graph: IndexedGraph, triples, k: int,
+                                max_nodes: int = 0) -> list[Subgraph]:
+    """The enclosing subgraph of every row of an (n, 3) triple array, in
+    row order.
+
+    Each row's node set, distances and edges are those of its own search in
+    the graph without that row's triple. A row that is a graph edge masks its
+    two adjacency positions (``_edge_positions``), so it gets BFS sources of
+    its own; every other row shares one source per endpoint entity with the
+    rest of its chunk, so a ranking side's fixed endpoint is searched once.
+    Rows go in chunks whose ``(sources, E)`` distance array stays within
+    ``_CHUNK_BYTES``. ``max_nodes`` 0 means no cap; otherwise a row's
     interior nodes are retained in ascending (d_h + d_t, id) order until
     the cap is met.
     """
-    h, r, t = (int(x) for x in target)
-    _check_query(graph, (h, t), k)
-    masked = _masked_entries(graph, (h, r, t))
-    d_h = _hop_distances(graph, h, k, masked)
-    d_t = _hop_distances(graph, t, k, masked)
-    union_size = int(np.count_nonzero((d_h >= 0) | (d_t >= 0)))
+    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    _check_query(graph, triples[:, [0, 2]], k)
+    if not len(triples):
+        return []
+    ne = graph.num_entities
+    masks = _edge_positions(graph, triples)
+    # a source key is its entity, plus ne * (row + 1) for an edge row's own
+    own = np.where(masks[:, 0] >= 0, ne * (np.arange(len(triples)) + 1), 0)
+    keys = triples[:, [0, 2]] + own[:, None]
+    dtype = _dist_dtype(k)
+    cap = max(1, _CHUNK_BYTES // (ne * np.dtype(dtype).itemsize))
+    subs = []
+    for start, stop, src, row_src in _chunks(keys.tolist(), cap):
+        owner, sources = np.divmod(np.array(src, dtype=np.int64), ne)
+        src_masks = np.where((owner > 0)[:, None], masks[owner - 1], -1)
+        dist = _bfs(graph, sources, src_masks, k, dtype)
+        subs += _split_rows(graph, triples[start:stop], masks[start:stop, 0],
+                            dist[row_src[:, 0]], dist[row_src[:, 1]], k, max_nodes)
+    return subs
 
-    inner = (d_h >= 0) & (d_t >= 0) & (d_h + d_t <= k + 1)
-    inner[[h, t]] = False
-    interior = np.flatnonzero(inner)
-    if max_nodes and len(interior) + 2 > max_nodes:
-        order = np.lexsort((interior, d_h[interior] + d_t[interior]))
-        interior = np.sort(interior[order[:max(0, max_nodes - 2)]])
 
-    nodes = np.concatenate([[h] if h == t else [h, t], interior]).astype(np.int64)
-    dist_pairs = np.column_stack([d_h[nodes], d_t[nodes]])
+def _split_rows(graph, triples, masked_out, d_h, d_t, k, max_nodes):
+    """One Subgraph per row from its (C, E) distance rows: the kept nodes
+    and the edges among them for every row at once, then the split."""
+    ne, rows = graph.num_entities, np.arange(len(triples))
+    h, t = triples[:, 0], triples[:, 2]
+    reach_h, reach_t = d_h >= 0, d_t >= 0
+    union_size = np.count_nonzero(reach_h | reach_t, axis=1)
+    d_sum = d_h + d_t
+    inner = reach_h & reach_t & (d_sum <= k + 1)
+    inner[rows, h] = inner[rows, t] = False
+    i_row, i_ent = np.divmod(np.flatnonzero(inner), ne)
+    n_inner = np.bincount(i_row, minlength=len(rows))
+    if max_nodes and (n_inner + 2 > max_nodes).any():
+        # rank each row's interior by (d_h + d_t, id); capped rows keep the best
+        order = np.lexsort((i_ent, d_sum[i_row, i_ent], i_row))
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.arange(len(order)) - (np.cumsum(n_inner) - n_inner)[i_row[order]]
+        keep = (n_inner[i_row] + 2 <= max_nodes) | (rank < max(0, max_nodes - 2))
+        i_row, i_ent = i_row[keep], i_ent[keep]
+        n_inner = np.bincount(i_row, minlength=len(rows))
+
+    # nodes: h, then t when distinct, then the interior in ascending id
+    two = h != t
+    n_ends = 1 + two
+    sizes = n_ends + n_inner
+    first = np.cumsum(sizes) - sizes
+    nodes = np.empty(first[-1] + sizes[-1], dtype=np.int64)
+    nodes[first] = h
+    nodes[first[two] + 1] = t[two]
+    nodes[np.arange(len(i_row)) + np.cumsum(n_ends)[i_row]] = i_ent
+    node_row = np.repeat(rows, sizes)
+    flat = node_row * ne + nodes
+    dist_pairs = np.column_stack([d_h.take(flat), d_t.take(flat)]).astype(np.int64)
     dist_pairs[dist_pairs < 0] = k + 1    # reached distances are <= k already
 
-    # induced edges: out-runs of the kept nodes whose neighbor is kept too
-    local = np.full(graph.num_entities, -1, dtype=np.int64)
-    local[nodes] = np.arange(len(nodes))
+    # induced edges: out-runs of the kept nodes whose neighbor is kept in
+    # the same row, minus the row's own target entry; a neighbor's local id
+    # comes from the sorted flat (row, entity) keys
+    local = np.arange(len(nodes)) - first[node_row]
+    by_key = np.argsort(flat)
+    keys = flat[by_key]
     idx, lens = _csr_slices(graph.indptr[nodes], graph.out_end[nodes])
-    src = np.repeat(np.arange(len(nodes)), lens)
-    dst = local[graph.nbr[idx]]
-    rel = graph.rel[idx]
-    keep = dst >= 0
-    if len(masked):
-        keep &= (idx != masked[0]) & (idx != masked[1])
-    src, dst, rel = src[keep], dst[keep], rel[keep]
-    order = np.lexsort((rel, dst, src))
-    edges = np.column_stack([src[order], dst[order], rel[order]])
-    return Subgraph((h, r, t), nodes, dist_pairs, edges, k, union_size)
+    e_node = np.repeat(np.arange(len(nodes)), lens)
+    want = node_row[e_node] * ne + graph.nbr[idx]
+    at = np.minimum(keys.searchsorted(want), len(keys) - 1)
+    keep = (keys[at] == want) & (idx != masked_out[node_row[e_node]])
+    e_node, dst, rel = e_node[keep], local[by_key[at[keep]]], graph.rel[idx[keep]]
+    # flat node order is (row, src), and an out-run lists one neighbor's
+    # relations in ascending order, so a stable sort on (node, dst) orders
+    # the edges by (row, src, dst, rel)
+    order = np.argsort(e_node * sizes.max() + dst, kind="stable")
+    e_node = e_node[order]
+    edges = np.column_stack([local[e_node], dst[order], rel[order]])
+    e_count = np.bincount(node_row[e_node], minlength=len(rows))
+    e_first = np.cumsum(e_count) - e_count
+
+    return [Subgraph((hh, rr, tt), nodes[a:a + n], dist_pairs[a:a + n],
+                     edges[ea:ea + m], k, u)
+            for (hh, rr, tt), a, n, ea, m, u
+            in zip(triples.tolist(), first.tolist(), sizes.tolist(),
+                   e_first.tolist(), e_count.tolist(), union_size.tolist())]
+
+
+def extract_enclosing_subgraph(graph: IndexedGraph, target: tuple[int, int, int],
+                               k: int, max_nodes: int = 0) -> Subgraph:
+    """The enclosing subgraph of one target triple:
+    ``extract_enclosing_subgraphs`` of one row."""
+    return extract_enclosing_subgraphs(graph, [target], k, max_nodes=max_nodes)[0]
 
 
 def label_nodes(sub: Subgraph) -> np.ndarray:
@@ -170,10 +284,8 @@ def label_nodes(sub: Subgraph) -> np.ndarray:
     """
     width = sub.k + 2
     labels = np.zeros((sub.num_nodes, 2 * width), dtype=np.float64)
-    d = np.clip(sub.dist_pairs, 0, width - 1)
-    rows = np.arange(sub.num_nodes)
-    labels[rows, d[:, 0]] = 1.0
-    labels[rows, width + d[:, 1]] = 1.0
+    cols = np.minimum(np.maximum(sub.dist_pairs, 0), width - 1) + (0, width)
+    labels[np.arange(sub.num_nodes)[:, None], cols] = 1.0
     return labels
 
 

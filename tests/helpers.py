@@ -189,6 +189,18 @@ def corrupt_triple_oracle(known, num_entities, triple, rng, filtered=True,
     return None
 
 
+def corruptions_after_positives_oracle(known, num_entities, positives, rng,
+                                      num_neg=1, filtered=True):
+    """Reference for the triples of ``make_classification_batch``
+    (``num_neg`` 1) and ``make_train_instance`` (one positive): every
+    positive in order, then ``num_neg`` ``corrupt_triple_oracle`` draws per
+    positive, positive by positive, from the one stream ``rng``."""
+    positives = [tuple(int(x) for x in p) for p in positives]
+    negatives = [corrupt_triple_oracle(known, num_entities, p, rng, filtered)
+                 for p in positives for _ in range(num_neg)]
+    return positives + negatives
+
+
 def corruption_pool_oracle(known, num_entities, triple, direction):
     """Per-entity loop over one side's filtered corruptions; ``known`` is a
     set of (h, r, t) tuples."""

@@ -4,18 +4,24 @@ its check self-test.
 perfbench wraps library functions from outside. A wrapped name that goes
 missing does not fail a benchmark run: the tracer lists it as absent and
 leaves its metrics out, and a recorder wrapper raises. These tests fail
-instead. They read ``perfbench/`` and change nothing in it.
+instead, and so does a traced run whose last line leaves out or spoils a
+per-layer metric. They read ``perfbench/`` and change nothing in it.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "perfbench")
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as _fh:
+    BENCHMARK = json.load(_fh)
 
 
 def _resolves(mod_name, qualname) -> bool:
@@ -64,3 +70,24 @@ def test_selftest_passes():
     run = subprocess.run([sys.executable, os.path.join(PERFBENCH, "selftest.py")],
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stdout + run.stderr
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite metric {name}")
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in BENCHMARK["workloads"]])
+def test_traced_run_reports_every_layer_metric(workload):
+    # a shared span name losing a target, or a NaN metric, spoils the last
+    # line; the run's files go under the git-ignored .perfbench_runs/
+    run = subprocess.run(
+        [sys.executable, os.path.join(PERFBENCH, "run.py"), "--workload", workload,
+         "--seed", "1", "--seconds", "0.01", "--trace", "1"],
+        capture_output=True, text=True, timeout=170,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
+    lines = [line.strip() for line in run.stdout.strip().splitlines()]
+    assert not [line for line in lines if line.startswith("absent:")]
+    assert "checks: passed" in lines
+    result = json.loads(lines[-1], parse_constant=_reject_constant)
+    assert sorted(result["metrics"]) == sorted(m["name"] for m in BENCHMARK["per_layer"])

@@ -21,6 +21,7 @@ from indkg.evaluate import compute_rank, run_link_prediction_triples
 
 from helpers import (
     corrupt_triple_oracle,
+    corruptions_after_positives_oracle,
     corruption_pool_oracle,
     grow_region_loop_oracle,
     masked_adjacency,
@@ -424,3 +425,32 @@ def test_meta_task_matches_region_loop_oracle(monkeypatch):
             for name in ("support", "query"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert all(seen.values()), seen
+
+
+def test_batch_triples_match_draw_order_oracle():
+    # every negative is drawn before the one batched extraction, which draws
+    # nothing: the stream is positives' corruptions in order
+    rng = np.random.default_rng(41)
+    for trial in range(25):
+        n, nr = int(rng.integers(4, 25)), int(rng.integers(1, 4))
+        triples = random_triples(rng, n, nr, float(rng.uniform(0.1, 0.4)))
+        if len(triples) < 2:
+            continue
+        known = np.vstack([triples, random_triples(rng, n, nr, 0.05)]).reshape(-1, 3)
+        g = build_graph(triples, n, nr, known_triples=known)
+        known_set = set(map(tuple, known.tolist()))
+        positives = triples[rng.choice(len(triples), size=min(5, len(triples)),
+                                       replace=False)]
+        batch = make_classification_batch(g, positives, 2, np.random.default_rng(trial))
+        want = corruptions_after_positives_oracle(known_set, n, positives,
+                                                  np.random.default_rng(trial))
+        assert [it.sub.target for it in batch.items] == want
+        assert [it.rel for it in batch.items] == [t[1] for t in want]
+        for filtered in (True, False):
+            num_neg = int(rng.integers(1, 4))
+            inst = make_train_instance(g, positives[0], 2, num_neg,
+                                       np.random.default_rng(trial), filtered)
+            want = corruptions_after_positives_oracle(
+                known_set, n, positives[:1], np.random.default_rng(trial),
+                num_neg, filtered)
+            assert [it.sub.target for it in inst] == want

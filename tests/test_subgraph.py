@@ -3,7 +3,9 @@ import pytest
 
 from indkg.errors import IdOutOfBounds
 from indkg.kgcore import build_graph
-from indkg.subgraph import bfs_distances, extract_enclosing_subgraph, label_nodes
+from indkg import subgraph
+from indkg.subgraph import bfs_distances, extract_enclosing_subgraph, \
+    extract_enclosing_subgraphs, label_nodes
 
 from helpers import enclosing_nodes_oracle, enclosing_subgraph_oracle, \
     masked_adjacency, matrix_power_distances, random_triples
@@ -249,3 +251,108 @@ def test_label_unreachable_clamp():
     labels = label_nodes(sub)
     # head disconnected from tail: (0, CAP) -> [1,0,0,0, 0,0,0,1]
     assert labels[0].tolist() == [1, 0, 0, 0, 0, 0, 0, 1]
+
+
+def _batch_fixture(rng):
+    """A random graph with reverse twins, self-loops, parallel edges and
+    entities with no edge, and a batch of rows: graph edges, known triples
+    outside the adjacency, self-loop targets, rows sharing an endpoint and
+    duplicates."""
+    n, n_rel = int(rng.integers(4, 30)), 3
+    used = int(rng.integers(2, n + 1))              # entities >= used have no edge
+    triples = random_triples(rng, used, n_rel, float(rng.uniform(0.05, 0.3)))
+    extra = [(int(e), int(rng.integers(n_rel)), int(e)) for e in rng.integers(used, size=2)]
+    if len(triples):
+        h, r, t = triples[rng.integers(len(triples))].tolist()
+        extra += [(t, r, h), (h, (r + 1) % n_rel, t)]
+    triples = np.vstack([triples.reshape(-1, 3), np.asarray(extra, dtype=np.int64)])
+    held_out = rng.integers(0, [n, n_rel, n], size=(3, 3))
+    g = build_graph(triples, n, n_rel, known_triples=np.vstack([triples, held_out]))
+    rows = [tuple(x) for x in g.triples[rng.choice(g.num_triples, 4)].tolist()]
+    rows += [tuple(x) for x in held_out.tolist()]
+    anchor = int(rng.integers(n))
+    rows += [(anchor, int(rng.integers(n_rel)), int(rng.integers(n))) for _ in range(4)]
+    rows += [(int(rng.integers(n)), 0, anchor), (anchor, 1, anchor), (n - 1, 0, 0)]
+    rows += rows[:2]
+    order = rng.permutation(len(rows))
+    return triples, n, n_rel, g, [rows[i] for i in order]
+
+
+def _assert_same_subgraph(got, want):
+    assert got == want
+    for field in ("nodes", "dist_pairs", "edges"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype == np.int64 and a.shape == b.shape
+    assert all(type(x) is int for x in got.target)
+    assert type(got.union_size) is int
+
+
+def test_batched_extraction_matches_one_row_and_oracle():
+    rng = np.random.default_rng(18)
+    for trial in range(12):
+        triples, n, n_rel, g, rows = _batch_fixture(rng)
+        for k in (1, 2, 3):
+            for max_nodes in (0, 2, 3, 5):
+                subs = extract_enclosing_subgraphs(g, rows, k, max_nodes=max_nodes)
+                assert len(subs) == len(rows)
+                for row, sub in zip(rows, subs):
+                    _assert_same_subgraph(
+                        sub, extract_enclosing_subgraph(g, row, k, max_nodes=max_nodes))
+                    nodes, dist_pairs, edges, union_size = enclosing_subgraph_oracle(
+                        triples, n, row, k, max_nodes or None)
+                    assert sub.target == row
+                    assert sub.nodes.tolist() == nodes, (trial, row, k, max_nodes)
+                    assert sub.dist_pairs.tolist() == dist_pairs
+                    assert sub.edges.tolist() == edges
+                    assert sub.union_size == union_size
+
+
+def test_batched_extraction_independent_of_chunking(monkeypatch):
+    rng = np.random.default_rng(19)
+    cases = []
+    for _ in range(6):
+        _, _, _, g, rows = _batch_fixture(rng)
+        cases += [(g, rows, k, m) for k in (1, 3) for m in (0, 3)]
+    whole = [extract_enclosing_subgraphs(g, rows, k, max_nodes=m) for g, rows, k, m in cases]
+    monkeypatch.setattr(subgraph, "_CHUNK_BYTES", 1)      # one row per chunk
+    for (g, rows, k, m), want in zip(cases, whole):
+        got = extract_enclosing_subgraphs(g, rows, k, max_nodes=m)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            _assert_same_subgraph(a, b)
+
+
+def test_batched_extraction_empty_and_invalid():
+    g = build_graph([(0, 0, 1), (1, 0, 2)], 3, 1)
+    assert extract_enclosing_subgraphs(g, [], 2) == []
+    assert extract_enclosing_subgraphs(g, np.empty((0, 3), dtype=np.int64), 2) == []
+    with pytest.raises(IdOutOfBounds):
+        extract_enclosing_subgraphs(g, [(0, 0, 1), (1, 0, 3), (0, 0, 2)], 2)
+    with pytest.raises(IdOutOfBounds):
+        extract_enclosing_subgraphs(g, [(-1, 0, 1)], 2)
+    with pytest.raises(ValueError):
+        extract_enclosing_subgraphs(g, [(0, 0, 1)], 0)
+
+
+def test_batched_extraction_deep_k_matches_oracle():
+    # a 150-node path with a chord: near its end, d_h + d_t of the pair
+    # (0, 1) passes the int8 range while both distances stay within k
+    n = 150
+    triples = [(i, 0, i + 1) for i in range(n - 1)] + [(0, 1, 80), (85, 0, 85)]
+    g = build_graph(triples, n, 2)
+    rows = [(0, 0, 1), (0, 1, 1), (0, 1, 80), (0, 0, 75), (10, 0, 89), (85, 0, 85),
+            (3, 1, 3)]
+    k = 70
+    for max_nodes in (0, 5):
+        for row, sub in zip(rows, extract_enclosing_subgraphs(g, rows, k, max_nodes)):
+            nodes, dist_pairs, edges, union_size = enclosing_subgraph_oracle(
+                triples, n, row, k, max_nodes or None)
+            assert sub.nodes.tolist() == nodes, row
+            assert sub.dist_pairs.tolist() == dist_pairs
+            assert sub.edges.tolist() == edges
+            assert sub.union_size == union_size
+    # without (0, 0, 1), node 11 is 70 hops away through the chord
+    oracle = matrix_power_distances(masked_adjacency(g.triples, n, (0, 0, 1)), 0, k)
+    expect = {i: int(d) for i, d in enumerate(oracle) if 0 <= d <= k}
+    assert bfs_distances(g, 0, k, masked_edge=(0, 0, 1)) == expect
+    assert expect[11] == 70 and 10 not in expect
