@@ -34,7 +34,7 @@ from .sampling import (
     corrupt_triple,
     make_classification_batch,
     make_ranking_batch,
-    make_train_instance,
+    make_train_batch,
     sample_meta_task,
 )
 from .model import (

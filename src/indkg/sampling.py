@@ -59,14 +59,21 @@ def _items(graph, triples, k, max_nodes: int = 0) -> list[ScoredItem]:
     return [ScoredItem(sub, label_nodes(sub), sub.target[1]) for sub in subs]
 
 
-def make_train_instance(graph: IndexedGraph, triple, k: int, num_neg: int,
-                        rng, filtered: bool = True,
-                        max_nodes: int = 0) -> list[ScoredItem]:
-    """The positive's ScoredItem, then those of ``num_neg`` corruptions."""
-    triples = [tuple(int(x) for x in triple)]
-    triples += [corrupt_triple(triple, graph, rng, filtered)
-                for _ in range(num_neg)]
-    return _items(graph, triples, k, max_nodes)
+def make_train_batch(graph: IndexedGraph, triples, k: int, num_neg: int,
+                     rngs, filtered: bool = True,
+                     max_nodes: int = 0) -> list[ScoredItem]:
+    """For each positive in order, its ScoredItem, then those of its
+    ``num_neg`` corruptions, drawn from its own stream in ``rngs``.
+
+    Every negative is drawn before the one batched extraction, which draws
+    nothing.
+    """
+    rows = []
+    for triple, rng in zip(np.asarray(triples, dtype=np.int64).reshape(-1, 3).tolist(),
+                           rngs, strict=True):
+        rows.append(tuple(triple))
+        rows += [corrupt_triple(triple, graph, rng, filtered) for _ in range(num_neg)]
+    return _items(graph, rows, k, max_nodes)
 
 
 @dataclass

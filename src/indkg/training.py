@@ -40,7 +40,7 @@ from .sampling import (
     RETRY_CAP,
     corrupt_triple,
     make_classification_batch,
-    make_train_instance,
+    make_train_batch,
     sample_meta_task,
 )
 
@@ -103,15 +103,14 @@ def train_subgraph_model(bundle: DatasetBundle, cfg: RunConfig):
         epoch_losses = []
         for start in range(0, len(triples), cfg.batch_size):
             batch = triples[start:start + cfg.batch_size]
-            items, pos_idx, neg_idx = [], [], []
-            for bi, triple in enumerate(batch.tolist()):
-                item_rng = np.random.default_rng((cfg.seed, epoch, start + bi))
-                inst = make_train_instance(graph, triple, cfg.k, cfg.num_neg,
-                                           item_rng, cfg.filtered,
-                                           max_nodes=cfg.max_nodes)
-                pos_idx += [len(items)] * (len(inst) - 1)
-                neg_idx += range(len(items) + 1, len(items) + len(inst))
-                items += inst
+            rngs = [np.random.default_rng((cfg.seed, epoch, start + bi))
+                    for bi in range(len(batch))]
+            items = make_train_batch(graph, batch, cfg.k, cfg.num_neg, rngs,
+                                     cfg.filtered, max_nodes=cfg.max_nodes)
+            # item i * (1 + num_neg) is a positive, the num_neg after it its negatives
+            width = 1 + cfg.num_neg
+            pos_idx = np.repeat(np.arange(len(batch)) * width, cfg.num_neg)
+            neg_idx = np.flatnonzero(np.arange(len(items)) % width)
             scores = score_subgraphs(model, items)
             loss = margin_loss(gather_rows(scores, pos_idx),
                                gather_rows(scores, neg_idx), cfg.margin)

@@ -192,7 +192,7 @@ def corrupt_triple_oracle(known, num_entities, triple, rng, filtered=True,
 def corruptions_after_positives_oracle(known, num_entities, positives, rng,
                                       num_neg=1, filtered=True):
     """Reference for the triples of ``make_classification_batch``
-    (``num_neg`` 1) and ``make_train_instance`` (one positive): every
+    (``num_neg`` 1) and ``make_train_batch`` (one positive): every
     positive in order, then ``num_neg`` ``corrupt_triple_oracle`` draws per
     positive, positive by positive, from the one stream ``rng``."""
     positives = [tuple(int(x) for x in p) for p in positives]

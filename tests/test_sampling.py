@@ -13,7 +13,7 @@ from indkg.sampling import (
     make_classification_batch,
     make_ranking_batch,
     make_ranking_candidates,
-    make_train_instance,
+    make_train_batch,
     sample_meta_task,
 )
 from indkg import sampling
@@ -122,8 +122,7 @@ def test_train_instance():
     rng = np.random.default_rng(3)
     triples = random_triples(rng, 20, 3, 0.15)
     g = build_graph(triples, 20, 3)
-    pos, neg = make_train_instance(g, tuple(g.triples[0]), 2, 1,
-                                   np.random.default_rng(7))
+    pos, neg = make_train_batch(g, [g.triples[0]], 2, 1, [np.random.default_rng(7)])
     assert pos.sub.target == tuple(g.triples[0])
     assert neg.sub.target != pos.sub.target
 
@@ -132,12 +131,36 @@ def test_train_instance_deterministic():
     rng = np.random.default_rng(4)
     triples = random_triples(rng, 20, 3, 0.15)
     g = build_graph(triples, 20, 3)
-    a = make_train_instance(g, tuple(g.triples[1]), 2, 2, np.random.default_rng(7))
-    b = make_train_instance(g, tuple(g.triples[1]), 2, 2, np.random.default_rng(7))
+    a = make_train_batch(g, [g.triples[1]], 2, 2, [np.random.default_rng(7)])
+    b = make_train_batch(g, [g.triples[1]], 2, 2, [np.random.default_rng(7)])
     assert len(a) == 3
     for x, y in zip(a, b):
         assert x.sub == y.sub
         assert np.array_equal(x.labels, y.labels)
+
+
+def test_train_batch_matches_one_positive_at_a_time():
+    # [pos0, negs0..., pos1, negs1...]: each positive's negatives come from
+    # its own stream, whatever else the batch holds
+    rng = np.random.default_rng(6)
+    triples = random_triples(rng, 25, 3, 0.2)
+    g = build_graph(triples, 25, 3)
+    positives = g.triples[:5]
+    for num_neg in (1, 3):
+        batch = make_train_batch(g, positives, 2, num_neg,
+                                 [np.random.default_rng((7, i)) for i in range(5)])
+        alone = [it for i, p in enumerate(positives)
+                 for it in make_train_batch(g, [p], 2, num_neg,
+                                            [np.random.default_rng((7, i))])]
+        assert len(batch) == 5 * (1 + num_neg)
+        assert [it.sub.target for it in batch[::1 + num_neg]] == \
+            [tuple(p) for p in positives.tolist()]
+        for x, y in zip(batch, alone, strict=True):
+            assert x.sub == y.sub and x.rel == y.rel
+            assert np.array_equal(x.labels, y.labels)
+    assert make_train_batch(g, [], 2, 1, []) == []
+    with pytest.raises(ValueError):          # one stream per positive
+        make_train_batch(g, positives, 2, 1, [np.random.default_rng(7)])
 
 
 def test_classification_batch_layout():
@@ -448,8 +471,8 @@ def test_batch_triples_match_draw_order_oracle():
         assert [it.rel for it in batch.items] == [t[1] for t in want]
         for filtered in (True, False):
             num_neg = int(rng.integers(1, 4))
-            inst = make_train_instance(g, positives[0], 2, num_neg,
-                                       np.random.default_rng(trial), filtered)
+            inst = make_train_batch(g, positives[:1], 2, num_neg,
+                                    [np.random.default_rng(trial)], filtered)
             want = corruptions_after_positives_oracle(
                 known_set, n, positives[:1], np.random.default_rng(trial),
                 num_neg, filtered)

@@ -12,7 +12,7 @@ from indkg.model import (
     init_model,
     subgraph_score,
 )
-from indkg.sampling import RETRY_CAP, MetaTask, make_train_instance
+from indkg.sampling import RETRY_CAP, MetaTask, make_train_batch
 from indkg.training import (
     entity_triple_scorer,
     episode_loss,
@@ -117,8 +117,8 @@ def test_subgraph_scorer_matches_model():
     bundle = small_bundle(5)
     cfg = small_config(epochs=1)
     model, _ = train_subgraph_model(bundle, cfg)
-    pos, _ = make_train_instance(bundle.train_graph, tuple(bundle.train[0]),
-                                 cfg.k, 1, np.random.default_rng(0))
+    pos, _ = make_train_batch(bundle.train_graph, bundle.train[:1], cfg.k, 1,
+                              [np.random.default_rng(0)])
     scorer = subgraph_item_scorer(model)
     direct = subgraph_score(model, pos.sub, pos.labels, pos.rel).item()
     assert scorer([pos])[0] == direct
@@ -170,10 +170,10 @@ def test_batched_training_step_matches_per_item_loss(layer_kind, monkeypatch):
                        comp_op=cfg.comp_op, rng=np.random.default_rng((cfg.seed, 0x1017)))
     hinges = []
     for i, triple in enumerate(bundle.train.tolist()):
-        pos, *negs = make_train_instance(bundle.train_graph, triple, cfg.k,
-                                         cfg.num_neg,
-                                         np.random.default_rng((cfg.seed, 0, i)),
-                                         cfg.filtered)
+        pos, *negs = make_train_batch(bundle.train_graph, [triple], cfg.k,
+                                      cfg.num_neg,
+                                      [np.random.default_rng((cfg.seed, 0, i))],
+                                      cfg.filtered)
         pos_score = subgraph_score(model, pos.sub, pos.labels, pos.rel)
         hinges += [relu(subgraph_score(model, neg.sub, neg.labels, neg.rel)
                         - pos_score + cfg.margin) for neg in negs]
