@@ -298,26 +298,37 @@ def basis_conv(H, bases, coeffs, src, dst, slot, norm, num_nodes: int,
     a ``(num_nodes, d_out)`` tensor. ``H`` is ``(n, d_in)``, ``bases`` holds
     the B matrices V_b flattened to ``(B, d_in * d_out)``, ``coeffs`` the
     ``(S, B)`` mixing table, and ``src``, ``dst``, ``slot`` and ``norm`` one
-    entry per message. Without ``att_a`` every gate alpha is 1. With it,
-    ``att_a = [a_src, a_dst, a_rel, a_tgt]`` (widths d_out, d_out, d_rel,
-    d_rel), ``rel_emb`` is the ``(R, d_rel)`` relation table and ``target``
-    one relation per node, and
+    entry per message, in any order. Without ``att_a`` every gate alpha is
+    1. With it, ``att_a = [a_src, a_dst, a_rel, a_tgt]`` (widths d_out,
+    d_out, d_rel, d_rel), ``rel_emb`` is the ``(R, d_rel)`` relation table
+    and ``target`` one relation per node, and
 
         alpha[e] = sigmoid(a_src . W[e] h_src + a_dst . W[e] h_dst
                            + a_rel . rel_emb[slot[e] // 2]
                            + a_tgt . rel_emb[target[dst[e]]]).
 
-    The forward computes HV = H @ V_b once per node and basis. A message
-    mixes the rows ``HV[src]`` by ``coeffs[slot]``, and its logit mixes the
-    per-node scores u = HV . a the same way, so no per-slot weight is built.
-    The VJP returns every input gradient from one pass over the messages.
-    With Q[e] = norm[e] * alpha[e] * g[dst[e]] and Q_b = coeffs[slot, b] * Q:
-    - H gets sum_b Q_b @ V_b^T, scattered by ``src`` over d_in columns;
-    - V_b gets H[src]^T @ Q_b;
-    - coeffs[slot[e], b] gets Q[e] . HV[src[e], b], scattered by ``slot``.
-    Besides HV, the tape keeps ``(m, d_out)`` and ``(m, B)`` arrays at
-    most: no ``(m, B, d_out)`` array outlives a call.
+    Messages are mixed at node level. HV = H @ [V_1 ... V_B] is one
+    ``(n, B * d_out)`` product, read as n * B rows HV[j, b] = H[j] @ V_b.
+    The messages form one sparse ``(num_nodes, n * B)`` matrix
+
+        A[dst[e], src[e] * B + b] = norm[e] * alpha[e] * coeffs[slot[e], b],
+
+    a CSR built from one stable argsort of ``dst`` (duplicate entries add
+    up), and out = A @ HV. The gate's logit mixes the per-node scores
+    u = HV . a by ``coeffs[slot]`` the same way, so no per-message W h is
+    built. The VJP, given the output gradient g:
+    - dHV = A^T @ g, plus the gate's score gradients times ``a_src`` and
+      ``a_dst``; then H gets dHV @ [V_1 ... V_B]^T and the bases H^T @ dHV,
+      two node-level products;
+    - dA[e, b] = g[dst[e]] . HV[src[e], b], an ``(m, B)`` array, gives the
+      ``coeffs`` gradient (times norm * alpha, scattered by ``slot``) and the
+      logit's (its dot with ``coeffs[slot[e]]``).
+    The tape keeps HV, A and ``(m, B)`` arrays: no ``(m, d_out)`` or
+    ``(m, B, d_out)`` array is built in the forward. scipy is imported on
+    the first call, so importing the package loads numpy only.
     """
+    from scipy import sparse
+
     H, bases, coeffs = as_tensor(H), as_tensor(bases), as_tensor(coeffs)
     src, dst, slot = (np.asarray(a, dtype=np.int64) for a in (src, dst, slot))
     norm = np.asarray(norm, dtype=np.float64)
@@ -328,10 +339,11 @@ def basis_conv(H, bases, coeffs, src, dst, slot, norm, num_nodes: int,
     if coeffs.data.ndim != 2 or coeffs.shape[1] != B:
         raise ShapeMismatch(f"coeffs {coeffs.shape} do not mix {B} bases")
     Hd = H.data
-    V = bases.data.reshape(B, d_in, d_out)
-    HV = (Hd @ V.transpose(1, 0, 2).reshape(d_in, B * d_out)).reshape(n, B, d_out)
+    # column b * d_out + k is V_b[:, k], so HV row j reads [H[j] @ V_b for b]
+    Vcat = bases.data.reshape(B, d_in, d_out).transpose(1, 0, 2).reshape(d_in, B * d_out)
+    HV = Hd @ Vcat
+    HVr = HV.reshape(n * B, d_out)                      # row j * B + b: H[j] @ V_b
     C = coeffs.data[slot]                               # (m, B)
-    raw = np.einsum("mb,mbd->md", C, HV[src])           # (m, d_out)
     leaves = {"H": H, "bases": bases, "coeffs": coeffs}
     w = norm
     a = E = tgt = alpha = us = None
@@ -343,14 +355,19 @@ def basis_conv(H, bases, coeffs, src, dst, slot, norm, num_nodes: int,
             raise ShapeMismatch(f"att_a {a.shape} is not (2 * {d_out} + 2 * {d_rel},)")
         a_src, a_dst, a_rel, a_tgt = np.split(a, [d_out, 2 * d_out, 2 * d_out + d_rel])
         tgt = np.broadcast_to(np.asarray(target, dtype=np.int64), (n,))[dst]
-        flat = HV.reshape(n * B, d_out)
-        us = ((flat @ a_src).reshape(n, B)[src]
-              + (flat @ a_dst).reshape(n, B)[dst])     # (m, B): d logit / d C
+        us = ((HVr @ a_src).reshape(n, B)[src]
+              + (HVr @ a_dst).reshape(n, B)[dst])       # (m, B): d logit / d C
         logit = ((C * us).sum(axis=1) + (E @ a_rel)[slot // 2] + (E @ a_tgt)[tgt])
         alpha = 1.0 / (1.0 + np.exp(-logit))
         w = norm * alpha
         leaves.update(att_a=att_a, rel_emb=rel_emb)
-    out = _scatter_rows(raw * w[:, None], dst, num_nodes)
+    order = np.argsort(dst, kind="stable")
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dst, minlength=num_nodes) * B, out=indptr[1:])
+    A = sparse.csr_matrix(((w[:, None] * C)[order].ravel(),
+                           (src[order, None] * B + np.arange(B)).ravel(), indptr),
+                          shape=(num_nodes, n * B))
+    out = A @ HVr
     last = [None, None]  # the g of the last backward and its gradients
 
     def make_vjp(name):
@@ -358,7 +375,7 @@ def basis_conv(H, bases, coeffs, src, dst, slot, norm, num_nodes: int,
         # g: the first call computes every gradient, each call takes its own
         def vjp(g):
             if last[0] is not g:
-                last[:] = g, _basis_conv_grads(g, Hd, V, HV, C, raw, w, src, dst,
+                last[:] = g, _basis_conv_grads(g, Hd, Vcat, HV, A, C, w, src, dst,
                                                slot, coeffs.shape[0], norm, a, E,
                                                tgt, alpha, us)
             return last[1][name]
@@ -368,52 +385,38 @@ def basis_conv(H, bases, coeffs, src, dst, slot, norm, num_nodes: int,
                                       if t.requires_grad))
 
 
-def _basis_conv_grads(g, H, V, HV, C, raw, w, src, dst, slot, num_slots,
+def _basis_conv_grads(g, H, Vcat, HV, A, C, w, src, dst, slot, num_slots,
                       norm, a, E, tgt, alpha, us) -> dict:
     """Every gradient ``basis_conv`` sends to its inputs, given the gradient
-    ``g`` of its output, the ``(B, d_in, d_out)`` bases ``V`` and what the
-    forward kept; ``a`` is None without attention."""
+    ``g`` of its output, the ``(d_in, B * d_out)`` bases ``Vcat`` and what
+    the forward kept; ``a`` is None without attention."""
     n, d_in = H.shape
     m, B = C.shape
-    d_out = V.shape[2]
-    Vk = V.reshape(B * d_in, d_out)                   # row b * d_in + i is V_b[i]
-    gd = g[dst]
-    Q = gd * w[:, None]
-    Hs = H[src]
-    dHs = np.zeros((m, d_in))
-    dV = np.empty((B, d_in, d_out))
-    dC = np.empty((m, B))
-    # one basis at a time: the same multiply-adds as one product over
-    # (m, B * d) arrays, but every temporary is (m, d); an att backward
-    # took about a quarter less time this way
-    for b in range(B):
-        Qb = Q * C[:, b:b + 1]
-        dHs += Qb @ V[b].T
-        dV[b] = Hs.T @ Qb
-        dC[:, b] = np.einsum("md,md->m", HV[src, b], Q)
-    dH = _scatter_rows(dHs, src, n)
+    d_out = Vcat.shape[1] // B
+    HVr = HV.reshape(n * B, d_out)
+    dHV = A.T @ g                                     # (n * B, d_out)
+    dval = np.einsum("md,mbd->mb", g[dst], HV.reshape(n, B, d_out)[src])
+    dC = dval * w[:, None]
     out = {}
     if a is not None:
         d_rel = E.shape[1]
         a_uv, a_rel, a_tgt = np.split(a, [2 * d_out, 2 * d_out + d_rel])
         a_uv = a_uv.reshape(2, d_out)
-        gl = np.einsum("md,md->m", gd, raw) * norm * alpha * (1.0 - alpha)
+        gl = (dval * C).sum(axis=1) * norm * alpha * (1.0 - alpha)
         dmix = gl[:, None] * C
-        # du[j] = [d u_src[j] ++ d u_dst[j]], the gradients of j's (B,) scores
+        # du[0] and du[1]: the gradients of the (n, B) scores HV . a_src and
+        # HV . a_dst
         du = _scatter_rows(np.concatenate([dmix, dmix]),
-                           np.concatenate([2 * src, 2 * dst + 1]), 2 * n
-                           ).reshape(n, 2 * B)
-        HtU = (H.T @ du).reshape(d_in, 2, B)
-        dH += du @ (Vk @ a_uv.T).reshape(B, d_in, 2).transpose(2, 0, 1).reshape(2 * B, d_in)
-        dV += (HtU.transpose(2, 0, 1).reshape(B * d_in, 2) @ a_uv).reshape(B, d_in, d_out)
+                           np.concatenate([src, dst + n]), 2 * n).reshape(2, n * B)
+        dHV += du.T @ a_uv
         dC += gl[:, None] * us
         dr_rel = np.bincount(slot // 2, gl, len(E))
         dr_tgt = np.bincount(tgt, gl, len(E))
-        da_uv = HtU.transpose(1, 2, 0).reshape(2, B * d_in) @ Vk
-        out["att_a"] = np.concatenate([da_uv.reshape(-1), E.T @ dr_rel, E.T @ dr_tgt])
+        out["att_a"] = np.concatenate([(du @ HVr).reshape(-1), E.T @ dr_rel, E.T @ dr_tgt])
         out["rel_emb"] = dr_rel[:, None] * a_rel + dr_tgt[:, None] * a_tgt
-    out["H"] = dH
-    out["bases"] = dV.reshape(B, d_in * d_out)
+    dHV = dHV.reshape(n, B * d_out)
+    out["H"] = dHV @ Vcat.T
+    out["bases"] = (H.T @ dHV).reshape(d_in, B, d_out).transpose(1, 0, 2).reshape(B, -1)
     out["coeffs"] = _scatter_rows(dC, slot, num_slots)
     return out
 

@@ -7,19 +7,23 @@ each message carries a slot index 2 * rel + direction. Every layer averages
 the messages a node receives per slot (mean normalisation by 1/c).
 
 The basis-decomposed layers (``rgcn_layer``, ``rel_att_layer``) are the
-self term plus one autodiff op, ``autodiff.basis_conv``. It computes
-H @ V_b once per basis, mixes the basis outputs of each message's source
-row by the coefficients of its slot and scatters the result to its
-destination, so one pass covers all messages whatever the number of slots,
-and no per-slot weight is built. The attention logit a . (W h) needs no
-per-message W h either: it equals sum_b C[slot, b] * (a . H V_b), an
-(m, B) mix of per-node basis scores, taken inside the same op.
+self term plus one autodiff op, ``autodiff.basis_conv``, which mixes at
+node level: it computes HV = H @ [V_1 ... V_B] in one product and puts the
+messages in one sparse (nodes, nodes * B) matrix A, whose entry at row dst,
+column src * B + b is the message's norm times its gate times its slot's
+coefficient of basis b. The layer's message sum is A @ HV, one sparse
+product whatever the number of slots, and no per-slot weight is built. The
+attention logit a . (W h) needs no per-message W h either: it equals
+sum_b C[slot, b] * (a . H V_b), an (m, B) mix of per-node basis scores,
+taken inside the same op.
 
 Gradients take one route: the op's hand-written VJP returns the gradients
 of the features, bases, coefficients, attention vector and relation table
-together, from (m, d_out) and (m, B) arrays kept on the tape; no
-(messages x bases x d_out) array outlives the forward, and every scatter-add
-is one ``np.bincount`` with no sort.
+together. A^T @ g is the gradient of HV, which gives the feature and basis
+gradients in one node-level product each; one (m, B) array of
+g[dst] . HV[src, b] gives the coefficient and gate gradients. The tape
+keeps HV, A and (m, B) arrays: no (messages x d_out) or
+(messages x bases x d_out) array outlives the forward.
 
 A layer takes a Subgraph or a ``Messages``: the message arrays of one
 subgraph or of the disjoint union of many, built once by the caller and

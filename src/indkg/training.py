@@ -47,7 +47,8 @@ from .sampling import (
 log = logging.getLogger(__name__)
 
 # Most messages (two per subgraph edge) in one union forward of the subgraph
-# scorer: about 45 MB of transient arrays for the default att model.
+# scorer: for the default att model, a union of 16,232 messages over 4,415
+# nodes peaked at about 11 MB of transient arrays (tracemalloc).
 MESSAGE_BUDGET = 1 << 14
 
 

@@ -192,6 +192,60 @@ def test_basis_conv_matches_loop_oracle(gated):
     assert err < 1e-6
 
 
+def conv_grads(leaves, src, dst, slot, norm, target, num_nodes, gated, w):
+    """Output of ``basis_conv`` and the gradients of sum(out * w), one per
+    leaf it reads."""
+    names = list(leaves) if gated else ["H", "bases", "coeffs"]
+    for t in leaves.values():
+        t.grad = None
+    out = conv(leaves, src, dst, slot, norm, target, num_nodes, gated)
+    tsum(out * w).backward()
+    return [out.data] + [leaves[k].grad for k in names]
+
+
+@pytest.mark.parametrize("gated", [False, True], ids=["plain", "alpha"])
+def test_basis_conv_independent_of_message_order(gated):
+    rng = np.random.default_rng(12)
+    leaves, src, dst, slot, norm, target = conv_case(40, rng)
+    w = rng.normal(size=(5, 2))
+    perm = rng.permutation(40)
+    want = conv_grads(leaves, src, dst, slot, norm, target, 5, gated, w)
+    got = conv_grads(leaves, src[perm], dst[perm], slot[perm], norm[perm], target,
+                     5, gated, w)
+    for a, b in zip(got, want, strict=True):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("gated", [False, True], ids=["plain", "alpha"])
+def test_basis_conv_duplicate_messages_and_unreached_rows(gated):
+    # every (src, dst, slot) message twice, so the sparse matrix holds
+    # duplicate entries; rows 4..6 receive no message, 5 and 6 have no feature
+    rng = np.random.default_rng(13)
+    leaves, src, dst, slot, norm, target = conv_case(7, rng)
+    src, dst, slot, norm = (np.concatenate([a, a])
+                            for a in (src, np.minimum(dst, 3), slot, norm))
+    H, bases, coeffs = (leaves[k].data for k in ("H", "bases", "coeffs"))
+    B, d_in = bases.shape[0], H.shape[1]
+    V = bases.reshape(B, d_in, -1)
+    HV = np.stack([H @ V[b] for b in range(B)], axis=1)
+    alpha = attention_gate_loop_oracle(
+        H, V, coeffs, leaves["att_a"].data, leaves["rel_emb"].data, target,
+        src, dst, slot) if gated else None
+    oracle = basis_message_pass_loop_oracle(HV, coeffs, src, dst, slot, norm, 7,
+                                            alpha=alpha)
+    out = conv(leaves, src, dst, slot, norm, target, 7, gated)
+    assert out.shape == (7, 2) and not out.data[4:].any()
+    assert np.allclose(out.data, oracle, rtol=1e-12, atol=1e-14)
+
+    w = rng.normal(size=(7, 2))
+    params = leaves if gated else {k: leaves[k] for k in ("H", "bases", "coeffs")}
+    err = gradient_check(
+        params, lambda: tsum(conv(leaves, src, dst, slot, norm, target, 7, gated) * w),
+        sample_frac=1.0, rng=np.random.default_rng(0))
+    assert err < 1e-6
+
+
 def test_basis_conv_empty_message_list():
     rng = np.random.default_rng(10)
     leaves, src, dst, slot, norm, target = conv_case(0, rng)
