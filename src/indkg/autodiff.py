@@ -339,10 +339,9 @@ def basis_conv(H, bases, coeffs, src, dst, slot, norm, num_nodes: int,
     if coeffs.data.ndim != 2 or coeffs.shape[1] != B:
         raise ShapeMismatch(f"coeffs {coeffs.shape} do not mix {B} bases")
     Hd = H.data
-    # column b * d_out + k is V_b[:, k], so HV row j reads [H[j] @ V_b for b]
+    # column b * d_out + k of Vcat is V_b[:, k], so row j * B + b of HV is H[j] @ V_b
     Vcat = bases.data.reshape(B, d_in, d_out).transpose(1, 0, 2).reshape(d_in, B * d_out)
-    HV = Hd @ Vcat
-    HVr = HV.reshape(n * B, d_out)                      # row j * B + b: H[j] @ V_b
+    HV = (Hd @ Vcat).reshape(n * B, d_out)
     C = coeffs.data[slot]                               # (m, B)
     leaves = {"H": H, "bases": bases, "coeffs": coeffs}
     w = norm
@@ -355,8 +354,8 @@ def basis_conv(H, bases, coeffs, src, dst, slot, norm, num_nodes: int,
             raise ShapeMismatch(f"att_a {a.shape} is not (2 * {d_out} + 2 * {d_rel},)")
         a_src, a_dst, a_rel, a_tgt = np.split(a, [d_out, 2 * d_out, 2 * d_out + d_rel])
         tgt = np.broadcast_to(np.asarray(target, dtype=np.int64), (n,))[dst]
-        us = ((HVr @ a_src).reshape(n, B)[src]
-              + (HVr @ a_dst).reshape(n, B)[dst])       # (m, B): d logit / d C
+        us = ((HV @ a_src).reshape(n, B)[src]
+              + (HV @ a_dst).reshape(n, B)[dst])        # (m, B): d logit / d C
         logit = ((C * us).sum(axis=1) + (E @ a_rel)[slot // 2] + (E @ a_tgt)[tgt])
         alpha = 1.0 / (1.0 + np.exp(-logit))
         w = norm * alpha
@@ -367,7 +366,7 @@ def basis_conv(H, bases, coeffs, src, dst, slot, norm, num_nodes: int,
     A = sparse.csr_matrix(((w[:, None] * C)[order].ravel(),
                            (src[order, None] * B + np.arange(B)).ravel(), indptr),
                           shape=(num_nodes, n * B))
-    out = A @ HVr
+    out = A @ HV
     last = [None, None]  # the g of the last backward and its gradients
 
     def make_vjp(name):
@@ -388,12 +387,11 @@ def basis_conv(H, bases, coeffs, src, dst, slot, norm, num_nodes: int,
 def _basis_conv_grads(g, H, Vcat, HV, A, C, w, src, dst, slot, num_slots,
                       norm, a, E, tgt, alpha, us) -> dict:
     """Every gradient ``basis_conv`` sends to its inputs, given the gradient
-    ``g`` of its output, the ``(d_in, B * d_out)`` bases ``Vcat`` and what
-    the forward kept; ``a`` is None without attention."""
+    ``g`` of its output, the ``(d_in, B * d_out)`` bases ``Vcat``, the
+    ``(n * B, d_out)`` basis outputs ``HV`` and what else the forward kept;
+    ``a`` is None without attention."""
     n, d_in = H.shape
-    m, B = C.shape
-    d_out = Vcat.shape[1] // B
-    HVr = HV.reshape(n * B, d_out)
+    B, d_out = C.shape[1], HV.shape[1]
     dHV = A.T @ g                                     # (n * B, d_out)
     dval = np.einsum("md,mbd->mb", g[dst], HV.reshape(n, B, d_out)[src])
     dC = dval * w[:, None]
@@ -412,7 +410,7 @@ def _basis_conv_grads(g, H, Vcat, HV, A, C, w, src, dst, slot, num_slots,
         dC += gl[:, None] * us
         dr_rel = np.bincount(slot // 2, gl, len(E))
         dr_tgt = np.bincount(tgt, gl, len(E))
-        out["att_a"] = np.concatenate([(du @ HVr).reshape(-1), E.T @ dr_rel, E.T @ dr_tgt])
+        out["att_a"] = np.concatenate([(du @ HV).reshape(-1), E.T @ dr_rel, E.T @ dr_tgt])
         out["rel_emb"] = dr_rel[:, None] * a_rel + dr_tgt[:, None] * a_tgt
     dHV = dHV.reshape(n, B * d_out)
     out["H"] = dHV @ Vcat.T
