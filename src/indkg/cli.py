@@ -93,6 +93,7 @@ def cmd_extract(cfg: RunConfig) -> int:
     splits = bundle.splits()
     if cfg.split not in splits:
         raise ConfigError(f"unknown split {cfg.split!r}; choose from {sorted(splits)}")
+    # built here, before extract_all forks, so the workers share one build
     graph = bundle.train_graph if _SPLIT_GRAPH[cfg.split] == "train" else bundle.ind_graph
     subs = extract_all(graph, splits[cfg.split], cfg.k,
                        max_nodes=cfg.max_nodes, threads=cfg.threads)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import logging
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -154,6 +155,17 @@ def triple_keys(triples, num_entities: int, num_relations: int) -> np.ndarray:
     return (triples[:, 0] * num_relations + triples[:, 1]) * num_entities + triples[:, 2]
 
 
+def _check_ids(triples: np.ndarray, num_entities: int, num_relations: int) -> None:
+    """Raise IdOutOfBounds unless every id of an (n, 3) array is in range."""
+    if not len(triples):
+        return
+    h, r, t = triples.T
+    if min(h.min(), t.min()) < 0 or max(h.max(), t.max()) >= num_entities:
+        raise IdOutOfBounds("entity id outside [0, num_entities)")
+    if r.min() < 0 or r.max() >= num_relations:
+        raise IdOutOfBounds("relation id outside [0, num_relations)")
+
+
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     # sort + neighbour mask: np.unique is over 10x slower on 60k int64 keys
     keys = np.sort(keys)
@@ -198,11 +210,7 @@ class IndexedGraph:
         known = (triples if known_triples is None
                  else np.asarray(known_triples, dtype=np.int64).reshape(-1, 3))
         for arr in (triples, known):
-            if len(arr):
-                if arr[:, [0, 2]].min() < 0 or arr[:, [0, 2]].max() >= num_entities:
-                    raise IdOutOfBounds("entity id outside [0, num_entities)")
-                if arr[:, 1].min() < 0 or arr[:, 1].max() >= num_relations:
-                    raise IdOutOfBounds("relation id outside [0, num_relations)")
+            _check_ids(arr, num_entities, num_relations)
         self.num_entities = num_entities
         self.num_relations = num_relations
         # collapse exact duplicates; sorted keys give the canonical (h, r, t) order
@@ -266,26 +274,47 @@ def build_graph(triples, num_entities: int, num_relations: int,
                         num_entities, num_relations, known_triples)
 
 
-@dataclass
 class DatasetBundle:
-    vocab: Vocab
-    train: np.ndarray
-    valid: np.ndarray
-    test: np.ndarray
-    support: np.ndarray
-    query: np.ndarray
-    ind_valid: np.ndarray  # optional split; empty when absent on disk
-    train_graph: IndexedGraph = None
-    ind_graph: IndexedGraph = None
+    """The six encoded splits of a dataset and the two graphs over them.
 
-    def __post_init__(self):
-        ne, nr = self.vocab.num_entities, self.vocab.num_relations
-        if self.train_graph is None:
-            known = np.vstack([self.train, self.valid, self.test])
-            self.train_graph = build_graph(self.train, ne, nr, known_triples=known)
-        if self.ind_graph is None:
-            known = np.vstack([self.support, self.ind_valid, self.query])
-            self.ind_graph = build_graph(self.support, ne, nr, known_triples=known)
+    ``train_graph`` has the ``train`` triples as edges and knows ``train``,
+    ``valid`` and ``test``; ``ind_graph`` has the ``support`` triples as
+    edges and knows ``support``, ``ind_valid`` and ``query``. The held-out
+    splits are thus known triples of their graph (filtered negatives skip
+    them) but not edges of it. ``ind_valid`` is empty when absent on disk.
+
+    Each graph is built once, on first access, and cached on the bundle, so
+    a stage sorts only the graph it reads; a graph passed to the
+    constructor is kept as given. The ids of all six splits are checked
+    against the vocabulary here, whether or not their graph is ever built.
+    """
+
+    def __init__(self, vocab: Vocab, train: np.ndarray, valid: np.ndarray,
+                 test: np.ndarray, support: np.ndarray, query: np.ndarray,
+                 ind_valid: np.ndarray, train_graph: IndexedGraph | None = None,
+                 ind_graph: IndexedGraph | None = None):
+        self.vocab = vocab
+        self.train, self.valid, self.test = train, valid, test
+        self.support, self.query, self.ind_valid = support, query, ind_valid
+        ne, nr = vocab.num_entities, vocab.num_relations
+        _check_key_space(ne, nr)
+        for split in self.splits().values():
+            _check_ids(split, ne, nr)
+        # cached_property reads a value already in the instance dict as built
+        if train_graph is not None:
+            self.train_graph = train_graph
+        if ind_graph is not None:
+            self.ind_graph = ind_graph
+
+    @cached_property
+    def train_graph(self) -> IndexedGraph:
+        return build_graph(self.train, self.vocab.num_entities, self.vocab.num_relations,
+                           known_triples=np.vstack([self.train, self.valid, self.test]))
+
+    @cached_property
+    def ind_graph(self) -> IndexedGraph:
+        return build_graph(self.support, self.vocab.num_entities, self.vocab.num_relations,
+                           known_triples=np.vstack([self.support, self.ind_valid, self.query]))
 
     def splits(self):
         return {"train": self.train, "valid": self.valid, "test": self.test,

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from indkg import cli, kgcore
 from indkg.cli import build_parser, extract_all, main
 from indkg.config import key_registry, parse_config
 from indkg.errors import ConfigTypeError, MissingRequired, UnknownKey
@@ -250,3 +251,67 @@ def test_entity_eval_query_entity_without_support_triple(tmp_path, task):
     assert main(["train"] + base) == 0
     assert main(["eval", "--task", task, "--num_neg_eval", "5"] + base) == 0
     assert (out / "report.json").is_file()
+
+
+def test_each_stage_builds_only_the_graph_it_reads(tmp_path, monkeypatch):
+    raw = tmp_path / "raw"
+    make_raw_dataset_dir(str(raw), np.random.default_rng(5))
+    out = tmp_path / "out"
+    base = ["--data_root", str(raw), "--output_dir", str(out), "--seed", "2",
+            "--model_family", "entity", "--dim", "8", "--episodes", "2",
+            "--region_size", "20", "--support_frac", "0.7"]
+    # every build and every extract_all call, from any process, in order
+    log_path = tmp_path / "events"
+    build_csr, extract = kgcore._build_csr, cli.extract_all
+
+    def note(*fields):
+        with open(log_path, "a") as fh:
+            fh.write(" ".join(map(str, (os.getpid(),) + fields)) + "\n")
+
+    def counting_build(triples, *args):
+        note("build", len(triples))
+        return build_csr(triples, *args)
+
+    def noting_extract(*args, **kwargs):
+        note("extract_all")
+        return extract(*args, **kwargs)
+    monkeypatch.setattr(kgcore, "_build_csr", counting_build)
+    monkeypatch.setattr(cli, "extract_all", noting_extract)
+
+    def events(*argv):
+        log_path.write_text("")
+        assert main(list(argv) + base) == 0
+        return [line.split()[1:] for line in log_path.read_text().splitlines()]
+
+    assert events("preprocess") == []
+    bundle = kgcore.load_dataset(out / "dataset.ikgd")
+    n_train, n_ind = str(len(bundle.train)), str(len(bundle.support))
+    assert n_train != n_ind
+    assert events("extract", "--split", "valid") == [["build", n_train], ["extract_all"]]
+    assert events("extract", "--split", "query") == [["build", n_ind], ["extract_all"]]
+    assert events("train") == [["build", n_train]]
+    for task in ("tc", "lp"):
+        assert events("eval", "--task", task, "--num_neg_eval", "5") == [["build", n_ind]]
+    # one build, in the parent, before extract_all forks its workers
+    log_path.write_text("")
+    assert main(["extract", "--split", "valid", "--threads", "2"] + base) == 0
+    lines = [line.split() for line in log_path.read_text().splitlines()]
+    assert lines == [[str(os.getpid()), "build", n_train], [str(os.getpid()), "extract_all"]]
+
+
+def test_out_of_range_id_in_test_block_fails_eval(tmp_path, capsys):
+    # eval builds only the inductive graph, and still rejects a bad test block
+    raw = tmp_path / "raw"
+    make_raw_dataset_dir(str(raw), np.random.default_rng(5))
+    out = tmp_path / "out"
+    base = ["--data_root", str(raw), "--output_dir", str(out), "--seed", "2",
+            "--model_family", "entity", "--dim", "8", "--episodes", "2",
+            "--region_size", "20", "--support_frac", "0.7"]
+    assert main(["preprocess"] + base) == 0
+    assert main(["train"] + base) == 0
+    bundle = kgcore.load_dataset(out / "dataset.ikgd")
+    bundle.test = np.array([[bundle.vocab.num_entities, 0, 0]], dtype=np.int64)
+    kgcore.persist_dataset(bundle, out / "dataset.ikgd")
+    capsys.readouterr()
+    assert main(["eval", "--task", "tc"] + base) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -404,3 +404,41 @@ def test_inductive_held_out_triple_in_support_rejected(tmp_path):
         kgcore.load_raw_dataset(root)
     write_tsv(root / "ind" / "valid.txt", [(support[0][0], support[0][1], support[0][0])])
     assert len(kgcore.load_raw_dataset(root).ind_valid) == 1
+
+
+@pytest.mark.parametrize("block", ["train", "valid", "test", "support", "query", "ind_valid"])
+def test_out_of_range_id_in_any_block_fails_at_load(tmp_path, block):
+    # the check covers a block whose graph the loading stage never builds
+    bundle = kgcore.load_raw_dataset(make_raw_dataset_dir(tmp_path / "raw",
+                                                          np.random.default_rng(8)))
+    ne, nr = bundle.vocab.num_entities, bundle.vocab.num_relations
+    path = tmp_path / "dataset.ikgd"
+    for bad in ((ne, 0, 0), (0, 0, ne), (-1, 0, 0), (0, nr, 0), (0, -1, 0)):
+        setattr(bundle, block, np.array([bad], dtype=np.int64))
+        kgcore.persist_dataset(bundle, path)
+        with pytest.raises(IdOutOfBounds):
+            kgcore.load_dataset(path)
+        with pytest.raises(IdOutOfBounds):
+            kgcore.DatasetBundle(bundle.vocab, **bundle.splits())
+
+
+def test_bundle_builds_each_graph_once_on_first_use(tmp_path, monkeypatch):
+    built = []
+    build_csr = kgcore._build_csr
+
+    def counting(triples, *args):
+        built.append(len(triples))
+        return build_csr(triples, *args)
+    monkeypatch.setattr(kgcore, "_build_csr", counting)
+    root = make_raw_dataset_dir(tmp_path / "raw", np.random.default_rng(9))
+    kgcore.persist_dataset(kgcore.load_raw_dataset(root), tmp_path / "dataset.ikgd")
+    assert built == []
+    bundle = kgcore.load_dataset(tmp_path / "dataset.ikgd")
+    assert built == []
+    g = bundle.ind_graph
+    assert bundle.ind_graph is g and built == [len(bundle.support)]
+    assert bundle.train_graph.num_triples == len(bundle.train)
+    assert built == [len(bundle.support), len(bundle.train)]
+    given = kgcore.DatasetBundle(bundle.vocab, **bundle.splits(),
+                                 train_graph=bundle.ind_graph)
+    assert given.train_graph is g and len(built) == 2
