@@ -287,8 +287,30 @@ def segment_sum(a, idx, num_segments: int) -> Tensor:
     return _unary(a, _scatter_rows(a.data, idx, num_segments), lambda g: g[idx])
 
 
+def conv_pattern(src, dst, num_nodes: int, B: int):
+    """The sparsity pattern of ``basis_conv``'s message matrix A, which
+    depends on the messages and the basis count only: ``(order, columns,
+    indptr)``, where ``order`` is the stable argsort of ``dst``, message
+    ``order[i]`` fills the B entries ``columns[i * B:(i + 1) * B]`` =
+    ``src * B + [0 .. B)`` of row ``dst``, and ``indptr`` is the CSR row
+    pointer of ``num_nodes`` rows. The index arrays take scipy's index type
+    up front (int32 where the values fit), so a CSR built on them is neither
+    scanned nor copied.
+    """
+    from scipy import sparse
+
+    src, dst = (np.asarray(a, dtype=np.int64) for a in (src, dst))
+    order = np.argsort(dst, kind="stable")
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dst, minlength=num_nodes) * B, out=indptr[1:])
+    columns = (src[order, None] * B + np.arange(B)).ravel()
+    idx = sparse.get_index_dtype((columns, indptr), maxval=num_nodes * B,
+                                 check_contents=True)
+    return order, columns.astype(idx, copy=False), indptr.astype(idx, copy=False)
+
+
 def basis_conv(H, bases, coeffs, src, dst, slot, norm, num_nodes: int,
-               att_a=None, rel_emb=None, target=None) -> Tensor:
+               att_a=None, rel_emb=None, target=None, pattern=None) -> Tensor:
     """One basis-decomposed relational convolution, without its self term:
 
         out[i] = sum over e with dst[e] == i of
@@ -313,10 +335,14 @@ def basis_conv(H, bases, coeffs, src, dst, slot, norm, num_nodes: int,
 
         A[dst[e], src[e] * B + b] = norm[e] * alpha[e] * coeffs[slot[e], b],
 
-    a CSR built from one stable argsort of ``dst`` (duplicate entries add
-    up), and out = A @ HV. The gate's logit mixes the per-node scores
-    u = HV . a by ``coeffs[slot]`` the same way, so no per-message W h is
-    built. The VJP, given the output gradient g:
+    a CSR on the pattern ``conv_pattern(src, dst, num_nodes, B)``
+    (duplicate entries add up), and out = A @ HV. The pattern depends on the
+    messages alone, so a caller running several layers over one message
+    list builds it once per forward and passes it as ``pattern``; each call
+    then writes only the values, and the backward's A^T reads the same
+    arrays. Without ``pattern`` the call builds it itself. The gate's logit
+    mixes the per-node scores u = HV . a by ``coeffs[slot]`` the same way,
+    so no per-message W h is built. The VJP, given the output gradient g:
     - dHV = A^T @ g, plus the gate's score gradients times ``a_src`` and
       ``a_dst``; then H gets dHV @ [V_1 ... V_B]^T and the bases H^T @ dHV,
       two node-level products;
@@ -360,11 +386,10 @@ def basis_conv(H, bases, coeffs, src, dst, slot, norm, num_nodes: int,
         alpha = 1.0 / (1.0 + np.exp(-logit))
         w = norm * alpha
         leaves.update(att_a=att_a, rel_emb=rel_emb)
-    order = np.argsort(dst, kind="stable")
-    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(dst, minlength=num_nodes) * B, out=indptr[1:])
-    A = sparse.csr_matrix(((w[:, None] * C)[order].ravel(),
-                           (src[order, None] * B + np.arange(B)).ravel(), indptr),
+    if pattern is None:
+        pattern = conv_pattern(src, dst, num_nodes, B)
+    order, columns, indptr = pattern
+    A = sparse.csr_matrix(((w[:, None] * C)[order].ravel(), columns, indptr),
                           shape=(num_nodes, n * B))
     out = A @ HV
     last = [None, None]  # the g of the last backward and its gradients

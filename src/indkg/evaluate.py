@@ -1,8 +1,10 @@
 """Ranking / classification metrics, evaluation protocols, early stopping.
 
 A scorer maps a sequence of candidates (triples or ScoredItems) to a float
-array of scores. The protocols call it once per ranking side or per
-classification batch, and both link-prediction entry points share one loop.
+array of scores. Triple classification calls it once per batch. Both
+link-prediction entry points share one loop, which draws and ranks each
+query side on its own but scores consecutive sides together, up to
+``SCORE_GROUP`` candidates per call.
 """
 
 from __future__ import annotations
@@ -13,7 +15,13 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import EmptyInput, EmptyScores, NonFiniteValue, SingleClass
+from .errors import (
+    EmptyInput,
+    EmptyScores,
+    NonFiniteValue,
+    ShapeMismatch,
+    SingleClass,
+)
 from .sampling import (
     make_classification_batch,
     make_ranking_batch,
@@ -21,6 +29,10 @@ from .sampling import (
 )
 
 log = logging.getLogger(__name__)
+
+# Most candidates of one link-prediction scorer call: consecutive ranking
+# sides are scored together up to this count, and a larger side alone.
+SCORE_GROUP = 512
 
 
 def compute_rank(scores, truth_idx: int) -> float:
@@ -112,23 +124,42 @@ class MetricsReport:
 
 def _link_prediction(scorer, side, query_triples, num_neg: int,
                      seed: int) -> MetricsReport:
-    """The ranking loop of both model families: ``side(triple, direction,
-    rng)`` draws (candidates, truth_idx) from the RNG (seed, query index,
-    0 | 1 for head | tail), ``scorer`` scores them in one call, and the head
-    and tail ranks are pooled. Sides with fewer than ``num_neg`` negatives
-    are counted in one warning per run."""
+    """The ranking loop of both model families. ``side(triple, direction,
+    rng)`` draws one side's (candidates, truth_idx) from the RNG (seed, query
+    index, 0 | 1 for head | tail). Consecutive sides are scored together:
+    one ``scorer`` call takes the concatenated candidates of as many sides
+    as fit in ``SCORE_GROUP`` (a larger side is scored alone), and each
+    side is ranked on its own slice of the scores. The head and tail ranks
+    are pooled. Sides with fewer than ``num_neg`` negatives are counted in
+    one warning per run."""
     start = time.monotonic()
     query_triples = np.asarray(query_triples, dtype=np.int64).reshape(-1, 3)
     if len(query_triples) == 0:
         raise EmptyInput("no query triples")
-    ranks, short = [], []
+    ranks, short, pending = [], [], []
+
+    def score_pending():
+        cands = [c for side_cands, _ in pending for c in side_cands]
+        scores = np.asarray(scorer(cands), dtype=np.float64)
+        if scores.shape != (len(cands),):
+            raise ShapeMismatch(f"scorer returned {scores.shape} scores for "
+                                f"{len(cands)} candidates")
+        stop = 0
+        for side_cands, truth_idx in pending:
+            stop += len(side_cands)
+            ranks.append(compute_rank(scores[stop - len(side_cands):stop], truth_idx))
+        pending.clear()
+
     for qi, triple in enumerate(query_triples.tolist()):
         for si, direction in enumerate(("head", "tail")):
             cands, truth_idx = side(triple, direction,
                                     np.random.default_rng((seed, qi, si)))
             if len(cands) - 1 < num_neg:
                 short.append(len(cands) - 1)
-            ranks.append(compute_rank(scorer(cands), truth_idx))
+            if pending and sum(len(c) for c, _ in pending) + len(cands) > SCORE_GROUP:
+                score_pending()
+            pending.append((cands, truth_idx))
+    score_pending()
     if short:
         log.warning("%d of %d ranking sides had fewer than %d filtered "
                     "negatives; the smallest pool held %d", len(short),

@@ -12,8 +12,11 @@ node level: it computes HV = H @ [V_1 ... V_B] in one product and puts the
 messages in one sparse (nodes, nodes * B) matrix A, whose entry at row dst,
 column src * B + b is the message's norm times its gate times its slot's
 coefficient of basis b. The layer's message sum is A @ HV, one sparse
-product whatever the number of slots, and no per-slot weight is built. The
-attention logit a . (W h) needs no per-message W h either: it equals
+product whatever the number of slots, and no per-slot weight is built.
+The sparsity pattern of A depends on the messages alone: a ``Messages``
+builds it once per basis count and caches it, so the layers of a forward
+share it and each layer writes only A's values. The attention logit
+a . (W h) needs no per-message W h either: it equals
 sum_b C[slot, b] * (a . H V_b), an (m, B) mix of per-node basis scores,
 taken inside the same op.
 
@@ -42,6 +45,7 @@ from .autodiff import (
     Tensor,
     basis_conv,
     circular_correlation,
+    conv_pattern,
     gather_rows,
     matmul,
     mul,
@@ -108,7 +112,9 @@ class Messages:
     ``edges`` are local (src, dst, rel) rows. Each yields a forward message
     src -> dst and an inverse message dst -> src; ``slot`` is 2 * rel + dir,
     and ``norm`` is 1/c for the c messages its destination receives in that
-    slot. Messages are ordered by (dst, slot).
+    slot. Messages are ordered by (dst, slot). ``pattern(B)`` is the sparsity
+    pattern ``basis_conv`` builds its message matrix on for B bases, built on
+    the first call and cached, so the layers of one forward share it.
     """
 
     def __init__(self, edges: np.ndarray, num_nodes: int):
@@ -123,6 +129,13 @@ class Messages:
         _, counts = np.unique(key[order], return_counts=True)
         self.src, self.dst, self.slot = msrc[order], mdst[order], slot[order]
         self.norm = np.repeat(1.0 / counts, counts)
+        self._patterns = {}
+
+    def pattern(self, B: int):
+        """``autodiff.conv_pattern`` of these messages for B bases, cached."""
+        if B not in self._patterns:
+            self._patterns[B] = conv_pattern(self.src, self.dst, self.num_nodes, B)
+        return self._patterns[B]
 
 
 def messages(sub) -> Messages:
@@ -144,7 +157,8 @@ def rgcn_layer(sub, H: Tensor, P: LayerParams, activation=True) -> Tensor:
     ms = messages(sub)
     _check_features(ms, H, P.d_in)
     out = matmul(H, P.self_weight) + basis_conv(
-        H, P.bases, P.coeffs, ms.src, ms.dst, ms.slot, ms.norm, ms.num_nodes)
+        H, P.bases, P.coeffs, ms.src, ms.dst, ms.slot, ms.norm, ms.num_nodes,
+        pattern=ms.pattern(P.bases.shape[0]))
     return relu(out) if activation else out
 
 
@@ -161,7 +175,8 @@ def rel_att_layer(sub, H: Tensor, P: LayerParams, rel_emb: Tensor,
     _check_features(ms, H, P.d_in)
     out = matmul(H, P.self_weight) + basis_conv(
         H, P.bases, P.coeffs, ms.src, ms.dst, ms.slot, ms.norm, ms.num_nodes,
-        att_a=P.att_a, rel_emb=rel_emb, target=target_rel)
+        att_a=P.att_a, rel_emb=rel_emb, target=target_rel,
+        pattern=ms.pattern(P.bases.shape[0]))
     return relu(out) if activation else out
 
 

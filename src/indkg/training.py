@@ -216,16 +216,27 @@ def entity_triple_scorer(enc: EntityEncoderParams, support_triples,
     The scorer maps an (m, 3) array-like of triples (one triple counts as
     m = 1) to m scores in one decoder call. A triple whose head or tail is
     not in ``entity_ids`` scores ``-inf``: an unembeddable candidate can
-    never win.
+    never win. Ids are looked up by one ``np.searchsorted`` per column over
+    the sorted ``entity_ids``; an id listed twice maps to its last position.
     """
-    local = {int(e): i for i, e in enumerate(entity_ids)}
+    ids = np.asarray(entity_ids, dtype=np.int64).reshape(-1)
+    order = np.argsort(ids, kind="stable")
+    keys = ids[order]
     emb = Tensor(init_entity_embeddings(support_triples, entity_ids, enc.psi).data)
     dec_rel = Tensor(enc.dec_rel.data)
 
+    def local(col):
+        # the last sorted position holding an id <= col, then an equality test
+        pos = np.searchsorted(keys, col, side="right") - 1
+        found = pos >= 0
+        found[found] = keys[pos[found]] == col[found]
+        out = np.full(len(col), -1, dtype=np.int64)
+        out[found] = order[pos[found]]
+        return out
+
     def score(candidates) -> np.ndarray:
         tri = np.asarray(candidates, dtype=np.int64).reshape(-1, 3)
-        h, t = (np.array([local.get(e, -1) for e in col.tolist()], dtype=np.int64)
-                for col in (tri[:, 0], tri[:, 2]))
+        h, t = local(tri[:, 0]), local(tri[:, 2])
         ok = (h >= 0) & (t >= 0)
         out = np.full(len(tri), -np.inf)
         out[ok] = kge_score(enc.decoder, gather_rows(emb, h[ok]),

@@ -447,6 +447,25 @@ def rank_sort_oracle(scores, truth_idx):
     return float(np.mean(positions))
 
 
+def link_prediction_per_side_oracle(scorer, side, query_triples, num_neg, seed):
+    """Reference for the link-prediction loop: every side drawn by
+    ``side(triple, direction, rng)`` from the RNG (seed, query index, 0 | 1),
+    scored in a scorer call of its own and ranked by sort. Returns the ranks
+    in (query, head then tail) order, the negative counts of the sides with
+    fewer than ``num_neg``, the MRR and {N: Hit@N} for N in 1, 5 and 10."""
+    ranks, short = [], []
+    for qi, triple in enumerate(np.asarray(query_triples).reshape(-1, 3).tolist()):
+        for si, direction in enumerate(("head", "tail")):
+            cands, truth_idx = side(triple, direction,
+                                    np.random.default_rng((seed, qi, si)))
+            if len(cands) - 1 < num_neg:
+                short.append(len(cands) - 1)
+            ranks.append(rank_sort_oracle(scorer(cands), truth_idx))
+    mrr = sum(1.0 / r for r in ranks) / len(ranks)
+    hits = {n: sum(r <= n for r in ranks) / len(ranks) for n in (1, 5, 10)}
+    return ranks, short, mrr, hits
+
+
 # -- random subgraphs for store tests ---------------------------------------
 
 def random_subgraph(rng):

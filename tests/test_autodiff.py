@@ -6,6 +6,7 @@ from indkg.autodiff import (
     basis_conv,
     circular_correlation,
     concat,
+    conv_pattern,
     gather_rows,
     loaded_openblas,
     matmul,
@@ -159,11 +160,11 @@ def conv_case(m, rng, n=5, d_in=3, B=3, d_out=2, S=4, d_rel=2):
     return leaves, src, dst, slot, norm, target
 
 
-def conv(leaves, src, dst, slot, norm, target, num_nodes, gated):
+def conv(leaves, src, dst, slot, norm, target, num_nodes, gated, pattern=None):
     L = leaves
     att = dict(att_a=L["att_a"], rel_emb=L["rel_emb"], target=target) if gated else {}
     return basis_conv(L["H"], L["bases"], L["coeffs"], src, dst, slot, norm,
-                      num_nodes, **att)
+                      num_nodes, pattern=pattern, **att)
 
 
 @pytest.mark.parametrize("gated", [False, True], ids=["plain", "alpha"])
@@ -192,13 +193,14 @@ def test_basis_conv_matches_loop_oracle(gated):
     assert err < 1e-6
 
 
-def conv_grads(leaves, src, dst, slot, norm, target, num_nodes, gated, w):
+def conv_grads(leaves, src, dst, slot, norm, target, num_nodes, gated, w,
+               pattern=None):
     """Output of ``basis_conv`` and the gradients of sum(out * w), one per
     leaf it reads."""
     names = list(leaves) if gated else ["H", "bases", "coeffs"]
     for t in leaves.values():
         t.grad = None
-    out = conv(leaves, src, dst, slot, norm, target, num_nodes, gated)
+    out = conv(leaves, src, dst, slot, norm, target, num_nodes, gated, pattern)
     tsum(out * w).backward()
     return [out.data] + [leaves[k].grad for k in names]
 
@@ -215,6 +217,38 @@ def test_basis_conv_independent_of_message_order(gated):
     for a, b in zip(got, want, strict=True):
         assert a.shape == b.shape
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("gated", [False, True], ids=["plain", "alpha"])
+def test_basis_conv_with_a_given_pattern(gated):
+    # messages in any order, repeated pairs and two rows no message reaches:
+    # a pattern passed in gives what the call builds for itself, and one
+    # pattern serves several calls over the same messages
+    rng = np.random.default_rng(14)
+    leaves, src, dst, slot, norm, target = conv_case(30, rng)
+    dst = np.minimum(dst, 4)
+    w = rng.normal(size=(7, 2))
+    pattern = conv_pattern(src, dst, 7, leaves["bases"].shape[0])
+    want = conv_grads(leaves, src, dst, slot, norm, target, 7, gated, w)
+    for _ in range(2):
+        got = conv_grads(leaves, src, dst, slot, norm, target, 7, gated, w,
+                         pattern=pattern)
+        for a, b in zip(got, want, strict=True):
+            assert a.shape == b.shape
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+def test_conv_pattern_layout():
+    # row dst holds, in message order, the B columns src * B + b of each of
+    # its messages; the index arrays already have scipy's index type
+    from scipy import sparse
+    src, dst = np.array([2, 0, 1, 2]), np.array([1, 0, 1, 3])
+    order, columns, indptr = conv_pattern(src, dst, 5, 2)
+    assert order.tolist() == [1, 0, 2, 3]
+    assert columns.tolist() == [0, 1, 4, 5, 2, 3, 4, 5]
+    assert indptr.tolist() == [0, 2, 6, 6, 8, 8]
+    idx = sparse.get_index_dtype((columns, indptr), maxval=10, check_contents=True)
+    assert columns.dtype == indptr.dtype == idx
 
 
 @pytest.mark.parametrize("gated", [False, True], ids=["plain", "alpha"])

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from indkg import autodiff, layers
 from indkg.autodiff import Tensor, tsum
 from indkg.errors import ShapeMismatch, UnknownCompositionOp
 from indkg.kgcore import build_graph
-from indkg.model import gradient_check
+from indkg.model import gradient_check, init_model, score_subgraphs
 from indkg.layers import (
     Messages,
     init_basis_layer,
@@ -15,7 +16,14 @@ from indkg.layers import (
 )
 from indkg.subgraph import Subgraph, extract_enclosing_subgraph
 
-from helpers import dense_att, dense_comp, dense_rgcn, random_triples, tape_size
+from helpers import (
+    dense_att,
+    dense_comp,
+    dense_rgcn,
+    mixed_scored_items,
+    random_triples,
+    tape_size,
+)
 
 R = 3  # relations in the fixture graphs
 D_IN, D_OUT = 5, 4
@@ -173,7 +181,7 @@ def test_layer_gradients():
     rng = np.random.default_rng(6)
     H = Tensor(rng.normal(size=(sub.num_nodes, D_IN)), requires_grad=True)
 
-    from indkg.model import gradient_check
+    from indkg.model import gradient_check, init_model, score_subgraphs
     P = init_basis_layer(rng, D_IN, D_OUT, R, num_bases=2,
                          d_rel=3, attention=True)
     rel_emb = Tensor(rng.normal(size=(R, 3)), requires_grad=True)
@@ -325,3 +333,31 @@ def test_identical_messages_are_mean_normalised(kind):
         return out.data[0]
 
     assert np.allclose(hub_output(5), hub_output(1), atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["rgcn", "att"])
+def test_one_pattern_per_forward(monkeypatch, kind):
+    # the layers of one forward share the message matrix's pattern: a
+    # 3-layer model over a union of subgraphs builds it once
+    built, build = [], autodiff.conv_pattern
+
+    def counted(*args):
+        built.append(args[3])
+        return build(*args)
+    monkeypatch.setattr(layers, "conv_pattern", counted)
+    monkeypatch.setattr(autodiff, "conv_pattern", counted)
+    rng = np.random.default_rng(3)
+    items = mixed_scored_items(rng)
+    model = init_model(3, items[0].sub.k, dim=6, rel_dim=4, num_layers=3,
+                       num_bases=2, layer_kind=kind, rng=rng)
+    score_subgraphs(model, items)
+    assert built == [2]
+
+
+def test_messages_cache_one_pattern_per_basis_count():
+    ms = Messages(fixture_subgraph(2).edges, fixture_subgraph(2).num_nodes)
+    two = ms.pattern(2)
+    assert ms.pattern(2) is two and ms.pattern(3) is not two
+    for got, want in zip(ms.pattern(3), autodiff.conv_pattern(ms.src, ms.dst,
+                                                              ms.num_nodes, 3)):
+        assert np.array_equal(got, want) and got.dtype == want.dtype

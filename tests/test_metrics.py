@@ -3,7 +3,14 @@ import warnings
 import numpy as np
 import pytest
 
-from indkg.errors import EmptyInput, EmptyScores, NonFiniteValue, SingleClass
+from indkg import evaluate
+from indkg.errors import (
+    EmptyInput,
+    EmptyScores,
+    NonFiniteValue,
+    ShapeMismatch,
+    SingleClass,
+)
 from indkg.evaluate import (
     MetricsReport,
     MonitorState,
@@ -11,13 +18,19 @@ from indkg.evaluate import (
     compute_rank,
     early_stop_decision,
     ranking_metrics,
+    run_link_prediction,
     run_link_prediction_triples,
 )
 from indkg.kgcore import build_graph
+from indkg.model import init_model
+from indkg.sampling import make_ranking_batch, make_ranking_candidates
+from indkg.training import subgraph_item_scorer
 
 from helpers import (
     ap_grouped_oracle,
     auc_pair_oracle,
+    link_prediction_per_side_oracle,
+    random_graph,
     random_triples,
     rank_sort_oracle,
 )
@@ -191,6 +204,152 @@ def test_full_filtered_ranking_logs_one_warning(caplog):
     messages = [r.getMessage() for r in caplog.records]
     assert len(messages) == 1
     assert messages[0].startswith("10 of 10 ranking sides had fewer than 50")
+
+
+K = 2
+
+
+def table_scorers(num_entities, num_relations, seed):
+    """A triple scorer and a ScoredItem scorer reading one coarse random
+    table of (h, r, t) scores, so ties are frequent and a candidate's score
+    does not depend on the call it is scored in."""
+    table = np.round(np.random.default_rng(seed).normal(
+        size=(num_entities, num_relations, num_entities)), 1)
+
+    def score_triples(cands):
+        tri = np.asarray(cands, dtype=np.int64).reshape(-1, 3)
+        return table[tri[:, 0], tri[:, 1], tri[:, 2]]
+
+    return score_triples, lambda items: score_triples([it.sub.target for it in items])
+
+
+def entry_points(graph, score_triples, score_items):
+    """(run, side, scorer) for both link-prediction entry points, where
+    ``run(queries, num_neg, seed)`` is the protocol and ``side`` draws one
+    side as the protocol does."""
+    def run_items(queries, num_neg, seed):
+        return run_link_prediction(score_items, graph, queries, K, num_neg, seed)
+
+    def side_items(num_neg):
+        def side(triple, direction, rng):
+            batch = make_ranking_batch(graph, triple, K, direction, num_neg, rng)
+            return batch.candidates, batch.truth_idx
+        return side
+
+    def run_triples(queries, num_neg, seed):
+        return run_link_prediction_triples(score_triples, graph, queries, num_neg, seed)
+
+    def side_triples(num_neg):
+        return lambda triple, direction, rng: make_ranking_candidates(
+            graph, triple, direction, num_neg, rng)
+
+    return {"items": (run_items, side_items, score_items),
+            "triples": (run_triples, side_triples, score_triples)}
+
+
+def recorded_ranks(monkeypatch):
+    ranks = []
+
+    def rank(scores, truth_idx):
+        ranks.append(compute_rank(scores, truth_idx))
+        return ranks[-1]
+    monkeypatch.setattr(evaluate, "compute_rank", rank)
+    return ranks
+
+
+# (entities, density, num_neg): full-size sides; short sides on a dense
+# graph; num_neg at or above the entity count (full filtered ranking)
+GRAPHS = [(20, 0.15, 5), (10, 0.5, 7), (12, 0.2, 50)]
+
+
+@pytest.mark.parametrize("entry", ["items", "triples"])
+@pytest.mark.parametrize("n_ent,density,num_neg", GRAPHS)
+def test_grouped_ranking_equals_per_side_oracle(monkeypatch, caplog, entry,
+                                                n_ent, density, num_neg):
+    rng = np.random.default_rng(n_ent + num_neg)
+    graph, triples = random_graph(rng, n_ent, 3, density)
+    queries = triples[rng.choice(len(triples), size=6, replace=False)]
+    run, side, scorer = entry_points(graph, *table_scorers(n_ent, 3, 5))[entry]
+    ranks, short, mrr, hits = link_prediction_per_side_oracle(
+        scorer, side(num_neg), queries, num_neg, seed=3)
+    got_ranks = recorded_ranks(monkeypatch)
+    with caplog.at_level("WARNING", logger="indkg"):
+        rep = run(queries, num_neg, 3)
+    assert got_ranks == ranks
+    assert rep.mrr == pytest.approx(mrr, abs=1e-12)
+    assert rep.hits == pytest.approx(hits, abs=1e-12)
+    assert rep.n_queries == len(queries)
+    warned = [r.getMessage() for r in caplog.records]
+    if short:
+        assert warned == [f"{len(short)} of {len(ranks)} ranking sides had fewer "
+                          f"than {num_neg} filtered negatives; the smallest pool "
+                          f"held {min(short)}"]
+    else:
+        assert warned == []
+
+
+@pytest.mark.parametrize("group", [1, 7, 30, evaluate.SCORE_GROUP])
+def test_scorer_calls_hold_consecutive_sides_within_the_group(monkeypatch, group):
+    # sides of 21 candidates (num_neg 20) and, at full filtered ranking, of
+    # up to 40: a call either holds whole consecutive sides, at most
+    # ``group`` candidates in all, or one side alone; sides that fit in one
+    # group share one call
+    rng = np.random.default_rng(7)
+    graph, triples = random_graph(rng, 40, 3, 0.05)
+    score, _ = table_scorers(40, 3, 1)
+    sides, calls = [], []
+
+    def candidates(*args):
+        out = make_ranking_candidates(*args)
+        sides.append(len(out[0]))
+        return out
+
+    def scorer(cands):
+        calls.append(len(cands))
+        return score(cands)
+
+    monkeypatch.setattr(evaluate, "make_ranking_candidates", candidates)
+    monkeypatch.setattr(evaluate, "SCORE_GROUP", group)
+    for num_neg in (20, 100):
+        sides.clear(), calls.clear()
+        run_link_prediction_triples(scorer, graph, triples[:10], num_neg, seed=2)
+        assert len(sides) == 20
+        i = 0
+        for size in calls:
+            j = i + 1
+            while sum(sides[i:j]) < size:
+                j += 1
+            assert sum(sides[i:j]) == size
+            assert j == i + 1 or size <= group
+            i = j
+        assert i == len(sides)
+        if sum(sides) <= group:
+            assert calls == [sum(sides)]
+
+
+@pytest.mark.parametrize("entry", ["items", "triples"])
+def test_group_of_one_candidate_gives_the_same_report(monkeypatch, entry):
+    # with a real model on the subgraph side: a union of several sides'
+    # subgraphs scores each candidate as its own side would
+    rng = np.random.default_rng(11)
+    graph, triples = random_graph(rng, 16, 3, 0.2)
+    model = init_model(3, K, dim=8, rel_dim=6, num_layers=2, num_bases=2,
+                       layer_kind="att", rng=np.random.default_rng(0))
+    score_triples, _ = table_scorers(16, 3, 2)
+    run = entry_points(graph, score_triples, subgraph_item_scorer(model))[entry][0]
+    queries = triples[:8]
+    want = run(queries, 6, 4).to_dict()
+    monkeypatch.setattr(evaluate, "SCORE_GROUP", 1)
+    got = run(queries, 6, 4).to_dict()
+    want.pop("wall_ms"), got.pop("wall_ms")
+    assert got == want
+
+
+def test_scorer_returning_the_wrong_count_is_rejected():
+    g = build_graph([(0, 0, 1), (1, 0, 2)], 5, 1)
+    with pytest.raises(ShapeMismatch):
+        run_link_prediction_triples(lambda c: np.zeros(len(c) - 1), g,
+                                    [(0, 0, 1)], 3, seed=0)
 
 
 def test_early_stopping_patience():

@@ -64,6 +64,45 @@ def test_every_recorded_name_exists():
     assert not missing
 
 
+@pytest.mark.parametrize("family", ["subgraph", "entity"])
+def test_one_recorded_call_per_ranking_side(monkeypatch, family):
+    """``stages.Recorder`` pairs the i-th recorded ``make_ranking_batch`` or
+    ``make_ranking_candidates`` result with the i-th ``compute_rank`` call,
+    so each runs once per query side, in side order, with the side's own
+    scores however the sides are grouped for scoring."""
+    import numpy as np
+
+    from indkg import evaluate
+    from indkg.kgcore import build_graph
+
+    drawn, ranked = [], []
+
+    def kept(name, sink, view):
+        orig = getattr(evaluate, name)
+
+        def recorded(*args, **kwargs):
+            out = orig(*args, **kwargs)
+            sink.append(view(args, out))
+            return out
+        monkeypatch.setattr(evaluate, name, recorded)
+
+    size = lambda a, out: len(out.candidates if hasattr(out, "candidates") else out[0])
+    kept("make_ranking_batch", drawn, size)
+    kept("make_ranking_candidates", drawn, size)
+    kept("compute_rank", ranked, lambda a, out: len(a[0]))
+    rng = np.random.default_rng(0)
+    triples = [(h, int(rng.integers(2)), t) for h in range(12) for t in range(12)
+               if h != t and rng.random() < 0.2]
+    graph = build_graph(triples, 12, 2)
+    score = lambda cands: np.arange(len(cands), dtype=np.float64)
+    if family == "subgraph":
+        evaluate.run_link_prediction(score, graph, triples[:3], 2, 5, seed=1)
+    else:
+        evaluate.run_link_prediction_triples(score, graph, triples[:3], 5, seed=1)
+    assert len(drawn) == len(ranked) == 6
+    assert drawn == ranked
+
+
 def test_selftest_passes():
     # every output check accepts a correct output and rejects a corrupted one;
     # its temporary files go under the git-ignored .perfbench_runs/

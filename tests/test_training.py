@@ -269,6 +269,35 @@ def test_entity_scorer_matches_numpy_oracle(decoder, p):
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
+@pytest.mark.parametrize("decoder", ["transe", "distmult", "rotate"])
+def test_entity_scorer_lookup_equals_dict_lookup_bitwise(decoder):
+    # shuffled entity ids; candidates below, between and above them
+    from indkg.autodiff import Tensor, gather_rows
+    from indkg.model import kge_score
+    bundle = planted_bundle(np.random.default_rng(10))
+    cfg = RunConfig(seed=3, dim=6, episodes=2, region_size=30, support_frac=0.7,
+                    model_family="entity", decoder=decoder)
+    enc, _ = train_entity_encoder_model(bundle, cfg)
+    ents = np.random.default_rng(1).permutation(np.unique(bundle.support[:, [0, 2]]))
+    ids = range(-1, int(ents.max()) + 3)
+    assert len(ids) > len(ents) + 3
+    rng = np.random.default_rng(2)
+    cands = [(h, int(rng.integers(2)), t) for h in ids for t in ids]
+    got = entity_triple_scorer(enc, bundle.support, ents)(cands)
+
+    local = {int(e): i for i, e in enumerate(ents)}
+    tri = np.array(cands)
+    h, t = (np.array([local.get(e, -1) for e in col]) for col in (tri[:, 0], tri[:, 2]))
+    ok = (h >= 0) & (t >= 0)
+    emb = Tensor(init_entity_embeddings(bundle.support, ents, enc.psi).data)
+    want = np.full(len(tri), -np.inf)
+    want[ok] = kge_score(enc.decoder, gather_rows(emb, h[ok]),
+                         gather_rows(Tensor(enc.dec_rel.data), tri[ok, 1]),
+                         gather_rows(emb, t[ok])).data
+    assert 0 < ok.sum() < len(ok)
+    assert got.tobytes() == want.tobytes()
+
+
 def region_task(n_query):
     """A meta-task over entities 0..7 whose query holds ``n_query`` triples."""
     triples = np.array([(i, i % 2, (i + 1) % 8) for i in range(8)]
