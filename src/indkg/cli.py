@@ -239,12 +239,7 @@ def main(argv=None) -> int:
                  for key in key_registry()
                  if getattr(args, f"cfg_{key}", None) is not None}
     try:
-        cfg = parse_config(args.config, overrides)
-    except (ConfigError, MissingFile) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](parse_config(args.config, overrides))
     except (ConfigError, MissingFile) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -148,7 +148,7 @@ def triple_keys(triples, num_entities: int, num_relations: int) -> np.ndarray:
     """One int64 key ``(h * R + r) * E + t`` per row of an (n, 3) id array.
 
     Keys order like (h, r, t) rows, so a sorted key array answers membership
-    with ``np.searchsorted``.
+    with ``find_sorted``.
     """
     _check_key_space(num_entities, num_relations)
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
@@ -179,12 +179,16 @@ def _rows_of_keys(keys: np.ndarray, num_entities: int, num_relations: int) -> np
     return np.stack([h, r, t], axis=1)
 
 
-def _in_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Boolean mask: which ``keys`` occur in the ascending ``sorted_keys``."""
+def find_sorted(sorted_keys: np.ndarray, keys) -> tuple[np.ndarray, np.ndarray]:
+    """``(pos, found)`` of ``keys`` in the ascending ``sorted_keys``, each of
+    ``keys``' shape: ``sorted_keys[pos] == keys`` exactly where ``found``.
+    ``pos`` is the leftmost insertion point, so a repeated key finds its
+    first position, and it may be ``len(sorted_keys)`` where not found."""
+    pos = sorted_keys.searchsorted(keys)
     if not len(sorted_keys):
-        return np.zeros(len(keys), dtype=bool)
+        return pos, np.zeros(pos.shape, dtype=bool)
     # a key past the last one clips onto it and compares unequal
-    return sorted_keys.take(sorted_keys.searchsorted(keys), mode="clip") == keys
+    return pos, sorted_keys.take(pos, mode="clip") == keys
 
 
 class IndexedGraph:
@@ -196,9 +200,9 @@ class IndexedGraph:
     ``known_keys`` is the sorted, duplicate-free ``triple_keys`` array of
     *all* triples the graph is meant to know about (used for filtered
     negative sampling), which may be a superset of the edges present in the
-    adjacency; ``contains`` and ``contains_many`` look triples up in it, and
-    ``sampling._corruption_pool`` reads a ranking side's known triples from
-    it by key range.
+    adjacency; ``contains`` and ``contains_many`` look triples up in it with
+    ``find_sorted``, and ``sampling._corruption_pool`` reads a ranking side's
+    known triples from it by key range.
     The extraction kernels in ``indkg.subgraph`` read the CSR arrays
     directly.
     """
@@ -236,7 +240,7 @@ class IndexedGraph:
         h, r, t = triples.T
         in_range = (h >= 0) & (h < ne) & (r >= 0) & (r < nr) & (t >= 0) & (t < ne)
         # keys of out-of-range rows may alias in-range ones; they are masked off
-        return in_range & _in_sorted(self.known_keys, triple_keys(triples, ne, nr))
+        return in_range & find_sorted(self.known_keys, triple_keys(triples, ne, nr))[1]
 
     def out_edges(self, e: int):
         """(neighbor, relation) pairs for edges e -> neighbor."""
@@ -337,8 +341,8 @@ def _check_cross_split(observed, other, other_name, vocab: Vocab):
     if len(other) == 0:
         return
     ne, nr = vocab.num_entities, vocab.num_relations
-    dups = np.flatnonzero(_in_sorted(np.sort(triple_keys(observed, ne, nr)),
-                                     triple_keys(other, ne, nr)))
+    dups = np.flatnonzero(find_sorted(np.sort(triple_keys(observed, ne, nr)),
+                                      triple_keys(other, ne, nr))[1])
     if len(dups):
         raise DuplicateTriple(
             f"{len(dups)} triple(s) of split {other_name!r} also occur in the "

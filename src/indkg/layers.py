@@ -45,11 +45,13 @@ from .autodiff import (
     Tensor,
     basis_conv,
     circular_correlation,
+    concat,
     conv_pattern,
     gather_rows,
     matmul,
     mul,
     relu,
+    reshape,
     segment_sum,
 )
 from .errors import ShapeMismatch, UnknownCompositionOp
@@ -207,14 +209,13 @@ def rel_comp_layer(sub, H: Tensor, E_rel: Tensor, P: LayerParams,
         raise ShapeMismatch("composition layer requires d_rel == d_in")
     if op not in COMP_OPS:
         raise UnknownCompositionOp(op)
-    out = matmul(H, P.w_self)
-    for direction, W in ((FWD, P.w_fwd), (BWD, P.w_bwd)):
-        mask = ms.slot % 2 == direction
-        if not mask.any():
-            continue
-        phi = _compose(gather_rows(H, ms.src[mask]),
-                       gather_rows(E_rel, ms.slot[mask] // 2), op)
-        msgs = mul(matmul(phi, W), ms.norm[mask][:, None])
-        out = out + segment_sum(msgs, ms.dst[mask], ms.num_nodes)
+    phi = _compose(gather_rows(H, ms.src), gather_rows(E_rel, ms.slot // 2), op)
+    # the projection is linear, so it runs per node: the normed messages are
+    # summed per (dst, direction), row 2 * dst + direction, which reshapes
+    # to (n, 2 * d_in) rows [fwd sum, bwd sum] for the stacked [w_fwd; w_bwd]
+    summed = segment_sum(mul(phi, ms.norm[:, None]), 2 * ms.dst + ms.slot % 2,
+                         2 * ms.num_nodes)
+    out = matmul(H, P.w_self) + matmul(reshape(summed, (ms.num_nodes, 2 * P.d_in)),
+                                       concat([P.w_fwd, P.w_bwd]))
     new_rel = matmul(E_rel, P.w_rel)
     return (relu(out) if activation else out), new_rel

@@ -41,6 +41,7 @@ from .errors import (
     ShapeMismatch,
     TruncatedFile,
 )
+from .kgcore import find_sorted
 from .layers import (
     Messages,
     init_basis_layer,
@@ -259,7 +260,8 @@ def init_entity_embeddings(triples: np.ndarray, entity_ids: np.ndarray,
 
     Each triple (h, r, t) contributes psi[2r] to h and psi[2r+1] to t, so
     unseen entities are representable from relations alone. Raises
-    IsolatedEntity for any requested entity with no incident triple.
+    ValueError for an entity id listed more than once and IsolatedEntity
+    for any requested entity with no incident triple.
     """
     entity_ids = np.asarray(entity_ids, dtype=np.int64)
     tri = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
@@ -267,8 +269,11 @@ def init_entity_embeddings(triples: np.ndarray, entity_ids: np.ndarray,
     ends = tri[:, [0, 2]].reshape(-1)
     psi_idx = (2 * tri[:, [1, 1]] + [0, 1]).reshape(-1)
     sorter = np.argsort(entity_ids, kind="stable")
-    pos = np.searchsorted(entity_ids, ends, sorter=sorter)
-    hit = np.append(entity_ids[sorter], -1)[pos] == ends
+    keys = entity_ids[sorter]
+    repeated = keys[1:][keys[1:] == keys[:-1]]
+    if len(repeated):
+        raise ValueError(f"entity id {repeated[0]} listed more than once")
+    pos, hit = find_sorted(keys, ends)
     seg_idx = sorter[pos[hit]]
     counts = np.bincount(seg_idx, minlength=len(entity_ids))
     if (counts == 0).any():

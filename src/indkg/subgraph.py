@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import IdOutOfBounds
-from .kgcore import IndexedGraph
+from .kgcore import IndexedGraph, find_sorted
 
 # bytes of one extraction chunk's (sources, E) distance array; it stays in a
 # core's cache, where each BFS level's frontier scan is cheap
@@ -118,8 +118,7 @@ def _bfs(graph: IndexedGraph, sources: np.ndarray, masks: np.ndarray,
         reached = np.repeat(owner * ne, lens) + graph.nbr[idx]
         if len(m_flat):
             # a masked entry leads back to its own frontier node, reached already
-            j = np.minimum(frontier.searchsorted(m_flat), len(frontier) - 1)
-            at = frontier[j] == m_flat
+            j, at = find_sorted(frontier, m_flat)
             reached[(np.cumsum(lens) - lens)[j[at]] + m_off[at]] = frontier[j[at]]
         dist[reached[dist[reached] < 0]] = d
         if d == k:
@@ -250,8 +249,8 @@ def _split_rows(graph, triples, masked_out, d_h, d_t, k, max_nodes):
     idx, lens = _csr_slices(graph.indptr[nodes], graph.out_end[nodes])
     e_node = np.repeat(np.arange(len(nodes)), lens)
     want = node_row[e_node] * ne + graph.nbr[idx]
-    at = np.minimum(keys.searchsorted(want), len(keys) - 1)
-    keep = (keys[at] == want) & (idx != masked_out[node_row[e_node]])
+    at, hit = find_sorted(keys, want)
+    keep = hit & (idx != masked_out[node_row[e_node]])
     e_node, dst, rel = e_node[keep], local[by_key[at[keep]]], graph.rel[idx[keep]]
     # flat node order is (row, src), and an out-run lists one neighbor's
     # relations in ascending order, so a stable sort on (node, dst) orders

@@ -21,7 +21,7 @@ from .evaluate import (
     classification_metrics,
     early_stop_decision,
 )
-from .kgcore import DatasetBundle
+from .kgcore import DatasetBundle, find_sorted
 from .model import (
     Adam,
     DecoderKind,
@@ -152,33 +152,33 @@ def episode_loss(enc: EntityEncoderParams, task, graph, cfg: RunConfig, rng):
     more). Negatives come from ``corrupt_triple`` over the support entities,
     so each has an embedding; one that raises ExhaustedRetries is dropped,
     and the drops are counted in one warning per episode."""
-    ents = np.unique(task.support[:, [0, 2]])
-    local = {int(e): i for i, e in enumerate(ents)}
-    queries = task.query.tolist()
-    owner, neg_h, neg_t = [], [], []
-    for qi, triple in enumerate(queries):
+    # with the query entities in, one that has no support triple makes
+    # init_entity_embeddings raise IsolatedEntity
+    ents = np.unique(np.concatenate([task.support[:, [0, 2]], task.query[:, [0, 2]]]))
+    q_rows = find_sorted(ents, task.query[:, [0, 2]])[0]
+    owner, negs = [], []
+    for qi, triple in enumerate(task.query.tolist()):
         for _ in range(cfg.num_neg):
             try:
-                neg = corrupt_triple(triple, graph, rng, entities=ents)
+                negs.append(corrupt_triple(triple, graph, rng, entities=ents))
             except ExhaustedRetries:
                 continue
             owner.append(qi)
-            neg_h.append(local[neg[0]])
-            neg_t.append(local[neg[2]])
-    wanted = cfg.num_neg * len(queries)
+    wanted = cfg.num_neg * len(task.query)
     if len(owner) < wanted:
         log.warning("episode dropped %d of %d negatives: each of their %d "
                     "draws hit a known triple", wanted - len(owner), wanted,
                     RETRY_CAP)
     if not owner:
         return None
+    # corruptions keep one query entity and draw the other from ents
+    neg_rows = find_sorted(ents, np.array(negs, dtype=np.int64)[:, [0, 2]])[0]
     emb = init_entity_embeddings(task.support, ents, enc.psi)
-    q_rows = np.array([[local[h], local[t]] for h, _, t in queries], dtype=np.int64)
     r_vec = gather_rows(enc.dec_rel, task.query[:, 1])
     pos = kge_score(enc.decoder, gather_rows(emb, q_rows[:, 0]), r_vec,
                     gather_rows(emb, q_rows[:, 1]))
-    neg = kge_score(enc.decoder, gather_rows(emb, neg_h),
-                    gather_rows(r_vec, owner), gather_rows(emb, neg_t))
+    neg = kge_score(enc.decoder, gather_rows(emb, neg_rows[:, 0]),
+                    gather_rows(r_vec, owner), gather_rows(emb, neg_rows[:, 1]))
     return margin_loss(gather_rows(pos, owner), neg, cfg.margin)
 
 
@@ -216,8 +216,8 @@ def entity_triple_scorer(enc: EntityEncoderParams, support_triples,
     The scorer maps an (m, 3) array-like of triples (one triple counts as
     m = 1) to m scores in one decoder call. A triple whose head or tail is
     not in ``entity_ids`` scores ``-inf``: an unembeddable candidate can
-    never win. Ids are looked up by one ``np.searchsorted`` per column over
-    the sorted ``entity_ids``; an id listed twice maps to its last position.
+    never win. Ids are looked up by one ``find_sorted`` per column over the
+    sorted ``entity_ids``.
     """
     ids = np.asarray(entity_ids, dtype=np.int64).reshape(-1)
     order = np.argsort(ids, kind="stable")
@@ -226,10 +226,7 @@ def entity_triple_scorer(enc: EntityEncoderParams, support_triples,
     dec_rel = Tensor(enc.dec_rel.data)
 
     def local(col):
-        # the last sorted position holding an id <= col, then an equality test
-        pos = np.searchsorted(keys, col, side="right") - 1
-        found = pos >= 0
-        found[found] = keys[pos[found]] == col[found]
+        pos, found = find_sorted(keys, col)
         out = np.full(len(col), -1, dtype=np.int64)
         out[found] = order[pos[found]]
         return out

@@ -64,3 +64,20 @@ def test_package_modules_import_no_private_sibling_names():
                 private += [f"{path.name}:{node.lineno} {alias.name}"
                             for alias in node.names if alias.name.startswith("_")]
     assert not private, private
+
+
+def test_searchsorted_only_in_find_sorted_and_two_range_searches():
+    # an exact-match lookup of ids in a sorted array goes through
+    # kgcore.find_sorted; the other two searches find a key range and the
+    # CSR row that holds a position, not a matching element
+    homes = {("kgcore.py", "find_sorted"), ("sampling.py", "_corruption_pool"),
+             ("subgraph.py", "_bfs")}
+    calls = set()
+    for path in sorted(Path(indkg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            calls |= {(path.name, getattr(top, "name", None))
+                      for node in ast.walk(top)
+                      if isinstance(node, ast.Call) and "searchsorted" in (
+                          getattr(node.func, "attr", None), getattr(node.func, "id", None))}
+    assert calls == homes, sorted(calls - homes, key=str)

@@ -169,6 +169,33 @@ def test_contains_matches_python_set():
         assert g.contains_many(np.empty((0, 3), np.int64)).shape == (0,)
 
 
+@pytest.mark.parametrize("size", [0, 1, 2, 9, 60])
+@pytest.mark.parametrize("near_top", [False, True])
+def test_find_sorted_matches_bisect_oracle(size, near_top):
+    # repeated keys, and probes before, between, at and after the elements,
+    # also next to 2**63 - 1, which triple keys can reach
+    from bisect import bisect_left
+    rng = np.random.default_rng(size)
+    span = 3 * size + 3
+    base = 2 ** 63 - 1 - span if near_top else 0
+    sorted_keys = base + np.sort(rng.integers(0, span, size))
+    keys = base + np.arange(-1, span + 1)
+    rng.shuffle(keys)
+    pos, found = kgcore.find_sorted(sorted_keys, keys)
+    listed = sorted_keys.tolist()
+    want = [bisect_left(listed, k) for k in keys.tolist()]
+    assert pos.tolist() == want
+    assert found.tolist() == [i < size and listed[i] == k
+                              for i, k in zip(want, keys.tolist())]
+    assert found.dtype == bool and (found.any() == (size > 0))
+    # a 2-D key array gives 2-D answers
+    half = len(keys) // 2
+    pos2, found2 = kgcore.find_sorted(sorted_keys, keys[:2 * half].reshape(half, 2))
+    assert pos2.shape == found2.shape == (half, 2)
+    assert np.array_equal(pos2.ravel(), pos[:2 * half])
+    assert np.array_equal(found2.ravel(), found[:2 * half])
+
+
 def _oracle_graph_cases(rng):
     """(triples, num_entities, num_relations, known) on random multigraphs
     with duplicate rows, self-loops, reverse twins and isolated entities."""

@@ -4,6 +4,7 @@ import pytest
 from indkg import training
 from indkg.autodiff import concat, relu, tmean
 from indkg.config import RunConfig
+from indkg.errors import IsolatedEntity
 from indkg.kgcore import DatasetBundle, Vocab, build_graph
 from indkg.model import (
     DecoderKind,
@@ -298,6 +299,15 @@ def test_entity_scorer_lookup_equals_dict_lookup_bitwise(decoder):
     assert got.tobytes() == want.tobytes()
 
 
+def test_repeated_entity_id_is_a_value_error():
+    support = np.array([(0, 0, 1), (1, 0, 2)], dtype=np.int64)
+    enc = init_entity_encoder(1, 4, DecoderKind("transe"), np.random.default_rng(0))
+    for build in (lambda: init_entity_embeddings(support, [0, 1, 2, 1], enc.psi),
+                  lambda: entity_triple_scorer(enc, support, [0, 1, 2, 1])):
+        with pytest.raises(ValueError, match="entity id 1 listed more than once"):
+            build()
+
+
 def region_task(n_query):
     """A meta-task over entities 0..7 whose query holds ``n_query`` triples."""
     triples = np.array([(i, i % 2, (i + 1) % 8) for i in range(8)]
@@ -331,3 +341,41 @@ def test_episode_loss_counts_dropped_negatives(caplog):
     warnings = [r.getMessage() for r in caplog.records if r.name == "indkg.training"]
     assert len(warnings) == 1 and "dropped 3 of 3 negatives" in warnings[0]
     assert f"each of their {RETRY_CAP} draws" in warnings[0]
+
+
+def test_episode_loss_equals_dict_lookup_oracle():
+    # the negatives in their draw order, looked up one at a time in a dict
+    from indkg.model import kge_score, margin_loss
+    from indkg.autodiff import gather_rows
+    from indkg.sampling import corrupt_triple
+    task, graph = region_task(4)
+    enc = init_entity_encoder(2, 6, DecoderKind("distmult"), np.random.default_rng(0))
+    cfg = RunConfig(num_neg=3, margin=2.0)
+    got = episode_loss(enc, task, graph, cfg, np.random.default_rng(5)).item()
+
+    rng = np.random.default_rng(5)
+    ents = np.unique(task.support[:, [0, 2]])
+    local = {int(e): i for i, e in enumerate(ents)}
+    owner, neg_h, neg_t = [], [], []
+    for qi, triple in enumerate(task.query.tolist()):
+        for _ in range(cfg.num_neg):
+            neg = corrupt_triple(triple, graph, rng, entities=ents)
+            owner.append(qi)
+            neg_h.append(local[neg[0]])
+            neg_t.append(local[neg[2]])
+    emb = init_entity_embeddings(task.support, ents, enc.psi)
+    r_vec = gather_rows(enc.dec_rel, task.query[:, 1])
+    pos = kge_score(enc.decoder, gather_rows(emb, [local[h] for h in task.query[:, 0]]),
+                    r_vec, gather_rows(emb, [local[t] for t in task.query[:, 2]]))
+    neg = kge_score(enc.decoder, gather_rows(emb, neg_h), gather_rows(r_vec, owner),
+                    gather_rows(emb, neg_t))
+    assert got == margin_loss(gather_rows(pos, owner), neg, cfg.margin).item()
+
+
+def test_episode_loss_query_entity_outside_support():
+    triples = np.array([(0, 0, 1), (1, 0, 2)], dtype=np.int64)
+    task = MetaTask(triples[:1], triples[1:])
+    enc = init_entity_encoder(1, 4, DecoderKind("transe"), np.random.default_rng(0))
+    with pytest.raises(IsolatedEntity, match=r"no incident triple: \[2\]"):
+        episode_loss(enc, task, build_graph(triples, 3, 1), RunConfig(num_neg=1),
+                     np.random.default_rng(0))
