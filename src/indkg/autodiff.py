@@ -50,7 +50,13 @@ class Tensor:
     # -- graph traversal ----------------------------------------------------
 
     def backward(self, seed=None) -> None:
-        """Accumulate gradients of this (scalar) node into every ancestor."""
+        """Accumulate gradients of this (scalar) node into every ancestor.
+
+        A VJP may return any array that broadcasts to its parent's shape,
+        and a view of the node's gradient: a parent's first gradient is
+        written into a fresh array of the parent's shape, later ones are
+        added to it in place, so no two tensors share gradient memory.
+        """
         if seed is None:
             if self.data.size != 1:
                 raise ShapeMismatch("backward() without seed requires a scalar")
@@ -78,10 +84,8 @@ class Tensor:
                     continue
                 g = vjp(node.grad)
                 if parent.grad is None:
-                    # a copy: a VJP may return a view of node.grad, shared
-                    # with the node's other parents
-                    parent.grad = np.array(np.broadcast_to(g, parent.data.shape),
-                                           dtype=np.float64)
+                    parent.grad = np.empty(parent.data.shape)
+                    parent.grad[...] = g
                 else:
                     parent.grad += g
         # a non-finite value on any path reaches the leaves it flows into
@@ -98,10 +102,10 @@ class Tensor:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return add(self, mul(other, -1.0))
+        return sub(self, other)
 
     def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
+        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -142,6 +146,13 @@ def add(a, b) -> Tensor:
     return _binary(a, b, a.data + b.data,
                    lambda g: _unbroadcast(g, a.data.shape),
                    lambda g: _unbroadcast(g, b.data.shape))
+
+
+def sub(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    return _binary(a, b, a.data - b.data,
+                   lambda g: _unbroadcast(g, a.data.shape),
+                   lambda g: -_unbroadcast(g, b.data.shape))
 
 
 def mul(a, b) -> Tensor:
@@ -213,13 +224,9 @@ def cos(a) -> Tensor:
 
 def tsum(a, axis=None) -> Tensor:
     a = as_tensor(a)
-
-    def vjp(g):
-        if axis is None:
-            return np.broadcast_to(g, a.data.shape).copy()
-        return np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy()
-
-    return _unary(a, a.data.sum(axis=axis), vjp)
+    # backward broadcasts the gradient to a's shape
+    return _unary(a, a.data.sum(axis=axis),
+                  lambda g: g if axis is None else np.expand_dims(g, axis))
 
 
 def tmean(a, axis=None) -> Tensor:
@@ -379,7 +386,7 @@ def basis_conv(H, bases, coeffs, src, dst, slot, norm, num_nodes: int,
         if a.shape != (2 * d_out + 2 * d_rel,):
             raise ShapeMismatch(f"att_a {a.shape} is not (2 * {d_out} + 2 * {d_rel},)")
         a_src, a_dst, a_rel, a_tgt = np.split(a, [d_out, 2 * d_out, 2 * d_out + d_rel])
-        tgt = np.broadcast_to(np.asarray(target, dtype=np.int64), (n,))[dst]
+        tgt = np.full(n, target, dtype=np.int64)[dst]
         us = ((HV @ a_src).reshape(n, B)[src]
               + (HV @ a_dst).reshape(n, B)[dst])        # (m, B): d logit / d C
         logit = ((C * us).sum(axis=1) + (E @ a_rel)[slot // 2] + (E @ a_tgt)[tgt])

@@ -148,10 +148,12 @@ def train_subgraph_model(bundle: DatasetBundle, cfg: RunConfig):
 
 def episode_loss(enc: EntityEncoderParams, task, graph, cfg: RunConfig, rng):
     """Margin loss of one meta-task: support-derived embeddings score the
-    query triples (one decoder call) against per-query corruptions (one
-    more). Negatives come from ``corrupt_triple`` over the support entities,
-    so each has an embedding; one that raises ExhaustedRetries is dropped,
-    and the drops are counted in one warning per episode."""
+    query triples against per-query corruptions. The nq queries and their
+    negatives are scored in one decoder call, queries first: score nq + j
+    is negative j, paired with its owner query's score. Negatives come from
+    ``corrupt_triple`` over the support entities, so each has an embedding;
+    one that raises ExhaustedRetries is dropped, and the drops are counted
+    in one warning per episode."""
     # with the query entities in, one that has no support triple makes
     # init_entity_embeddings raise IsolatedEntity
     ents = np.unique(np.concatenate([task.support[:, [0, 2]], task.query[:, [0, 2]]]))
@@ -173,13 +175,14 @@ def episode_loss(enc: EntityEncoderParams, task, graph, cfg: RunConfig, rng):
         return None
     # corruptions keep one query entity and draw the other from ents
     neg_rows = find_sorted(ents, np.array(negs, dtype=np.int64)[:, [0, 2]])[0]
+    rows = np.concatenate([q_rows, neg_rows])
+    rels = np.concatenate([task.query[:, 1], task.query[owner, 1]])
     emb = init_entity_embeddings(task.support, ents, enc.psi)
-    r_vec = gather_rows(enc.dec_rel, task.query[:, 1])
-    pos = kge_score(enc.decoder, gather_rows(emb, q_rows[:, 0]), r_vec,
-                    gather_rows(emb, q_rows[:, 1]))
-    neg = kge_score(enc.decoder, gather_rows(emb, neg_rows[:, 0]),
-                    gather_rows(r_vec, owner), gather_rows(emb, neg_rows[:, 1]))
-    return margin_loss(gather_rows(pos, owner), neg, cfg.margin)
+    scores = kge_score(enc.decoder, gather_rows(emb, rows[:, 0]),
+                       gather_rows(enc.dec_rel, rels), gather_rows(emb, rows[:, 1]))
+    nq = len(task.query)
+    return margin_loss(gather_rows(scores, owner),
+                       gather_rows(scores, nq + np.arange(len(owner))), cfg.margin)
 
 
 def train_entity_encoder_model(bundle: DatasetBundle, cfg: RunConfig):
@@ -222,7 +225,8 @@ def entity_triple_scorer(enc: EntityEncoderParams, support_triples,
     ids = np.asarray(entity_ids, dtype=np.int64).reshape(-1)
     order = np.argsort(ids, kind="stable")
     keys = ids[order]
-    emb = Tensor(init_entity_embeddings(support_triples, entity_ids, enc.psi).data)
+    # detached parameters, as in no_grad_view: scoring records no tape
+    emb = init_entity_embeddings(support_triples, entity_ids, Tensor(enc.psi.data))
     dec_rel = Tensor(enc.dec_rel.data)
 
     def local(col):

@@ -15,6 +15,7 @@ from indkg.autodiff import (
     reshape,
     segment_sum,
     single_blas_thread,
+    sub,
     tmean,
     transpose,
     tsum,
@@ -379,6 +380,37 @@ def test_first_gradient_is_not_shared_between_parents():
         loss(a, b).backward()
         assert a.grad.tolist() == [3.0, 5.0]
         assert b.grad.tolist() == [1.0, 1.0]
+
+
+def test_tsum_axis_first_gradients_are_not_shared():
+    # tsum's VJP returns a view of its upstream gradient, which backward
+    # broadcasts; every leaf must still own a fresh, writable gradient
+    for loss in (lambda a, b: tsum(tsum(a + b, axis=1)) + tsum(a * a),
+                 lambda a, b: tsum(a * a) + tsum(tsum(a + b, axis=-1)),
+                 lambda a, b: tsum(tsum(a, axis=0) * tsum(b, axis=0))):
+        a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        b = Tensor(np.ones((2, 3)), requires_grad=True)
+        loss(a, b).backward()
+        for x in (a, b):
+            assert x.grad.shape == (2, 3) and x.grad.flags.writeable
+            assert np.allclose(x.grad, numeric_grad(lambda: loss(a, b), x), atol=1e-6)
+        assert not np.shares_memory(a.grad, b.grad)
+
+
+def test_sub_and_rsub_with_broadcast_operands():
+    rng = np.random.default_rng(11)
+    a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=(1, 3)), requires_grad=True)
+    c = Tensor(rng.normal(size=3), requires_grad=True)
+    w = rng.normal(size=(4, 3))
+    for f in (lambda: tsum((a - b) * w), lambda: tsum((c - a) * w),
+              lambda: tsum((2.0 - a) * (b - 0.5) * w), lambda: tsum(sub(b, c) * a)):
+        params = {"a": a, "b": b, "c": c}
+        assert gradient_check(params, f, sample_frac=1.0) < 1e-7
+    # one node, and the value of a + (-1) * b to the bit
+    assert [parent for parent, _ in (a - b)._parents] == [a, b]
+    assert (a - b).data.tobytes() == (a.data + -1.0 * b.data).tobytes()
+    assert (1.5 - c).data.tobytes() == (-1.0 * c.data + 1.5).tobytes()
 
 
 def test_gradient_check_harness():

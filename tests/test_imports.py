@@ -81,3 +81,13 @@ def test_searchsorted_only_in_find_sorted_and_two_range_searches():
                       if isinstance(node, ast.Call) and "searchsorted" in (
                           getattr(node.func, "attr", None), getattr(node.func, "id", None))}
     assert calls == homes, sorted(calls - homes, key=str)
+
+
+def test_autodiff_never_calls_broadcast_to():
+    # backward broadcasts a VJP result into the parent's fresh gradient, so
+    # no VJP builds a broadcast copy of its own
+    tree = ast.parse((Path(indkg.__file__).parent / "autodiff.py").read_text(encoding="utf-8"))
+    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and "broadcast_to" in (getattr(node.func, "attr", None),
+                                    getattr(node.func, "id", None))]
+    assert not calls, calls

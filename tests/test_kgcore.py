@@ -141,6 +141,30 @@ def test_edge_count_invariant():
     assert total == 2 * g.num_triples
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_contains_equals_contains_many(seed):
+    # one scalar lookup agrees with the batched one everywhere, also on
+    # out-of-range ids whose keys alias known triples: (h, R, t) keys as
+    # (h + 1, 0, t) and (h, r, E) as (h, r + 1, 0)
+    rng = np.random.default_rng(seed)
+    from helpers import random_triples
+    n, n_rel = int(rng.integers(2, 12)), int(rng.integers(2, 4))
+    triples = np.vstack([random_triples(rng, n, n_rel, 0.3), [(1, 0, 0), (0, 1, 0)]])
+    g = kgcore.build_graph(np.unique(triples, axis=0), n, n_rel)
+    aliases = [(h - 1, n_rel, t) for h, r, t in triples.tolist() if r == 0 and h > 0]
+    aliases += [(h, r - 1, n) for h, r, t in triples.tolist() if r > 0 and t == 0]
+    assert np.isin(kgcore.triple_keys(aliases, n, n_rel), g.known_keys).all()
+    assert [g.contains(*p) for p in aliases] == [False] * len(aliases)
+    ids = range(-1, n + 2)
+    probes = [(h, r, t) for h in ids for r in range(-1, n_rel + 2) for t in ids]
+    want = g.contains_many(probes).tolist()
+    assert any(want)
+    assert [g.contains(*p) for p in probes] == want
+    assert [g.contains(*p) for p in np.array(probes)] == want
+    empty = kgcore.build_graph(np.empty((0, 3), np.int64), n, n_rel)
+    assert not any(empty.contains(*p) for p in probes)
+
+
 def test_contains_matches_python_set():
     rng = np.random.default_rng(14)
     from helpers import random_triples

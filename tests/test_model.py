@@ -274,6 +274,33 @@ def test_adam_converges_on_quadratic():
     assert abs(w.data[0]) < 1e-2
 
 
+def test_adam_step_equals_textbook_update_bitwise():
+    # the in-place moments follow the formula's operation order exactly; a
+    # tensor without a gradient keeps its values and its moments
+    rng = np.random.default_rng(4)
+    params = {"a": Tensor(rng.normal(size=(3, 4)), requires_grad=True),
+              "b": Tensor(rng.normal(size=5), requires_grad=True),
+              "idle": Tensor(rng.normal(size=2), requires_grad=True)}
+    lr, b1, b2, eps = 0.03, 0.9, 0.999, 1e-8
+    want = {n: t.data.copy() for n, t in params.items()}
+    m = {n: np.zeros_like(w) for n, w in want.items()}
+    v = {n: np.zeros_like(w) for n, w in want.items()}
+    opt = Adam(params, lr=lr)
+    for step in range(1, 6):
+        grads = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=5) * 10.0 ** step}
+        for n, g in grads.items():
+            params[n].grad = g.copy()
+            m[n] = b1 * m[n] + (1 - b1) * g
+            v[n] = b2 * v[n] + (1 - b2) * g * g
+            want[n] = want[n] - (lr * (m[n] / (1.0 - b1 ** step))
+                                 / (np.sqrt(v[n] / (1.0 - b2 ** step)) + eps))
+        opt.step()
+        for n, t in params.items():
+            assert t.data.tobytes() == want[n].tobytes(), (step, n)
+            assert t.grad is None
+    assert not opt.m["idle"].any() and not opt.v["idle"].any()
+
+
 def test_adam_nonfinite_update():
     w = Tensor(np.array([1.0]), requires_grad=True)
     opt = Adam({"w": w}, lr=0.1)

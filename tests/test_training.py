@@ -8,6 +8,7 @@ from indkg.errors import IsolatedEntity
 from indkg.kgcore import DatasetBundle, Vocab, build_graph
 from indkg.model import (
     DecoderKind,
+    gradient_check,
     init_entity_embeddings,
     init_entity_encoder,
     init_model,
@@ -343,13 +344,15 @@ def test_episode_loss_counts_dropped_negatives(caplog):
     assert f"each of their {RETRY_CAP} draws" in warnings[0]
 
 
-def test_episode_loss_equals_dict_lookup_oracle():
-    # the negatives in their draw order, looked up one at a time in a dict
+@pytest.mark.parametrize("decoder", ["transe", "distmult", "rotate"])
+def test_episode_loss_equals_dict_lookup_oracle(decoder):
+    # the negatives in their draw order, looked up one at a time in a dict,
+    # and the queries and negatives scored in two decoder calls
     from indkg.model import kge_score, margin_loss
     from indkg.autodiff import gather_rows
     from indkg.sampling import corrupt_triple
     task, graph = region_task(4)
-    enc = init_entity_encoder(2, 6, DecoderKind("distmult"), np.random.default_rng(0))
+    enc = init_entity_encoder(2, 6, DecoderKind(decoder), np.random.default_rng(0))
     cfg = RunConfig(num_neg=3, margin=2.0)
     got = episode_loss(enc, task, graph, cfg, np.random.default_rng(5)).item()
 
@@ -370,6 +373,66 @@ def test_episode_loss_equals_dict_lookup_oracle():
     neg = kge_score(enc.decoder, gather_rows(emb, neg_h), gather_rows(r_vec, owner),
                     gather_rows(emb, neg_t))
     assert got == margin_loss(gather_rows(pos, owner), neg, cfg.margin).item()
+
+
+def test_episode_loss_scores_in_one_decoder_call(monkeypatch):
+    calls = []
+    score = training.kge_score
+
+    def counted(kind, h, r, t):
+        calls.append(len(h.data))
+        return score(kind, h, r, t)
+
+    monkeypatch.setattr(training, "kge_score", counted)
+    task, graph = region_task(3)
+    enc = init_entity_encoder(2, 6, DecoderKind("transe"), np.random.default_rng(0))
+    episode_loss(enc, task, graph, RunConfig(num_neg=2), np.random.default_rng(1))
+    assert calls == [3 + 3 * 2]
+    calls.clear()
+    cfg = RunConfig(seed=5, dim=6, episodes=8, region_size=30, support_frac=0.7,
+                    model_family="entity", check_per_epoch=1)
+    _, records = train_entity_encoder_model(planted_bundle(np.random.default_rng(6)), cfg)
+    assert len(calls) == len(records) > 0
+
+
+@pytest.mark.parametrize("decoder", ["transe", "distmult", "rotate"])
+def test_episode_loss_gradient_check(decoder):
+    task, graph = region_task(3)
+    enc = init_entity_encoder(2, 6, DecoderKind(decoder), np.random.default_rng(2))
+    cfg = RunConfig(num_neg=2, margin=2.0)
+    err = gradient_check(enc.tensors(),
+                         lambda: episode_loss(enc, task, graph, cfg, np.random.default_rng(3)),
+                         sample_frac=1.0)
+    assert err < 1e-6
+
+
+@pytest.mark.parametrize("decoder,nodes", [("transe", 21), ("distmult", 18),
+                                           ("rotate", 43)])
+def test_episode_loss_tape_size(decoder, nodes):
+    # one decoder call over queries and negatives, and one node per
+    # subtraction: 32, 24 and 82 nodes with two calls and add(mul(-1))
+    task, graph = region_task(3)
+    enc = init_entity_encoder(2, 6, DecoderKind(decoder), np.random.default_rng(0))
+    loss = episode_loss(enc, task, graph, RunConfig(num_neg=2, margin=2.0),
+                        np.random.default_rng(1))
+    assert tape_size(loss) == nodes
+
+
+def test_entity_scorer_records_no_tape(monkeypatch):
+    embedded = []
+    embed = training.init_entity_embeddings
+
+    def recorded(triples, ids, psi):
+        out = embed(triples, ids, psi)
+        embedded.append(out)
+        return out
+
+    monkeypatch.setattr(training, "init_entity_embeddings", recorded)
+    enc = init_entity_encoder(2, 6, DecoderKind("distmult"), np.random.default_rng(0))
+    task, _ = region_task(0)
+    scores = entity_triple_scorer(enc, task.support, np.arange(8))(task.support)
+    assert np.isfinite(scores).all()
+    assert [e.requires_grad for e in embedded] == [False]
 
 
 def test_episode_loss_query_entity_outside_support():
