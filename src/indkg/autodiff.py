@@ -386,7 +386,7 @@ def basis_conv(H, bases, coeffs, src, dst, slot, norm, num_nodes: int,
         if a.shape != (2 * d_out + 2 * d_rel,):
             raise ShapeMismatch(f"att_a {a.shape} is not (2 * {d_out} + 2 * {d_rel},)")
         a_src, a_dst, a_rel, a_tgt = np.split(a, [d_out, 2 * d_out, 2 * d_out + d_rel])
-        tgt = np.full(n, target, dtype=np.int64)[dst]
+        tgt = np.broadcast_to(np.asarray(target, dtype=np.int64), (n,))[dst]
         us = ((HV @ a_src).reshape(n, B)[src]
               + (HV @ a_dst).reshape(n, B)[dst])        # (m, B): d logit / d C
         logit = ((C * us).sum(axis=1) + (E @ a_rel)[slot // 2] + (E @ a_tgt)[tgt])

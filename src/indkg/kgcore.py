@@ -231,13 +231,7 @@ class IndexedGraph:
         return len(self.triples)
 
     def contains(self, h: int, r: int, t: int) -> bool:
-        """Membership of one triple: ``contains_many`` of one row, with the
-        range check in Python and one ``find_sorted`` of the scalar key."""
-        ne, nr = self.num_entities, self.num_relations
-        # an out-of-range id may alias a real key: (h, nr, t) keys as (h + 1, 0, t)
-        if not (0 <= h < ne and 0 <= r < nr and 0 <= t < ne):
-            return False
-        return bool(find_sorted(self.known_keys, (int(h) * nr + int(r)) * ne + int(t))[1])
+        return bool(self.contains_many([(h, r, t)])[0])
 
     def contains_many(self, triples) -> np.ndarray:
         """Boolean membership of each row of an (n, 3) id array."""

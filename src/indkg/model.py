@@ -298,17 +298,7 @@ class Adam:
 
     def step(self) -> None:
         """Apply one update from the accumulated gradients, then zero them;
-        a tensor whose gradient is None is left as it is.
-
-        The moments are updated in place, through one scratch array besides
-        the update, in the operation order of
-
-            m <- b1 * m + (1 - b1) * g
-            v <- b2 * v + (1 - b2) * g * g
-            p <- p - lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps),
-
-        so the parameters equal the textbook update bit for bit.
-        """
+        a tensor whose gradient is None is left as it is."""
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
@@ -316,20 +306,10 @@ class Adam:
             g = p.grad
             if g is None:
                 continue
-            m, v = self.m[name], self.v[name]
-            scratch = g * (1 - self.beta1)
-            m *= self.beta1
-            m += scratch
-            np.multiply(g, 1 - self.beta2, out=scratch)
-            scratch *= g
-            v *= self.beta2
-            v += scratch
-            np.divide(v, b2t, out=scratch)
-            np.sqrt(scratch, out=scratch)
-            scratch += self.eps
-            update = m / b1t
-            update *= self.lr
-            update /= scratch
+            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
+            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
+            update = (self.lr * (self.m[name] / b1t)
+                      / (np.sqrt(self.v[name] / b2t) + self.eps))
             if not np.isfinite(update).all():
                 raise NonFiniteUpdate(f"non-finite Adam update for {name}")
             p.data -= update

@@ -83,11 +83,14 @@ def test_searchsorted_only_in_find_sorted_and_two_range_searches():
     assert calls == homes, sorted(calls - homes, key=str)
 
 
-def test_autodiff_never_calls_broadcast_to():
+def test_autodiff_vjps_never_call_broadcast_to():
     # backward broadcasts a VJP result into the parent's fresh gradient, so
-    # no VJP builds a broadcast copy of its own
+    # no VJP (a lambda or a function nested in an op) builds a broadcast copy
     tree = ast.parse((Path(indkg.__file__).parent / "autodiff.py").read_text(encoding="utf-8"))
-    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
-             and "broadcast_to" in (getattr(node.func, "attr", None),
-                                    getattr(node.func, "id", None))]
-    assert not calls, calls
+    vjps = [inner for outer in ast.walk(tree) if isinstance(outer, ast.FunctionDef)
+            for inner in ast.walk(outer)
+            if inner is not outer and isinstance(inner, (ast.Lambda, ast.FunctionDef))]
+    calls = {node.lineno for vjp in vjps for node in ast.walk(vjp)
+             if isinstance(node, ast.Call) and "broadcast_to" in (
+                 getattr(node.func, "attr", None), getattr(node.func, "id", None))}
+    assert vjps and not calls, sorted(calls)

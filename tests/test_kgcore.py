@@ -143,7 +143,7 @@ def test_edge_count_invariant():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_contains_equals_contains_many(seed):
-    # one scalar lookup agrees with the batched one everywhere, also on
+    # a one-triple lookup agrees with the batched one everywhere, also on
     # out-of-range ids whose keys alias known triples: (h, R, t) keys as
     # (h + 1, 0, t) and (h, r, E) as (h, r + 1, 0)
     rng = np.random.default_rng(seed)

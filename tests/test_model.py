@@ -275,7 +275,7 @@ def test_adam_converges_on_quadratic():
 
 
 def test_adam_step_equals_textbook_update_bitwise():
-    # the in-place moments follow the formula's operation order exactly; a
+    # the update follows the textbook formula's operation order exactly; a
     # tensor without a gradient keeps its values and its moments
     rng = np.random.default_rng(4)
     params = {"a": Tensor(rng.normal(size=(3, 4)), requires_grad=True),
