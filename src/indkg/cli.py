@@ -21,8 +21,8 @@ from . import kgcore, store
 from .config import RunConfig, key_registry, parse_config
 from .errors import ConfigError, IndkgError, MissingFile
 from .evaluate import run_link_prediction, run_link_prediction_triples, run_triple_classification
-from .model import (DecoderKind, init_entity_encoder, init_model, load_checkpoint,
-                    restore_model, save_checkpoint)
+from .model import (build_model, load_checkpoint, model_settings, restore_model,
+                    save_checkpoint)
 from .subgraph import extract_enclosing_subgraphs
 from .training import (
     entity_triple_scorer,
@@ -112,15 +112,9 @@ def cmd_train(cfg: RunConfig) -> int:
         model, records = train_subgraph_model(bundle, cfg)
     else:
         model, records = train_entity_encoder_model(bundle, cfg)
-    echo = {"model_family": cfg.model_family, "k": cfg.k, "dim": cfg.dim,
-            "rel_dim": cfg.rel_dim, "num_bases": cfg.num_bases,
-            "num_layers": cfg.num_layers, "layer_kind": cfg.layer_kind,
-            "comp_op": cfg.comp_op, "decoder": cfg.decoder,
-            "transe_p": cfg.transe_p, "margin": cfg.margin, "seed": cfg.seed,
-            "num_relations": bundle.vocab.num_relations}
     os.makedirs(cfg.output_dir, exist_ok=True)
-    save_checkpoint(os.path.join(cfg.output_dir, "model.ikgm"),
-                    model.tensors(), echo)
+    save_checkpoint(os.path.join(cfg.output_dir, "model.ikgm"), model.tensors(),
+                    model_settings(cfg, cfg.model_family, bundle.vocab.num_relations))
     with open(os.path.join(cfg.output_dir, "metrics.jsonl"), "w") as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
@@ -128,18 +122,10 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def load_model_checkpoint(path):
-    """Rebuild a model object of the recorded family from a checkpoint."""
+    """(model record, model): the checkpoint's config and the model it
+    describes, rebuilt by ``build_model`` and loaded with its tensors."""
     echo, arrays = load_checkpoint(path)
-    decoder = DecoderKind(echo["decoder"], p=echo["transe_p"], margin=echo["margin"])
-    if echo["model_family"] == "subgraph":
-        model = init_model(echo["num_relations"], echo["k"], dim=echo["dim"],
-                           rel_dim=echo["rel_dim"],
-                           num_layers=echo["num_layers"],
-                           num_bases=echo["num_bases"],
-                           layer_kind=echo["layer_kind"],
-                           comp_op=echo["comp_op"])
-    else:
-        model = init_entity_encoder(echo["num_relations"], echo["dim"], decoder)
+    model = build_model(echo)
     restore_model(model, arrays)
     return echo, model
 

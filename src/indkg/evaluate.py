@@ -36,12 +36,15 @@ SCORE_GROUP = 512
 
 
 def compute_rank(scores, truth_idx: int) -> float:
-    """Rank of the truth among scores (1 = best), averaging over ties."""
+    """Rank of the truth among scores (1 = best), averaging over ties. Any
+    NaN score, the truth's or a negative's, makes the rank NaN."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise EmptyScores("cannot rank an empty score array")
     if not (0 <= truth_idx < scores.size):
         raise IndexError(f"truth index {truth_idx} outside [0, {scores.size})")
+    if np.isnan(scores).any():
+        return float("nan")
     s = scores[truth_idx]
     better = int((scores > s).sum())
     tied = int((scores == s).sum()) - 1
@@ -49,10 +52,13 @@ def compute_rank(scores, truth_idx: int) -> float:
 
 
 def ranking_metrics(ranks, hits_at=(1, 5, 10)):
-    """(MRR, {N: Hit@N}) over a list of ranks."""
+    """(MRR, {N: Hit@N}) over a list of ranks. Any NaN rank makes MRR and
+    every Hit@N NaN."""
     ranks = np.asarray(ranks, dtype=np.float64)
     if ranks.size == 0:
         raise EmptyInput("no ranks to aggregate")
+    if np.isnan(ranks).any():
+        return float("nan"), {n: float("nan") for n in hits_at}
     mrr = float(np.mean(1.0 / ranks))
     hits = {n: float(np.mean(ranks <= n)) for n in hits_at}
     return mrr, hits

@@ -65,14 +65,9 @@ class Vocab:
     id2relation: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        if not self.id2entity:
-            self.id2entity = [None] * len(self.entity2id)
-            for label, i in self.entity2id.items():
-                self.id2entity[i] = label
-        if not self.id2relation:
-            self.id2relation = [None] * len(self.relation2id)
-            for label, i in self.relation2id.items():
-                self.id2relation[i] = label
+        e2i, r2i = self.entity2id, self.relation2id
+        self.id2entity = self.id2entity or sorted(e2i, key=e2i.get)
+        self.id2relation = self.id2relation or sorted(r2i, key=r2i.get)
 
     @property
     def num_entities(self) -> int:
@@ -88,29 +83,20 @@ def build_vocab(train, valid=(), test=(), support=(), query=()) -> Vocab:
 
     Entities are numbered across (train, valid, test, support, query) in that
     order, so inductive entities receive fresh ids after the training ones.
-    Relations are numbered from the training split only; a relation seen in
-    support/query but not in train is a hard error.
+    Relations are numbered from the training split only; the first relation
+    of a later split, in split order, that train lacks raises UnknownRelation.
     """
     if not train:
         raise ValueError("at least one training triple required")
-    entity2id: dict[str, int] = {}
-    relation2id: dict[str, int] = {}
-    for h, r, t in train:
-        if h not in entity2id:
-            entity2id[h] = len(entity2id)
-        if t not in entity2id:
-            entity2id[t] = len(entity2id)
-        if r not in relation2id:
-            relation2id[r] = len(relation2id)
+    relations = dict.fromkeys(r for _, r, _ in train)
     for split in (valid, test, support, query):
-        for h, r, t in split:
-            if r not in relation2id:
+        for _, r, _ in split:
+            if r not in relations:
                 raise UnknownRelation(r)
-            if h not in entity2id:
-                entity2id[h] = len(entity2id)
-            if t not in entity2id:
-                entity2id[t] = len(entity2id)
-    return Vocab(entity2id, relation2id)
+    entities = dict.fromkeys(x for split in (train, valid, test, support, query)
+                             for h, _, t in split for x in (h, t))
+    return Vocab({e: i for i, e in enumerate(entities)},
+                 {r: i for i, r in enumerate(relations)})
 
 
 def encode_triples(raw, vocab: Vocab) -> np.ndarray:
@@ -350,7 +336,12 @@ def _check_cross_split(observed, other, other_name, vocab: Vocab):
 
 
 def load_raw_dataset(root) -> DatasetBundle:
-    """Build a DatasetBundle from the on-disk TSV layout under ``root``."""
+    """Build a DatasetBundle from the on-disk TSV layout under ``root``.
+
+    An unknown relation raises UnknownRelation before any entity check; a
+    support, ind_valid or query triple that names a training entity raises
+    EntityOverlap with the labels of every such entity.
+    """
     train_raw = load_triples(os.path.join(root, "train", "train.txt"))
     valid_raw = load_triples(os.path.join(root, "train", "valid.txt"))
     test_raw = load_triples(os.path.join(root, "train", "test.txt"))
@@ -359,20 +350,19 @@ def load_raw_dataset(root) -> DatasetBundle:
     ind_valid_path = os.path.join(root, "ind", "valid.txt")
     ind_valid_raw = load_triples(ind_valid_path) if os.path.isfile(ind_valid_path) else []
 
-    train_ents = {x for h, _, t in train_raw for x in (h, t)}
-    ind_ents = {x for h, _, t in support_raw + ind_valid_raw + query_raw for x in (h, t)}
-    overlap = train_ents & ind_ents
-    if overlap:
-        raise EntityOverlap(overlap)
-
     vocab = build_vocab(train_raw, valid_raw, test_raw,
                         support_raw + ind_valid_raw, query_raw)
-    train = _check_duplicates("train", encode_triples(train_raw, vocab), vocab)
-    valid = _check_duplicates("valid", encode_triples(valid_raw, vocab), vocab)
-    test = _check_duplicates("test", encode_triples(test_raw, vocab), vocab)
-    support = _check_duplicates("support", encode_triples(support_raw, vocab), vocab)
-    query = _check_duplicates("query", encode_triples(query_raw, vocab), vocab)
-    ind_valid = _check_duplicates("ind_valid", encode_triples(ind_valid_raw, vocab), vocab)
+    raw = {"train": train_raw, "valid": valid_raw, "test": test_raw,
+           "support": support_raw, "query": query_raw, "ind_valid": ind_valid_raw}
+    enc = {name: encode_triples(triples, vocab) for name, triples in raw.items()}
+    # training entities are numbered first, so they hold the ids up to train's largest
+    ind_ends = np.concatenate([enc[name][:, [0, 2]].ravel()
+                               for name in ("support", "ind_valid", "query")])
+    shared = ind_ends[ind_ends <= enc["train"][:, [0, 2]].max()]
+    if len(shared):
+        raise EntityOverlap({vocab.id2entity[i] for i in shared.tolist()})
+    train, valid, test, support, query, ind_valid = (
+        _check_duplicates(name, triples, vocab) for name, triples in enc.items())
     _check_cross_split(train, valid, "valid", vocab)
     _check_cross_split(train, test, "test", vocab)
     _check_cross_split(support, query, "query", vocab)

@@ -283,6 +283,33 @@ def init_entity_embeddings(triples: np.ndarray, entity_ids: np.ndarray,
     return mul(summed, (1.0 / counts)[:, None])
 
 
+# -- the model record -------------------------------------------------------
+
+# the config keys a checkpoint records beside model_family and num_relations
+MODEL_KEYS = ("k", "dim", "rel_dim", "num_bases", "num_layers", "layer_kind",
+              "comp_op", "decoder", "transe_p", "margin", "seed")
+
+
+def model_settings(cfg, family: str, num_relations: int) -> dict:
+    """The model record: the ``MODEL_KEYS`` of a RunConfig, the model family
+    and the relation count. A checkpoint stores it as its config, and
+    ``build_model`` builds the model it describes."""
+    return {**{key: getattr(cfg, key) for key in MODEL_KEYS},
+            "model_family": family, "num_relations": num_relations}
+
+
+def build_model(settings: dict, rng=None):
+    """A freshly initialized model of the record's family: ``ModelParams``
+    for ``"subgraph"``, ``EntityEncoderParams`` otherwise."""
+    s = settings
+    if s["model_family"] == "subgraph":
+        return init_model(s["num_relations"], s["k"], dim=s["dim"], rel_dim=s["rel_dim"],
+                          num_layers=s["num_layers"], num_bases=s["num_bases"],
+                          layer_kind=s["layer_kind"], comp_op=s["comp_op"], rng=rng)
+    decoder = DecoderKind(s["decoder"], p=s["transe_p"], margin=s["margin"])
+    return init_entity_encoder(s["num_relations"], s["dim"], decoder, rng=rng)
+
+
 # -- optimizer --------------------------------------------------------------
 
 class Adam:

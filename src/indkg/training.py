@@ -24,14 +24,13 @@ from .evaluate import (
 from .kgcore import DatasetBundle, find_sorted
 from .model import (
     Adam,
-    DecoderKind,
     EntityEncoderParams,
     ModelParams,
+    build_model,
     init_entity_embeddings,
-    init_entity_encoder,
-    init_model,
     kge_score,
     margin_loss,
+    model_settings,
     no_grad_view,
     score_subgraphs,
 )
@@ -61,6 +60,14 @@ def _restore(params: dict, snap: dict) -> None:
         t.data[...] = snap[name]
 
 
+def _record(epoch, split, seed, t0, loss=None, auc=None, auc_pr=None) -> dict:
+    """One metrics.jsonl line; ``wall_ms`` runs from the ``time.monotonic()``
+    reading ``t0`` to now."""
+    return {"epoch": epoch, "split": split, "loss": loss, "auc": auc,
+            "auc_pr": auc_pr, "wall_ms": (time.monotonic() - t0) * 1000.0,
+            "seed": seed}
+
+
 def _check_finite_loss(value: float, params: dict, context: str) -> None:
     if np.isfinite(value):
         return
@@ -87,10 +94,7 @@ def train_subgraph_model(bundle: DatasetBundle, cfg: RunConfig):
     Returns (model at best validation AUC-PR, list of metric-log dicts).
     """
     rng = np.random.default_rng((cfg.seed, 0x1017))
-    model = init_model(bundle.vocab.num_relations, cfg.k, dim=cfg.dim,
-                       rel_dim=cfg.rel_dim, num_layers=cfg.num_layers,
-                       num_bases=cfg.num_bases, layer_kind=cfg.layer_kind,
-                       comp_op=cfg.comp_op, rng=rng)
+    model = build_model(model_settings(cfg, "subgraph", bundle.vocab.num_relations), rng)
     params = model.tensors()
     opt = Adam(params, lr=cfg.lr)
     monitor = MonitorState(patience=cfg.patience, min_delta=cfg.min_delta)
@@ -119,20 +123,14 @@ def train_subgraph_model(bundle: DatasetBundle, cfg: RunConfig):
             epoch_losses.append(loss.item())
             loss.backward()
             opt.step()
-        records.append({"epoch": epoch, "split": "train",
-                        "loss": float(np.mean(epoch_losses)),
-                        "auc": None, "auc_pr": None,
-                        "wall_ms": (time.monotonic() - t0) * 1000.0,
-                        "seed": cfg.seed})
+        records.append(_record(epoch, "train", cfg.seed, t0,
+                               loss=float(np.mean(epoch_losses))))
 
         if (epoch + 1) % cfg.check_per_epoch == 0 and len(bundle.valid):
             t1 = time.monotonic()
             auc, auc_pr = validation_classification(
                 model, graph, bundle.valid, cfg, seed_tag=epoch)
-            records.append({"epoch": epoch, "split": "valid", "loss": None,
-                            "auc": auc, "auc_pr": auc_pr,
-                            "wall_ms": (time.monotonic() - t1) * 1000.0,
-                            "seed": cfg.seed})
+            records.append(_record(epoch, "valid", cfg.seed, t1, auc=auc, auc_pr=auc_pr))
             monitor, stop, is_best = early_stop_decision(monitor, auc_pr)
             if is_best:
                 best = _snapshot(params)
@@ -188,8 +186,7 @@ def episode_loss(enc: EntityEncoderParams, task, graph, cfg: RunConfig, rng):
 def train_entity_encoder_model(bundle: DatasetBundle, cfg: RunConfig):
     """Episodic training of the relation-derived entity initializer."""
     rng = np.random.default_rng((cfg.seed, 0x3317))
-    decoder = DecoderKind(cfg.decoder, p=cfg.transe_p, margin=cfg.margin)
-    enc = init_entity_encoder(bundle.vocab.num_relations, cfg.dim, decoder, rng=rng)
+    enc = build_model(model_settings(cfg, "entity", bundle.vocab.num_relations), rng)
     params = enc.tensors()
     opt = Adam(params, lr=cfg.lr)
     graph = bundle.train_graph
@@ -205,10 +202,7 @@ def train_entity_encoder_model(bundle: DatasetBundle, cfg: RunConfig):
         loss.backward()
         opt.step()
         if (episode + 1) % cfg.check_per_epoch == 0:
-            records.append({"epoch": episode, "split": "train",
-                            "loss": loss.item(), "auc": None, "auc_pr": None,
-                            "wall_ms": (time.monotonic() - t0) * 1000.0,
-                            "seed": cfg.seed})
+            records.append(_record(episode, "train", cfg.seed, t0, loss=loss.item()))
     return enc, records
 
 

@@ -486,6 +486,24 @@ def random_subgraph(rng):
 
 # -- synthetic datasets ------------------------------------------------------
 
+def build_vocab_loop_oracle(train, *later):
+    """(entity2id, relation2id) from one triple at a time: entities by first
+    appearance across train and then each later split, relations from train
+    only. Returns the label of the first later relation train lacks instead,
+    as a string."""
+    entity2id, relation2id = {}, {}
+    for split_no, split in enumerate((train,) + later):
+        for h, r, t in split:
+            if r not in relation2id:
+                if split_no:
+                    return r
+                relation2id[r] = len(relation2id)
+            for e in (h, t):
+                if e not in entity2id:
+                    entity2id[e] = len(entity2id)
+    return entity2id, relation2id
+
+
 def write_tsv(path, rows):
     with open(path, "w", encoding="utf-8") as fh:
         for h, r, t in rows:

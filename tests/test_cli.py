@@ -10,6 +10,7 @@ from indkg.cli import build_parser, extract_all, main
 from indkg.config import key_registry, parse_config
 from indkg.errors import ConfigTypeError, MissingRequired, UnknownKey
 from indkg.kgcore import build_graph
+from indkg.model import EntityEncoderParams, ModelParams, model_settings, save_checkpoint
 
 from helpers import make_raw_dataset_dir, random_triples
 
@@ -315,3 +316,32 @@ def test_out_of_range_id_in_test_block_fails_eval(tmp_path, capsys):
     capsys.readouterr()
     assert main(["eval", "--task", "tc"] + base) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("family, flags", [
+    ("subgraph", ["--k", "2", "--dim", "8", "--rel_dim", "8", "--num_layers", "1",
+                  "--num_bases", "2", "--epochs", "2", "--layer_kind", "comp"]),
+    ("entity", ["--dim", "8", "--episodes", "6", "--region_size", "20",
+                "--support_frac", "0.7", "--decoder", "rotate"]),
+])
+def test_train_checkpoint_round_trips_the_model_record(tmp_path, family, flags):
+    raw = tmp_path / "raw"
+    make_raw_dataset_dir(str(raw), np.random.default_rng(5))
+    out = tmp_path / "out"
+    base = ["--data_root", str(raw), "--output_dir", str(out), "--seed", "4",
+            "--model_family", family] + flags
+    assert main(["preprocess"] + base) == 0
+    assert main(["train"] + base) == 0
+    num_relations = kgcore.load_dataset(out / "dataset.ikgd").vocab.num_relations
+    cfg = parse_config(None, dict(zip((f[2:] for f in base[::2]), base[1::2])))
+    record, model = cli.load_model_checkpoint(out / "model.ikgm")
+    assert record == model_settings(cfg, family, num_relations)
+    assert isinstance(model, ModelParams if family == "subgraph" else EntityEncoderParams)
+    # the rebuilt model saves back to the same bytes
+    save_checkpoint(tmp_path / "again.ikgm", model.tensors(), record)
+    assert (tmp_path / "again.ikgm").read_bytes() == (out / "model.ikgm").read_bytes()
+    records = [json.loads(line) for line in
+               (out / "metrics.jsonl").read_text().splitlines()]
+    assert records and {r["split"] for r in records} <= {"train", "valid"}
+    assert all(set(r) == {"epoch", "split", "loss", "auc", "auc_pr", "wall_ms", "seed"}
+               for r in records)

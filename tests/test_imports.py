@@ -94,3 +94,16 @@ def test_autodiff_vjps_never_call_broadcast_to():
              if isinstance(node, ast.Call) and "broadcast_to" in (
                  getattr(node.func, "attr", None), getattr(node.func, "id", None))}
     assert vjps and not calls, sorted(calls)
+
+
+def test_models_are_built_from_a_record_only_in_model_py():
+    # the trainers and the checkpoint reader go through model.build_model, so
+    # a model setting is read from the record in one place
+    builders = {"init_model", "init_entity_encoder", "DecoderKind"}
+    calls = []
+    for path in sorted(Path(indkg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls += [(path.name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and builders & {
+                      getattr(node.func, "attr", None), getattr(node.func, "id", None)}]
+    assert {name for name, _ in calls} == {"model.py"}, calls

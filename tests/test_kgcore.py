@@ -15,7 +15,8 @@ from indkg.errors import (
     VersionMismatch,
 )
 
-from helpers import graph_index_oracle, make_raw_dataset_dir, write_tsv
+from helpers import (build_vocab_loop_oracle, graph_index_oracle, make_raw_dataset_dir,
+                     write_tsv)
 
 
 def test_load_triples_single_line(tmp_path):
@@ -69,6 +70,33 @@ def test_build_vocab_dedup():
 def test_build_vocab_inductive_ids_appended():
     v = kgcore.build_vocab([("a", "r", "b")], support=[("x", "r", "y")])
     assert v.entity2id == {"a": 0, "b": 1, "x": 2, "y": 3}
+
+
+def _label_splits(rng, n_entities=25, n_relations=4):
+    """A train split and four later splits over one pool of entity labels;
+    the later splits use only relations train has."""
+    draw = lambda n, rels: [(f"e{rng.integers(n_entities)}", rels[rng.integers(len(rels))],
+                             f"e{rng.integers(n_entities)}") for _ in range(n)]
+    train = draw(int(rng.integers(1, 15)), [f"r{i}" for i in range(n_relations)])
+    known = sorted({r for _, r, _ in train})
+    return train, [draw(int(rng.integers(1, 8)), known) for _ in range(4)]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_build_vocab_matches_loop_oracle(seed):
+    rng = np.random.default_rng(seed)
+    train, later = _label_splits(rng)
+    v = kgcore.build_vocab(train, *later)
+    assert (v.entity2id, v.relation2id) == build_vocab_loop_oracle(train, *later)
+    assert v.id2entity == list(v.entity2id) and v.id2relation == list(v.relation2id)
+    # an unknown relation in each later split in turn, and in every split after it
+    for first in range(4):
+        bad = [list(split) for split in later]
+        for i in range(first, 4):
+            bad[i].insert(int(rng.integers(len(bad[i]) + 1)), ("e0", f"new{i}", "e1"))
+        with pytest.raises(UnknownRelation) as err:
+            kgcore.build_vocab(train, *bad)
+        assert err.value.label == build_vocab_loop_oracle(train, *bad) == f"new{first}"
 
 
 def test_vocab_roundtrip():
@@ -437,6 +465,61 @@ def test_entity_disjointness_covers_ind_valid(tmp_path):
     # an inductive validation triple that names a training entity
     write_tsv(root / "ind" / "valid.txt", [(u, r, e)])
     with pytest.raises(EntityOverlap):
+        kgcore.load_raw_dataset(root)
+
+
+def _raw_labels(root, *parts):
+    path = root.joinpath(*parts)
+    return kgcore.load_triples(path) if path.is_file() else []
+
+
+@pytest.mark.parametrize("split", [("ind", "train.txt"), ("ind", "valid.txt"),
+                                   ("ind", "test.txt")])
+def test_entity_overlap_labels_match_label_set_oracle(tmp_path, split):
+    rng = np.random.default_rng(8)
+    root = make_raw_dataset_dir(tmp_path / "raw", rng)
+    train = kgcore.load_triples(root / "train" / "train.txt")
+    (u, r, _), = kgcore.load_triples(root / "ind" / "train.txt")[:1]
+    # two training entities, one of them twice, and one valid-only label
+    (e, _, f), (g, _, _) = train[:2]
+    rows = _raw_labels(root, *split) + [(u, r, e), (f, r, u), (e, r, g), (u, r, "vx")]
+    write_tsv(root.joinpath(*split), rows)
+    with open(root / "train" / "valid.txt", "a", encoding="utf-8") as fh:
+        fh.write(f"{e}\t{r}\tvx\n")
+    ind = [x for name in ("train.txt", "valid.txt", "test.txt")
+           for h, _, t in _raw_labels(root, "ind", name) for x in (h, t)]
+    oracle = {x for h, _, t in train for x in (h, t)} & set(ind)
+    with pytest.raises(EntityOverlap) as err:
+        kgcore.load_raw_dataset(root)
+    assert err.value.labels == oracle and {e, f, g} <= oracle and "vx" not in oracle
+
+
+def test_entity_shared_only_by_held_out_and_query_is_not_overlap(tmp_path):
+    # "vx" is in valid, "tx" in test, and both in query, but neither in train
+    rng = np.random.default_rng(9)
+    root = make_raw_dataset_dir(tmp_path / "raw", rng)
+    (e, r, _), = kgcore.load_triples(root / "train" / "train.txt")[:1]
+    (u, _, _), = kgcore.load_triples(root / "ind" / "train.txt")[:1]
+    for name, row in (("valid.txt", (e, r, "vx")), ("test.txt", ("tx", r, e))):
+        write_tsv(root / "train" / name, _raw_labels(root, "train", name) + [row])
+    write_tsv(root / "ind" / "test.txt",
+              _raw_labels(root, "ind", "test.txt") + [(u, r, "vx"), ("tx", r, u)])
+    bundle = kgcore.load_raw_dataset(root)
+    e2i = bundle.vocab.entity2id
+    assert min(e2i["vx"], e2i["tx"]) > bundle.train[:, [0, 2]].max()
+
+
+def test_unknown_relation_comes_before_entity_overlap(tmp_path):
+    rng = np.random.default_rng(10)
+    root = make_raw_dataset_dir(tmp_path / "raw", rng)
+    (e, r, _), = kgcore.load_triples(root / "train" / "train.txt")[:1]
+    (u, _, _), = kgcore.load_triples(root / "ind" / "train.txt")[:1]
+    support = _raw_labels(root, "ind", "train.txt")
+    write_tsv(root / "ind" / "train.txt", support + [(u, r, e)])
+    with pytest.raises(EntityOverlap):
+        kgcore.load_raw_dataset(root)
+    write_tsv(root / "ind" / "train.txt", support + [(u, r, e), (u, "unseen", u)])
+    with pytest.raises(UnknownRelation):
         kgcore.load_raw_dataset(root)
 
 

@@ -71,6 +71,40 @@ def test_ranking_metrics_examples():
         ranking_metrics([])
 
 
+@pytest.mark.parametrize("scores, truth", [([np.nan, 1.0, 2.0], 0),
+                                            ([0.5, np.nan, 2.0], 0),
+                                            ([3.0, 1.0, np.nan], 1)])
+def test_nan_score_makes_the_rank_nan(scores, truth):
+    # a NaN truth once ranked 0.5 (MRR 2.0), and a NaN negative ranked below it
+    assert np.isnan(compute_rank(scores, truth))
+
+
+def test_nan_rank_makes_mrr_and_every_hit_nan():
+    mrr, hits = ranking_metrics([1.0, np.nan, 3.0], hits_at=(1, 3, 10))
+    assert np.isnan(mrr)
+    assert sorted(hits) == [1, 3, 10] and all(np.isnan(v) for v in hits.values())
+
+
+def test_link_prediction_with_one_nan_score_reports_nan():
+    g = build_graph([(0, 0, 1), (1, 0, 2), (2, 0, 3)], 8, 1)
+    calls = []
+
+    def score(cands):
+        out = np.arange(len(cands), dtype=np.float64)
+        if not calls:
+            out[-1] = np.nan
+        calls.append(len(cands))
+        return out
+
+    rep = run_link_prediction_triples(score, g, [(0, 0, 1), (1, 0, 2)], 3, seed=0)
+    assert calls and np.isnan(rep.mrr)
+    assert rep.hits and all(np.isnan(v) for v in rep.hits.values())
+    # the same run without the NaN gives ranks in range
+    calls.append(0)
+    rep = run_link_prediction_triples(score, g, [(0, 0, 1), (1, 0, 2)], 3, seed=0)
+    assert 0.0 < rep.mrr <= 1.0 and all(0.0 <= v <= 1.0 for v in rep.hits.values())
+
+
 def test_auc_examples():
     auc, _ = classification_metrics([0.9, 0.8, 0.3, 0.2], [1, 1, 0, 0])
     assert auc == 1.0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from indkg.autodiff import Tensor, tsum
+from indkg.config import parse_config
 from indkg.errors import (
     IsolatedEntity,
     LengthMismatch,
@@ -12,8 +13,10 @@ from indkg.errors import (
 )
 from indkg.kgcore import build_graph
 from indkg.model import (
+    MODEL_KEYS,
     Adam,
     DecoderKind,
+    build_model,
     gradient_check,
     init_entity_embeddings,
     init_entity_encoder,
@@ -21,6 +24,7 @@ from indkg.model import (
     kge_score,
     load_checkpoint,
     margin_loss,
+    model_settings,
     restore_model,
     save_checkpoint,
     score_subgraphs,
@@ -413,3 +417,35 @@ def test_restore_shape_guard(tmp_path):
     arrays["readout_w"] = arrays["readout_w"][:-1]
     with pytest.raises(ShapeMismatch):
         restore_model(model, arrays)
+
+
+@pytest.mark.parametrize("family, flags", [
+    ("subgraph", {"layer_kind": "rgcn", "num_bases": 3}),
+    ("subgraph", {"layer_kind": "att", "num_layers": 2}),
+    ("subgraph", {"layer_kind": "comp", "comp_op": "corr", "rel_dim": 8}),
+    ("entity", {"decoder": "transe", "transe_p": 1.0}),
+    ("entity", {"decoder": "distmult"}),
+    ("entity", {"decoder": "rotate", "margin": 6.0}),
+])
+def test_build_model_equals_a_direct_init_bitwise(family, flags):
+    cfg = parse_config(None, {"seed": 3, "dim": 8, "rel_dim": 6, "k": 2, **flags})
+    settings = model_settings(cfg, family, 5)
+    assert set(settings) == {*MODEL_KEYS, "model_family", "num_relations"}
+    assert settings["model_family"] == family and settings["num_relations"] == 5
+    rng_built, rng = np.random.default_rng(9), np.random.default_rng(9)
+    built = build_model(settings, rng_built)
+    if family == "subgraph":
+        direct = init_model(5, cfg.k, dim=cfg.dim, rel_dim=cfg.rel_dim,
+                            num_layers=cfg.num_layers, num_bases=cfg.num_bases,
+                            layer_kind=cfg.layer_kind, comp_op=cfg.comp_op, rng=rng)
+        assert (built.layer_kind, built.comp_op) == (cfg.layer_kind, cfg.comp_op)
+    else:
+        decoder = DecoderKind(cfg.decoder, p=cfg.transe_p, margin=cfg.margin)
+        direct = init_entity_encoder(5, cfg.dim, decoder, rng=rng)
+        assert built.decoder == decoder
+    got, want = built.tensors(), direct.tensors()
+    assert sorted(got) == sorted(want)
+    for name in want:
+        assert got[name].data.tobytes() == want[name].data.tobytes(), name
+    # both drew the same numbers from their rng
+    assert rng_built.bit_generator.state == rng.bit_generator.state

@@ -64,6 +64,28 @@ def test_every_recorded_name_exists():
     assert not missing
 
 
+def test_checkpoint_record_keys_equal_the_benchmark_copy():
+    """``stages.Workload._train_subgraph`` saves a checkpoint with a config
+    dict of its own; ``eval`` rebuilds the model from it, so its keys must
+    be those of ``model.model_settings``."""
+    from indkg.config import parse_config
+    from indkg.model import model_settings
+
+    with open(os.path.join(PERFBENCH, "stages.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    train = next(n for n in ast.walk(tree)
+                 if isinstance(n, ast.FunctionDef) and n.name == "_train_subgraph")
+    save, = [c for c in ast.walk(train) if isinstance(c, ast.Call)
+             and getattr(c.func, "id", None) == "save_checkpoint"]
+    config = save.args[2]
+    if isinstance(config, ast.Name):
+        config, = [a.value for a in ast.walk(train) if isinstance(a, ast.Assign)
+                   and [getattr(t, "id", None) for t in a.targets] == [config.id]]
+    assert isinstance(config, ast.Dict)
+    keys = {ast.literal_eval(k) for k in config.keys}
+    assert keys == set(model_settings(parse_config(None, {"seed": 1}), "subgraph", 3))
+
+
 @pytest.mark.parametrize("family", ["subgraph", "entity"])
 def test_one_recorded_call_per_ranking_side(monkeypatch, family):
     """``stages.Recorder`` pairs the i-th recorded ``make_ranking_batch`` or
