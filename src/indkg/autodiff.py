@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import dataclasses
 import functools
 import math
 
@@ -112,16 +113,8 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, power(other, -1.0))
-        return mul(self, 1.0 / other)
-
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -131,102 +124,96 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _binary(a, b, out_data, vjp_a, vjp_b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    parents = []
-    if a.requires_grad:
-        parents.append((a, vjp_a))
-    if b.requires_grad:
-        parents.append((b, vjp_b))
-    return Tensor(out_data, _parents=tuple(parents))
+def tensor_fields(obj, prefix: str = "") -> dict[str, Tensor]:
+    """The Tensor-valued fields of a dataclass instance in field order, each
+    keyed by ``prefix`` plus its field name."""
+    return {prefix + f.name: t for f in dataclasses.fields(obj)
+            if isinstance(t := getattr(obj, f.name), Tensor)}
+
+
+def _node(out, a: Tensor, vjp_a, b: Tensor = None, vjp_b=None) -> Tensor:
+    """The tensor of ``out`` whose tape holds ``(a, vjp_a)`` and then
+    ``(b, vjp_b)``, each only when that operand requires a gradient."""
+    parents = ((a, vjp_a),) if a.requires_grad else ()
+    if b is not None and b.requires_grad:
+        parents += ((b, vjp_b),)
+    return Tensor(out, _parents=parents)
 
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return _binary(a, b, a.data + b.data,
-                   lambda g: _unbroadcast(g, a.data.shape),
-                   lambda g: _unbroadcast(g, b.data.shape))
+    return _node(a.data + b.data, a, lambda g: _unbroadcast(g, a.data.shape),
+                 b, lambda g: _unbroadcast(g, b.data.shape))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return _binary(a, b, a.data - b.data,
-                   lambda g: _unbroadcast(g, a.data.shape),
-                   lambda g: -_unbroadcast(g, b.data.shape))
+    return _node(a.data - b.data, a, lambda g: _unbroadcast(g, a.data.shape),
+                 b, lambda g: -_unbroadcast(g, b.data.shape))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return _binary(a, b, a.data * b.data,
-                   lambda g: _unbroadcast(g * b.data, a.data.shape),
-                   lambda g: _unbroadcast(g * a.data, b.data.shape))
+    return _node(a.data * b.data, a, lambda g: _unbroadcast(g * b.data, a.data.shape),
+                 b, lambda g: _unbroadcast(g * a.data, b.data.shape))
 
 
 def matmul(a, b) -> Tensor:
+    """``a @ b`` for 1-D or 2-D operands. Each VJP is one product of the 2-D
+    forms ``(n, k) @ (k, e)``, reshaped to its operand: a 1-D ``a`` is one
+    row and a 1-D ``b`` one column."""
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data @ b.data
 
     def vjp_a(g):
-        if a.data.ndim == 1:
-            return (g @ b.data.T) if b.data.ndim == 2 else g * b.data
-        gm = g.reshape(-1, 1) if g.ndim == 1 and b.data.ndim == 1 else g
-        bm = b.data.reshape(-1, 1) if b.data.ndim == 1 else b.data
-        return (gm @ bm.T).reshape(a.data.shape)
+        bm = b.data.reshape(len(b.data), -1)
+        return (g.reshape(-1, bm.shape[1]) @ bm.T).reshape(a.data.shape)
 
     def vjp_b(g):
-        if b.data.ndim == 1:
-            return (a.data.T @ g) if a.data.ndim == 2 else g * a.data
-        am = a.data.reshape(1, -1) if a.data.ndim == 1 else a.data
-        gm = g.reshape(1, -1) if g.ndim == 1 else g
+        k = len(b.data)
+        am, gm = a.data.reshape(-1, k), g.reshape(-1, b.data.size // k)
         return (am.T @ gm).reshape(b.data.shape)
 
-    return _binary(a, b, out, vjp_a, vjp_b)
-
-
-def _unary(a, out_data, vjp) -> Tensor:
-    a = as_tensor(a)
-    parents = ((a, vjp),) if a.requires_grad else ()
-    return Tensor(out_data, _parents=parents)
+    return _node(a.data @ b.data, a, vjp_a, b, vjp_b)
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
     mask = a.data > 0  # subgradient 0 at the kink
-    return _unary(a, np.where(mask, a.data, 0.0), lambda g: g * mask)
+    return _node(np.where(mask, a.data, 0.0), a, lambda g: g * mask)
 
 
 def absolute(a) -> Tensor:
     a = as_tensor(a)
     sign = np.sign(a.data)
-    return _unary(a, np.abs(a.data), lambda g: g * sign)
+    return _node(np.abs(a.data), a, lambda g: g * sign)
 
 
 def power(a, p: float) -> Tensor:
     a = as_tensor(a)
-    return _unary(a, a.data ** p, lambda g: g * p * a.data ** (p - 1.0))
+    return _node(a.data ** p, a, lambda g: g * p * a.data ** (p - 1.0))
 
 
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
     s = np.sqrt(a.data)
-    return _unary(a, s, lambda g: g * 0.5 / s)
+    return _node(s, a, lambda g: g * 0.5 / s)
 
 
 def sin(a) -> Tensor:
     a = as_tensor(a)
-    return _unary(a, np.sin(a.data), lambda g: g * np.cos(a.data))
+    return _node(np.sin(a.data), a, lambda g: g * np.cos(a.data))
 
 
 def cos(a) -> Tensor:
     a = as_tensor(a)
-    return _unary(a, np.cos(a.data), lambda g: -g * np.sin(a.data))
+    return _node(np.cos(a.data), a, lambda g: -g * np.sin(a.data))
 
 
 def tsum(a, axis=None) -> Tensor:
     a = as_tensor(a)
     # backward broadcasts the gradient to a's shape
-    return _unary(a, a.data.sum(axis=axis),
-                  lambda g: g if axis is None else np.expand_dims(g, axis))
+    return _node(a.data.sum(axis=axis), a,
+                 lambda g: g if axis is None else np.expand_dims(g, axis))
 
 
 def tmean(a, axis=None) -> Tensor:
@@ -237,12 +224,12 @@ def tmean(a, axis=None) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    return _unary(a, a.data.reshape(shape), lambda g: g.reshape(a.data.shape))
+    return _node(a.data.reshape(shape), a, lambda g: g.reshape(a.data.shape))
 
 
 def transpose(a, axes) -> Tensor:
     a = as_tensor(a)
-    return _unary(a, a.data.transpose(axes), lambda g: g.transpose(np.argsort(axes)))
+    return _node(a.data.transpose(axes), a, lambda g: g.transpose(np.argsort(axes)))
 
 
 def concat(tensors, axis=0) -> Tensor:
@@ -284,14 +271,14 @@ def gather_rows(a, idx) -> Tensor:
     """Select rows a[idx]; gradient scatter-adds back into the source."""
     a = as_tensor(a)
     idx = np.asarray(idx, dtype=np.int64)
-    return _unary(a, a.data[idx], lambda g: _scatter_rows(g, idx, a.data.shape[0]))
+    return _node(a.data[idx], a, lambda g: _scatter_rows(g, idx, a.data.shape[0]))
 
 
 def segment_sum(a, idx, num_segments: int) -> Tensor:
     """Sum rows of a (m, ...) tensor into ``num_segments`` buckets by idx."""
     a = as_tensor(a)
     idx = np.asarray(idx, dtype=np.int64)
-    return _unary(a, _scatter_rows(a.data, idx, num_segments), lambda g: g[idx])
+    return _node(_scatter_rows(a.data, idx, num_segments), a, lambda g: g[idx])
 
 
 def conv_pattern(src, dst, num_nodes: int, B: int):
@@ -464,10 +451,8 @@ def circular_correlation(a, b) -> Tensor:
     fwd_idx = (i[None, :] + i[:, None]) % d    # fwd_idx[k, i] = (i + k) % d
     bwd_idx = (i[None, :] - i[:, None]) % d    # bwd_idx[k, j] = (j - k) % d
     out = np.einsum("mi,mki->mk", a.data, b.data[:, fwd_idx])
-    return _binary(
-        a, b, out,
-        lambda g: np.einsum("mk,mki->mi", g, b.data[:, fwd_idx]),
-        lambda g: np.einsum("mk,mkj->mj", g, a.data[:, bwd_idx]))
+    return _node(out, a, lambda g: np.einsum("mk,mki->mi", g, b.data[:, fwd_idx]),
+                 b, lambda g: np.einsum("mk,mkj->mj", g, a.data[:, bwd_idx]))
 
 
 def norm(a, p: float = 2.0, axis=None) -> Tensor:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -162,8 +163,17 @@ def cmd_eval(cfg: RunConfig) -> int:
             report = run_triple_classification(
                 lambda items: score_triples([it.sub.target for it in items]),
                 graph, bundle.query, k, cfg.seed, max_nodes=cfg.max_nodes)
+    # strict JSON has no NaN: a NaN metric is written as null
+    out, nan = report.to_dict(), []
+    for table, prefix in ((out, ""), (out["hits"], "hit@")):
+        for key, value in table.items():
+            if isinstance(value, float) and math.isnan(value):
+                table[key] = None
+                nan.append(prefix + key)
+    if nan:
+        log.warning("report.json writes the NaN metrics %s as null", ", ".join(nan))
     with open(os.path.join(cfg.output_dir, "report.json"), "w") as fh:
-        json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
+        json.dump(out, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
     print(report.format_table())
     return 0

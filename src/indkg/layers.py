@@ -53,6 +53,7 @@ from .autodiff import (
     relu,
     reshape,
     segment_sum,
+    tensor_fields,
 )
 from .errors import ShapeMismatch, UnknownCompositionOp
 
@@ -73,13 +74,7 @@ class LayerParams:
     w_rel: Tensor = None
 
     def tensors(self, prefix: str) -> dict:
-        out = {}
-        for name in ("bases", "coeffs", "self_weight", "att_a",
-                     "w_fwd", "w_bwd", "w_self", "w_rel"):
-            t = getattr(self, name)
-            if t is not None:
-                out[f"{prefix}.{name}"] = t
-        return out
+        return tensor_fields(self, f"{prefix}.")
 
 
 def _glorot(rng, *shape):
@@ -151,17 +146,23 @@ def _check_features(ms: Messages, H: Tensor, d_in: int):
             f"features {H.shape} do not match ({ms.num_nodes}, {d_in})")
 
 
+def _basis_layer(sub, H: Tensor, P: LayerParams, activation: bool, **att) -> Tensor:
+    """The self term plus one ``basis_conv``; ``att`` holds the attention
+    arguments, or nothing for plain R-GCN."""
+    ms = messages(sub)
+    _check_features(ms, H, P.d_in)
+    out = matmul(H, P.self_weight) + basis_conv(
+        H, P.bases, P.coeffs, ms.src, ms.dst, ms.slot, ms.norm, ms.num_nodes,
+        pattern=ms.pattern(P.bases.shape[0]), **att)
+    return relu(out) if activation else out
+
+
 def rgcn_layer(sub, H: Tensor, P: LayerParams, activation=True) -> Tensor:
     """Basis-decomposed R-GCN convolution with mean aggregation per slot.
 
     ``sub`` is a Subgraph or the Messages of one or of a union of them.
     """
-    ms = messages(sub)
-    _check_features(ms, H, P.d_in)
-    out = matmul(H, P.self_weight) + basis_conv(
-        H, P.bases, P.coeffs, ms.src, ms.dst, ms.slot, ms.norm, ms.num_nodes,
-        pattern=ms.pattern(P.bases.shape[0]))
-    return relu(out) if activation else out
+    return _basis_layer(sub, H, P, activation)
 
 
 def rel_att_layer(sub, H: Tensor, P: LayerParams, rel_emb: Tensor,
@@ -173,13 +174,8 @@ def rel_att_layer(sub, H: Tensor, P: LayerParams, rel_emb: Tensor,
     one relation id, or one per node when ``sub`` is the Messages of a union
     of subgraphs scored against different relations.
     """
-    ms = messages(sub)
-    _check_features(ms, H, P.d_in)
-    out = matmul(H, P.self_weight) + basis_conv(
-        H, P.bases, P.coeffs, ms.src, ms.dst, ms.slot, ms.norm, ms.num_nodes,
-        att_a=P.att_a, rel_emb=rel_emb, target=target_rel,
-        pattern=ms.pattern(P.bases.shape[0]))
-    return relu(out) if activation else out
+    return _basis_layer(sub, H, P, activation, att_a=P.att_a, rel_emb=rel_emb,
+                        target=target_rel)
 
 
 COMP_OPS = ("sub", "mult", "corr")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .autodiff import (
     segment_sum,
     sin,
     sqrt,
+    tensor_fields,
     tmean,
     transpose,
     tsum,
@@ -119,8 +120,7 @@ class ModelParams:
     readout_w: Tensor = None        # (3*dim + rel_dim,)
 
     def tensors(self) -> dict[str, Tensor]:
-        out = {"input_proj": self.input_proj, "rel_emb": self.rel_emb,
-               "readout_w": self.readout_w}
+        out = tensor_fields(self)
         for i, layer in enumerate(self.layers):
             out.update(layer.tensors(f"layer{i}"))
         return out
@@ -157,9 +157,8 @@ def no_grad_view(model: ModelParams) -> ModelParams:
     model's parameters show through it.
     """
     def detach(obj):
-        return replace(obj, **{f.name: Tensor(getattr(obj, f.name).data)
-                               for f in fields(obj)
-                               if isinstance(getattr(obj, f.name), Tensor)})
+        return replace(obj, **{name: Tensor(t.data)
+                               for name, t in tensor_fields(obj).items()})
     return replace(detach(model), layers=[detach(P) for P in model.layers])
 
 
@@ -234,7 +233,7 @@ class EntityEncoderParams:
     dec_rel: Tensor = None   # (num_relations, dim) or (num_relations, dim/2) phases
 
     def tensors(self) -> dict[str, Tensor]:
-        return {"psi": self.psi, "dec_rel": self.dec_rel}
+        return tensor_fields(self)
 
 
 def init_entity_encoder(num_relations: int, dim: int, decoder: DecoderKind,
@@ -300,8 +299,13 @@ def model_settings(cfg, family: str, num_relations: int) -> dict:
 
 def build_model(settings: dict, rng=None):
     """A freshly initialized model of the record's family: ``ModelParams``
-    for ``"subgraph"``, ``EntityEncoderParams`` otherwise."""
+    for ``"subgraph"``, ``EntityEncoderParams`` otherwise. A record that
+    lacks a key raises CorruptHeader naming the missing keys."""
     s = settings
+    missing = [key for key in ("model_family", "num_relations", *MODEL_KEYS)
+               if key not in s]
+    if missing:
+        raise CorruptHeader(f"model record lacks {', '.join(missing)}")
     if s["model_family"] == "subgraph":
         return init_model(s["num_relations"], s["k"], dim=s["dim"], rel_dim=s["rel_dim"],
                           num_layers=s["num_layers"], num_bases=s["num_bases"],
@@ -429,7 +433,7 @@ def restore_model(model, arrays: dict[str, np.ndarray]) -> None:
     """Load checkpoint arrays into a model's named tensors, in place."""
     for name, t in model.tensors().items():
         if name not in arrays:
-            raise KeyError(f"checkpoint missing tensor {name!r}")
+            raise CorruptHeader(f"checkpoint missing tensor {name!r}")
         if arrays[name].shape != t.data.shape:
             raise ShapeMismatch(
                 f"tensor {name!r}: checkpoint {arrays[name].shape} vs model {t.data.shape}")

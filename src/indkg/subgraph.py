@@ -11,7 +11,7 @@ level-synchronous BFS per chunk of rows.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -45,13 +45,9 @@ class Subgraph:
         return 0 if self.target[0] == self.target[2] else 1
 
     def __eq__(self, other):
-        return (isinstance(other, Subgraph)
-                and self.target == other.target
-                and self.k == other.k
-                and self.union_size == other.union_size
-                and np.array_equal(self.nodes, other.nodes)
-                and np.array_equal(self.dist_pairs, other.dist_pairs)
-                and np.array_equal(self.edges, other.edges))
+        return isinstance(other, Subgraph) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self))
 
 
 def _csr_slices(starts: np.ndarray, stops: np.ndarray):

@@ -90,6 +90,20 @@ def test_matmul_all_shapes():
     check(lambda: matmul(v, u), v, u)
 
 
+@pytest.mark.parametrize("n, d", [(1, 1), (5, 4), (37, 19), (120, 64)])
+@pytest.mark.parametrize("e", [3, None], ids=["matrix", "vector"])
+def test_matmul_vjps_equal_the_plain_products_bitwise(n, d, e):
+    # (n, d) @ (d, e) and the readout's (n, d) @ (d,)
+    rng = np.random.default_rng(n * d)
+    A = Tensor(rng.normal(size=(n, d)), requires_grad=True)
+    B = Tensor(rng.normal(size=(d,) if e is None else (d, e)), requires_grad=True)
+    g = rng.normal(size=(n,) if e is None else (n, e))
+    matmul(A, B).backward(g)
+    want_a = np.outer(g, B.data) if e is None else g @ B.data.T
+    assert A.grad.tobytes() == want_a.tobytes()
+    assert B.grad.tobytes() == (A.data.T @ g).tobytes()
+
+
 def test_unary_ops():
     rng = np.random.default_rng(3)
     x = Tensor(rng.normal(size=6) + 0.1, requires_grad=True)

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import re
 
@@ -6,11 +7,13 @@ import numpy as np
 import pytest
 
 from indkg import cli, kgcore
+from indkg.autodiff import Tensor
 from indkg.cli import build_parser, extract_all, main
 from indkg.config import key_registry, parse_config
 from indkg.errors import ConfigTypeError, MissingRequired, UnknownKey
 from indkg.kgcore import build_graph
-from indkg.model import EntityEncoderParams, ModelParams, model_settings, save_checkpoint
+from indkg.model import (EntityEncoderParams, ModelParams, load_checkpoint, model_settings,
+                         save_checkpoint)
 
 from helpers import make_raw_dataset_dir, random_triples
 
@@ -345,3 +348,49 @@ def test_train_checkpoint_round_trips_the_model_record(tmp_path, family, flags):
     assert records and {r["split"] for r in records} <= {"train", "valid"}
     assert all(set(r) == {"epoch", "split", "loss", "auc", "auc_pr", "wall_ms", "seed"}
                for r in records)
+
+
+def trained_entity_run(tmp_path):
+    raw = tmp_path / "raw"
+    make_raw_dataset_dir(str(raw), np.random.default_rng(5))
+    out = tmp_path / "out"
+    base = ["--data_root", str(raw), "--output_dir", str(out), "--seed", "2",
+            "--model_family", "entity", "--dim", "8", "--episodes", "2",
+            "--region_size", "20", "--support_frac", "0.7"]
+    assert main(["preprocess"] + base) == 0
+    assert main(["train"] + base) == 0
+    return out, base
+
+
+@pytest.mark.parametrize("missing", ["dim", "model_family", "num_relations", "psi"])
+def test_eval_of_an_incomplete_checkpoint_exits_2(tmp_path, capsys, missing):
+    # a record key or a tensor
+    out, base = trained_entity_run(tmp_path)
+    record, arrays = load_checkpoint(out / "model.ikgm")
+    record.pop(missing, None)
+    save_checkpoint(out / "model.ikgm",
+                    {name: Tensor(a) for name, a in arrays.items() if name != missing},
+                    record)
+    capsys.readouterr()
+    assert main(["eval"] + base) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and missing in err
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@pytest.mark.parametrize("task, nan", [("tc", ["auc", "auc_pr"]),
+                                       ("lp", ["mrr", "hit@1", "hit@5", "hit@10"])])
+def test_nan_metrics_are_written_as_null(tmp_path, monkeypatch, caplog, task, nan):
+    out, base = trained_entity_run(tmp_path)
+    monkeypatch.setattr(cli, "entity_triple_scorer",
+                        lambda *args: lambda cands: np.full(len(cands), np.nan))
+    with caplog.at_level(logging.WARNING, logger="indkg.cli"):
+        assert main(["eval", "--task", task, "--num_neg_eval", "5"] + base) == 0
+    report = json.loads((out / "report.json").read_text(), parse_constant=reject_constant)
+    flat = {**report, **{f"hit@{n}": v for n, v in report["hits"].items()}}
+    assert all(flat[key] is None for key in nan)
+    assert [r.getMessage() for r in caplog.records if r.name == "indkg.cli"] == [
+        f"report.json writes the NaN metrics {', '.join(nan)} as null"]

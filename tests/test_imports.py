@@ -107,3 +107,13 @@ def test_models_are_built_from_a_record_only_in_model_py():
                   if isinstance(node, ast.Call) and builders & {
                       getattr(node.func, "attr", None), getattr(node.func, "id", None)}]
     assert {name for name, _ in calls} == {"model.py"}, calls
+
+
+def test_tape_nodes_are_built_only_in_node_concat_and_basis_conv():
+    # every op of one or two operands records its tape entries through
+    # autodiff._node; concat and basis_conv have a variable number of parents
+    tree = ast.parse((Path(indkg.__file__).parent / "autodiff.py").read_text(encoding="utf-8"))
+    homes = {getattr(top, "name", None) for top in tree.body for node in ast.walk(top)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Tensor"
+             and any(kw.arg == "_parents" for kw in node.keywords)}
+    assert homes == {"_node", "concat", "basis_conv"}, homes

@@ -25,6 +25,7 @@ from indkg.model import (
     load_checkpoint,
     margin_loss,
     model_settings,
+    no_grad_view,
     restore_model,
     save_checkpoint,
     score_subgraphs,
@@ -449,3 +450,28 @@ def test_build_model_equals_a_direct_init_bitwise(family, flags):
         assert got[name].data.tobytes() == want[name].data.tobytes(), name
     # both drew the same numbers from their rng
     assert rng_built.bit_generator.state == rng.bit_generator.state
+
+
+LAYER_TENSORS = {"rgcn": ["bases", "coeffs", "self_weight"],
+                 "att": ["bases", "coeffs", "self_weight", "att_a"],
+                 "comp": ["w_fwd", "w_bwd", "w_self", "w_rel"]}
+
+
+@pytest.mark.parametrize("layer_kind", list(LAYER_TENSORS))
+def test_model_tensor_names_and_order(layer_kind):
+    # Adam, gradient_check and the checkpoints read the names in this order
+    model, *_ = scoring_fixture(layer_kind)
+    want = ["input_proj", "rel_emb", "readout_w"] + [
+        f"layer{i}.{name}" for i in range(2) for name in LAYER_TENSORS[layer_kind]]
+    assert list(model.tensors()) == want
+    view = no_grad_view(model).tensors()
+    assert list(view) == want
+    for name, t in model.tensors().items():
+        assert view[name] is not t and view[name].data is t.data
+        assert not view[name].requires_grad, name
+
+
+@pytest.mark.parametrize("decoder", ["transe", "distmult", "rotate"])
+def test_entity_encoder_tensor_names_and_order(decoder):
+    enc = init_entity_encoder(3, 4, DecoderKind(decoder))
+    assert list(enc.tensors()) == ["psi", "dec_rel"]

@@ -1,10 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from indkg.errors import IdOutOfBounds
 from indkg.kgcore import build_graph
 from indkg import subgraph
-from indkg.subgraph import bfs_distances, extract_enclosing_subgraph, \
+from indkg.subgraph import Subgraph, bfs_distances, extract_enclosing_subgraph, \
     extract_enclosing_subgraphs, label_nodes
 
 from helpers import enclosing_nodes_oracle, enclosing_subgraph_oracle, \
@@ -356,3 +358,22 @@ def test_batched_extraction_deep_k_matches_oracle():
     expect = {i: int(d) for i, d in enumerate(oracle) if 0 <= d <= k}
     assert bfs_distances(g, 0, k, masked_edge=(0, 0, 1)) == expect
     assert expect[11] == 70 and 10 not in expect
+
+
+SUBGRAPH_FIELDS = dict(target=(0, 0, 1), nodes=np.array([0, 1, 2]),
+                       dist_pairs=np.array([[0, 1], [1, 0], [1, 1]]),
+                       edges=np.array([[0, 2, 0], [2, 1, 0]]), k=2, union_size=3)
+CHANGED_FIELDS = dict(target=(0, 1, 1), nodes=np.array([0, 1, 3]),
+                      dist_pairs=np.array([[0, 1], [1, 0], [1, 2]]),
+                      edges=np.array([[0, 2, 0]]), k=3, union_size=4)
+
+
+def test_changed_fields_cover_every_subgraph_field():
+    assert list(CHANGED_FIELDS) == [f.name for f in fields(Subgraph)]
+
+
+@pytest.mark.parametrize("name", list(CHANGED_FIELDS))
+def test_subgraphs_differing_in_one_field_compare_unequal(name):
+    sub = Subgraph(**SUBGRAPH_FIELDS)
+    assert sub == Subgraph(**{key: np.copy(v) for key, v in SUBGRAPH_FIELDS.items()})
+    assert sub != Subgraph(**{**SUBGRAPH_FIELDS, name: CHANGED_FIELDS[name]})
