@@ -13,8 +13,8 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-import multiprocessing
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -36,37 +36,28 @@ log = logging.getLogger(__name__)
 
 SUBCOMMANDS = ("preprocess", "extract", "train", "eval", "stats")
 
-# shared state for forked extraction workers
-_EXTRACT_CTX = None
-
-
-def _extract_span(span):
-    graph, triples, k, max_nodes = _EXTRACT_CTX
-    return extract_enclosing_subgraphs(graph, triples[span[0]:span[1]], k,
-                                       max_nodes=max_nodes)
-
 
 def extract_all(graph, triples, k, max_nodes: int = 0, threads: int = 1):
     """Enclosing subgraphs for a triple list, in input order.
 
-    One batched ``extract_enclosing_subgraphs`` call in process; with
-    threads > 1, each forked worker makes that call on one span of
-    consecutive rows. The result is identical either way, because extraction
-    is row by row and the spans are joined in input order.
+    The rows are cut into up to ``threads`` spans of consecutive rows, no
+    more than there are rows or cores, and each span is one
+    ``extract_enclosing_subgraphs`` call on the shared graph: the first on
+    the calling thread, the others on a pool of one thread fewer. The
+    result does not depend on ``threads``, because extraction is row by row
+    and the spans are joined in input order.
     """
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-    if threads <= 1 or len(triples) < 2:
-        return extract_enclosing_subgraphs(graph, triples, k, max_nodes=max_nodes)
-    global _EXTRACT_CTX
-    _EXTRACT_CTX = (graph, triples, k, max_nodes)
-    try:
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=threads, mp_context=ctx) as ex:
-            cuts = [len(triples) * i // threads for i in range(threads + 1)]
-            return [sub for part in ex.map(_extract_span, zip(cuts, cuts[1:]))
-                    for sub in part]
-    finally:
-        _EXTRACT_CTX = None
+    n = max(1, min(threads, len(triples), os.cpu_count() or 1))
+    cuts = [len(triples) * i // n for i in range(n + 1)]
+    first, *rest = [triples[a:b] for a, b in zip(cuts, cuts[1:])]
+    # the first span runs here: a pool thread's allocator arena keeps its
+    # span's transient arrays, and one span needs no pool
+    with ThreadPoolExecutor(n - 1) if rest else nullcontext() as pool:
+        futures = [pool.submit(extract_enclosing_subgraphs, graph, span, k,
+                               max_nodes=max_nodes) for span in rest]
+        subs = extract_enclosing_subgraphs(graph, first, k, max_nodes=max_nodes)
+    return subs + [sub for future in futures for sub in future.result()]
 
 
 def _dataset_path(cfg: RunConfig) -> str:
@@ -94,7 +85,7 @@ def cmd_extract(cfg: RunConfig) -> int:
     splits = bundle.splits()
     if cfg.split not in splits:
         raise ConfigError(f"unknown split {cfg.split!r}; choose from {sorted(splits)}")
-    # built here, before extract_all forks, so the workers share one build
+    # built here, before extract_all starts its threads, so they share one build
     graph = bundle.train_graph if _SPLIT_GRAPH[cfg.split] == "train" else bundle.ind_graph
     subs = extract_all(graph, splits[cfg.split], cfg.k,
                        max_nodes=cfg.max_nodes, threads=cfg.threads)
@@ -211,7 +202,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         for key, typ in registry.items():
             text = f"config key {key} ({typ.__name__})"
             if key == "threads":
-                text += "; worker processes for the extract stage only"
+                text += "; extract stage only: threads, at most one per row and core"
             p.add_argument(f"--{key}", dest=f"cfg_{key}", default=None,
                            metavar=typ.__name__.upper(), help=text)
     return parser

@@ -102,18 +102,26 @@ def validate(cfg: RunConfig) -> RunConfig:
     return cfg
 
 
-def _coerce(key: str, value: str, registry) -> object:
+def _coerce(key: str, value, registry) -> object:
+    """A string parsed as the key's type, or a value already typed checked
+    against it: an int is a valid float, a bool is not an int."""
     if key not in registry:
         raise UnknownKey(key)
     typ = registry[key]
+    if not isinstance(value, str):
+        accepted = (int, float) if typ is float else typ
+        if not isinstance(value, accepted) or (isinstance(value, bool) and typ is not bool):
+            raise ConfigTypeError(key, value, typ.__name__)
+        return typ(value)
     try:
         return _PARSERS[typ](value)
-    except (ValueError, TypeError):
+    except ValueError:
         raise ConfigTypeError(key, value, typ.__name__) from None
 
 
-def parse_config(path=None, overrides: dict[str, str] | None = None) -> RunConfig:
-    """Build a validated RunConfig from an optional file plus overrides."""
+def parse_config(path=None, overrides: dict[str, object] | None = None) -> RunConfig:
+    """Build a validated RunConfig from an optional file plus overrides,
+    each a string to parse or a value of the key's type."""
     import os
     registry = key_registry()
     values: dict[str, object] = {}
@@ -131,5 +139,5 @@ def parse_config(path=None, overrides: dict[str, str] | None = None) -> RunConfi
                 key, value = key.strip(), value.strip()
                 values[key] = _coerce(key, value, registry)
     for key, value in (overrides or {}).items():
-        values[key] = _coerce(key, value, registry) if isinstance(value, str) else value
+        values[key] = _coerce(key, value, registry)
     return validate(RunConfig(**values))

@@ -33,7 +33,9 @@ from .autodiff import (
     transpose,
     tsum,
 )
+from .config import parse_config
 from .errors import (
+    ConfigError,
     CorruptHeader,
     IsolatedEntity,
     LengthMismatch,
@@ -299,19 +301,26 @@ def model_settings(cfg, family: str, num_relations: int) -> dict:
 
 def build_model(settings: dict, rng=None):
     """A freshly initialized model of the record's family: ``ModelParams``
-    for ``"subgraph"``, ``EntityEncoderParams`` otherwise. A record that
-    lacks a key raises CorruptHeader naming the missing keys."""
-    s = settings
+    for ``"subgraph"``, ``EntityEncoderParams`` for ``"entity"``. A record
+    that lacks a key, or whose value does not pass ``parse_config``'s type
+    and range checks, raises CorruptHeader naming the key."""
     missing = [key for key in ("model_family", "num_relations", *MODEL_KEYS)
-               if key not in s]
+               if key not in settings]
     if missing:
         raise CorruptHeader(f"model record lacks {', '.join(missing)}")
-    if s["model_family"] == "subgraph":
-        return init_model(s["num_relations"], s["k"], dim=s["dim"], rel_dim=s["rel_dim"],
-                          num_layers=s["num_layers"], num_bases=s["num_bases"],
-                          layer_kind=s["layer_kind"], comp_op=s["comp_op"], rng=rng)
-    decoder = DecoderKind(s["decoder"], p=s["transe_p"], margin=s["margin"])
-    return init_entity_encoder(s["num_relations"], s["dim"], decoder, rng=rng)
+    try:
+        cfg = parse_config(None, {key: settings[key] for key in ("model_family", *MODEL_KEYS)})
+    except ConfigError as exc:
+        raise CorruptHeader(f"model record: {exc}") from None
+    num_relations = settings["num_relations"]
+    if type(num_relations) is not int or num_relations < 1:
+        raise CorruptHeader(f"model record: num_relations {num_relations!r} is not an int >= 1")
+    if cfg.model_family == "subgraph":
+        return init_model(num_relations, cfg.k, dim=cfg.dim, rel_dim=cfg.rel_dim,
+                          num_layers=cfg.num_layers, num_bases=cfg.num_bases,
+                          layer_kind=cfg.layer_kind, comp_op=cfg.comp_op, rng=rng)
+    decoder = DecoderKind(cfg.decoder, p=cfg.transe_p, margin=cfg.margin)
+    return init_entity_encoder(num_relations, cfg.dim, decoder, rng=rng)
 
 
 # -- optimizer --------------------------------------------------------------
@@ -430,10 +439,14 @@ def load_checkpoint(path):
 
 
 def restore_model(model, arrays: dict[str, np.ndarray]) -> None:
-    """Load checkpoint arrays into a model's named tensors, in place."""
-    for name, t in model.tensors().items():
-        if name not in arrays:
-            raise CorruptHeader(f"checkpoint missing tensor {name!r}")
+    """Load checkpoint arrays into a model's named tensors, in place. The
+    checkpoint names exactly the model's tensors, or it is corrupt."""
+    tensors = model.tensors()
+    missing, extra = tensors.keys() - arrays.keys(), arrays.keys() - tensors.keys()
+    if missing or extra:
+        raise CorruptHeader(f"checkpoint tensors differ from the model's: "
+                            f"missing {sorted(missing)}, extra {sorted(extra)}")
+    for name, t in tensors.items():
         if arrays[name].shape != t.data.shape:
             raise ShapeMismatch(
                 f"tensor {name!r}: checkpoint {arrays[name].shape} vs model {t.data.shape}")

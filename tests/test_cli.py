@@ -2,6 +2,7 @@ import json
 import logging
 import os
 import re
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from indkg import cli, kgcore
 from indkg.autodiff import Tensor
 from indkg.cli import build_parser, extract_all, main
 from indkg.config import key_registry, parse_config
-from indkg.errors import ConfigTypeError, MissingRequired, UnknownKey
+from indkg.errors import ConfigTypeError, IdOutOfBounds, MissingRequired, UnknownKey
 from indkg.kgcore import build_graph
-from indkg.model import (EntityEncoderParams, ModelParams, load_checkpoint, model_settings,
-                         save_checkpoint)
+from indkg.model import (EntityEncoderParams, ModelParams, build_model, load_checkpoint,
+                         model_settings, save_checkpoint)
+from indkg.subgraph import extract_enclosing_subgraphs
 
 from helpers import make_raw_dataset_dir, random_triples
 
@@ -42,6 +44,15 @@ def test_parse_config_missing_seed():
 def test_parse_config_bad_type():
     with pytest.raises(ConfigTypeError):
         parse_config(None, {"seed": "7", "k": "two"})
+    # a value passed typed is checked against the key's type: an int is a
+    # valid float, a bool is not an int
+    for key, value in (("dim", None), ("dim", 3.5), ("dim", True), ("seed", None),
+                       ("margin", True), ("decoder", 5), ("filtered", 1)):
+        with pytest.raises(ConfigTypeError):
+            parse_config(None, {"seed": 7, key: value})
+    cfg = parse_config(None, {"seed": 7, "dim": 8, "margin": 5, "filtered": False})
+    assert (cfg.dim, cfg.margin, cfg.filtered) == (8, 5.0, False)
+    assert type(cfg.margin) is float
 
 
 def test_region_size_below_two_rejected(capsys):
@@ -118,13 +129,69 @@ def test_bad_task_is_a_validation_error(capsys):
     assert re.search(r"--task\b", capsys.readouterr().out)
 
 
-def test_extract_all_threads_identical():
+def test_extract_all_threads_identical(monkeypatch):
+    # four cores let up to four spans run, three of them on pool threads
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     rng = np.random.default_rng(0)
     triples = random_triples(rng, 40, 3, 0.12)
     g = build_graph(triples, 40, 3)
     seq = extract_all(g, g.triples, 2, threads=1)
     par = extract_all(g, g.triples, 2, threads=2)
     assert seq == par
+    for rows in (0, 1, len(g.triples)):
+        want = extract_enclosing_subgraphs(g, g.triples[:rows], 2)
+        assert len(want) == rows
+        for threads in (1, 2, 3, rows + 1):
+            got = extract_all(g, g.triples[:rows], 2, threads=threads)
+            assert got == want, (rows, threads)
+
+
+def test_extract_all_raises_for_a_bad_id_in_a_later_span(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    g = build_graph(random_triples(np.random.default_rng(0), 40, 3, 0.12), 40, 3)
+    # the last row, in the second of two spans, names entity 40 of 40
+    bad = np.vstack([g.triples, [[0, 0, 40]]])
+    with pytest.raises(IdOutOfBounds):
+        extract_all(g, bad, 2, threads=2)
+
+
+@pytest.mark.parametrize("threads, rows, cores, pools", [
+    (1, 9, 8, []), (2, 9, 8, [1]), (3, 9, 2, [1]), (3, 9, None, []),
+    (1000, 5, 64, [4]), (8, 1, 8, []), (4, 0, 8, [])])
+def test_extract_all_asks_for_one_thread_fewer_than_spans(monkeypatch, threads, rows,
+                                                          cores, pools):
+    # a stand-in pool records its size and runs each span at submit, so no
+    # thread starts however many are asked for
+    asked, spans = [], []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args, **kwargs):
+            future = Future()
+            future.set_result(fn(*args, **kwargs))
+            return future
+
+    def extract(graph, span, k, max_nodes=0):
+        spans.append(len(span))
+        return extract_enclosing_subgraphs(graph, span, k, max_nodes=max_nodes)
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli, "extract_enclosing_subgraphs", extract)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    g = build_graph(random_triples(np.random.default_rng(0), 40, 3, 0.12), 40, 3)
+    got = extract_all(g, g.triples[:rows], 2, threads=threads)
+    assert got == extract_enclosing_subgraphs(g, g.triples[:rows], 2)
+    # one span per pool thread plus the caller's, each of at least one row
+    assert asked == pools
+    assert len(spans) == 1 + sum(pools) and sum(spans) == rows
+    assert rows == 0 or min(spans) >= 1
 
 
 @pytest.fixture(scope="module")
@@ -296,7 +363,7 @@ def test_each_stage_builds_only_the_graph_it_reads(tmp_path, monkeypatch):
     assert events("train") == [["build", n_train]]
     for task in ("tc", "lp"):
         assert events("eval", "--task", task, "--num_neg_eval", "5") == [["build", n_ind]]
-    # one build, in the parent, before extract_all forks its workers
+    # one build, in this process, before extract_all starts its threads
     log_path.write_text("")
     assert main(["extract", "--split", "valid", "--threads", "2"] + base) == 0
     lines = [line.split() for line in log_path.read_text().splitlines()]
@@ -362,19 +429,42 @@ def trained_entity_run(tmp_path):
     return out, base
 
 
-@pytest.mark.parametrize("missing", ["dim", "model_family", "num_relations", "psi"])
-def test_eval_of_an_incomplete_checkpoint_exits_2(tmp_path, capsys, missing):
-    # a record key or a tensor
+MISSING = object()
+
+
+@pytest.mark.parametrize("key, value, named", [
+    pytest.param("dim", MISSING, "dim", id="dim"),
+    pytest.param("model_family", MISSING, "model_family", id="model_family"),
+    pytest.param("num_relations", MISSING, "num_relations", id="num_relations"),
+    pytest.param("psi", MISSING, "psi", id="psi"),
+    pytest.param("decoder", "complex", "decoder", id="decoder-complex"),
+    pytest.param("layer_kind", "gat", "layer_kind", id="layer_kind-gat"),
+    pytest.param("dim", None, "dim", id="dim-null"),
+    pytest.param("margin", "x", "margin", id="margin-x"),
+    pytest.param("num_relations", None, "num_relations", id="num_relations-null"),
+    pytest.param("num_layers", 2, "layer2", id="num_layers-2-of-3"),
+])
+def test_eval_of_an_incomplete_checkpoint_exits_2(tmp_path, capsys, key, value, named):
+    # a record key or a tensor missing, a record value of the wrong type or
+    # outside its allowed values, or tensors the rebuilt model does not name
     out, base = trained_entity_run(tmp_path)
     record, arrays = load_checkpoint(out / "model.ikgm")
-    record.pop(missing, None)
+    if key == "num_layers":
+        # the arrays of a 3-layer subgraph model under a 2-layer record
+        record["model_family"] = "subgraph"
+        assert record["num_layers"] == 3
+        arrays = {name: t.data for name, t in build_model(record).tensors().items()}
+    if value is MISSING:
+        record.pop(key, None)
+    else:
+        record[key] = value
     save_checkpoint(out / "model.ikgm",
-                    {name: Tensor(a) for name, a in arrays.items() if name != missing},
+                    {name: Tensor(a) for name, a in arrays.items() if name != key},
                     record)
     capsys.readouterr()
     assert main(["eval"] + base) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and missing in err
+    assert err.startswith("error: ") and named in err
 
 
 def reject_constant(name):

@@ -117,3 +117,24 @@ def test_tape_nodes_are_built_only_in_node_concat_and_basis_conv():
              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Tensor"
              and any(kw.arg == "_parents" for kw in node.keywords)}
     assert homes == {"_node", "concat", "basis_conv"}, homes
+
+
+def test_package_modules_start_no_process():
+    # extraction runs on threads: no module imports multiprocessing or
+    # ProcessPoolExecutor, or calls os.fork
+    banned = {"multiprocessing", "ProcessPoolExecutor", "fork", "forkpty"}
+    found = []
+    for path in sorted(Path(indkg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or "", *(alias.name for alias in node.names)]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] in banned]
+    assert not found, found
