@@ -6,9 +6,15 @@ The on-disk layout follows the standard inductive benchmark convention:
     <root>/ind/{train.txt,test.txt[,valid.txt]}   support / query triples over
                                                   a disjoint entity set
 
-Files are UTF-8 TSV ``head<TAB>relation<TAB>tail``. The processed bundle is a
-single versioned binary file (magic ``IKGD3``); see serialize_dataset for the
-exact layout.
+Files are UTF-8 TSV ``head<TAB>relation<TAB>tail``: a leading byte-order
+mark is dropped, blank lines are skipped, fields past the third are ignored
+and each field is stripped. Each file is read into one flat field list
+``[h0, r0, t0, h1, ...]``, with no tuple per triple; the vocabulary and the
+ids come from C-level passes over those lists (``dict.fromkeys``,
+``np.fromiter`` over ``map``). ``load_triples``, ``build_vocab`` and
+``encode_triples`` adapt label triples to the same helpers. The processed
+bundle is a single versioned binary file (magic ``IKGD3``); see
+serialize_dataset for the exact layout.
 """
 
 from __future__ import annotations
@@ -17,11 +23,14 @@ import logging
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, repeat
+from operator import itemgetter
 
 import numpy as np
 
 from . import binio
 from .errors import (
+    EmptyInput,
     EntityOverlap,
     DuplicateTriple,
     IdOutOfBounds,
@@ -37,24 +46,78 @@ MAGIC = b"IKGD3"
 
 
 def load_triples(path) -> list[tuple[str, str, str]]:
-    """Read a TSV triple file. Blank lines are skipped; fields beyond the
-    third are ignored."""
+    """The (head, relation, tail) label triples of a TSV file, in file order;
+    ``_read_fields`` and ``_fields_by_line`` state the parse rules."""
+    fields = _read_fields(path)
+    return list(zip(fields[0::3], fields[1::3], fields[2::3]))
+
+
+# every byte but tab and newline: deleting them leaves a file's separators
+_NOT_SEPARATOR = bytes(sorted(set(range(256)) - {ord("\t"), ord("\n")}))
+
+
+def _read_fields(path) -> list[str]:
+    """One flat field list ``[h0, r0, t0, h1, ...]`` for a TSV triple file.
+
+    The file is read once as UTF-8 text, with universal newlines and a
+    leading byte-order mark dropped, and a newline added after an
+    unterminated last line. When every line holds exactly two tabs, which
+    one ``bytes.translate`` of the text checks, the fields are one split of
+    the text with its newlines turned into tabs, each then stripped. Any
+    other file, or one with a field that strips to nothing, goes through
+    ``_fields_by_line``, which states the per-line rules both forms follow.
+    """
     if not os.path.isfile(path):
         raise MissingFile(str(path))
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    with open(path, encoding="utf-8-sig") as fh:
+        text = fh.read()
+    if not text.endswith("\n"):
+        text += "\n"
+    separators = text.encode().translate(None, _NOT_SEPARATOR)
+    if separators == b"\t\t\n" * (len(separators) // 3):
+        fields = list(map(str.strip, text.replace("\n", "\t").split("\t")))
+        del fields[-1]                  # the empty field after the last newline
+        if all(fields):
+            return fields
+    return _fields_by_line(path, text.split("\n"))
+
+
+def _fields_by_line(path, lines) -> list[str]:
+    """The flat field list of ``lines`` by the per-line rules: blank lines
+    are skipped, fields past the third ignored and each field stripped; a
+    line with fewer than three non-blank fields raises MalformedLine with
+    its 1-based number."""
+    fields = _stripped_fields(lines)
+    if fields is None:
+        line_no = next(n for n, line in enumerate(lines, start=1)
+                       if _stripped_fields([line]) is None)
+        raise MalformedLine(path, line_no)
+    return fields
+
+
+def _stripped_fields(lines) -> list[str] | None:
+    """The first three tab-separated fields of each non-blank line, stripped,
+    or None when some line has fewer than three non-blank ones. The lines
+    stream through C-level maps, so no list per line stays alive to trigger
+    the cyclic garbage collector."""
+    rows = map(str.split, filter(str.strip, lines), repeat("\t"), repeat(3))
     try:
-        triples = [(h.strip(), r.strip(), t.strip())
-                   for h, r, t, *_ in (line.split("\t", 3) for line in lines if line.strip())]
-        if all(map(all, triples)):
-            return triples
-    except ValueError:          # a line with fewer than three fields
-        pass
-    for line_no, line in enumerate(lines, start=1):
-        parts = line.split("\t")
-        if line.strip() and (len(parts) < 3 or not all(p.strip() for p in parts[:3])):
-            raise MalformedLine(path, line_no)
-    raise AssertionError("unreachable: a malformed line was detected above")
+        fields = list(map(str.strip, chain.from_iterable(map(itemgetter(0, 1, 2), rows))))
+    except IndexError:
+        return None
+    return fields if all(fields) else None
+
+
+def _flat(triples) -> list[str]:
+    """The flat field list of label triples."""
+    return list(chain.from_iterable(triples))
+
+
+def _ends(fields) -> list[str]:
+    """The head and tail fields of a flat field list: ``[h0, t0, h1, ...]``."""
+    ends = fields[:]
+    del ends[1::3]
+    return ends
 
 
 @dataclass
@@ -79,38 +142,49 @@ class Vocab:
 
 
 def build_vocab(train, valid=(), test=(), support=(), query=()) -> Vocab:
-    """Assign dense ids by first appearance.
+    """Assign dense ids by first appearance; ``_vocab`` states the rules."""
+    return _vocab([_flat(split) for split in (train, valid, test, support, query)])
 
-    Entities are numbered across (train, valid, test, support, query) in that
-    order, so inductive entities receive fresh ids after the training ones.
+
+def _vocab(splits) -> Vocab:
+    """The vocabulary of flat field lists, train first.
+
+    Entities are numbered by first appearance across the splits in order,
+    so inductive entities receive fresh ids after the training ones.
     Relations are numbered from the training split only; the first relation
     of a later split, in split order, that train lacks raises UnknownRelation.
+    No training triple raises EmptyInput.
     """
+    train, *later = splits
     if not train:
-        raise ValueError("at least one training triple required")
-    relations = dict.fromkeys(r for _, r, _ in train)
-    for split in (valid, test, support, query):
-        for _, r, _ in split:
+        raise EmptyInput("at least one training triple required")
+    relations = dict.fromkeys(train[1::3])
+    for fields in later:
+        for r in dict.fromkeys(fields[1::3]):
             if r not in relations:
                 raise UnknownRelation(r)
-    entities = dict.fromkeys(x for split in (train, valid, test, support, query)
-                             for h, _, t in split for x in (h, t))
-    return Vocab({e: i for i, e in enumerate(entities)},
-                 {r: i for i, r in enumerate(relations)})
+    entities = dict.fromkeys(chain.from_iterable(map(_ends, splits)))
+    return Vocab(dict(zip(entities, range(len(entities)))),
+                 dict(zip(relations, range(len(relations)))),
+                 list(entities), list(relations))
 
 
 def encode_triples(raw, vocab: Vocab) -> np.ndarray:
     """Map labelled triples to an (n, 3) int64 id array, preserving order."""
+    return _encode(_flat(raw), vocab)
+
+
+def _encode(fields, vocab: Vocab) -> np.ndarray:
+    """The (n, 3) int64 id array of a flat field list, in row order."""
     e2i, r2i = vocab.entity2id, vocab.relation2id
-    n = len(raw)
+    n = len(fields) // 3
     out = np.empty((n, 3), dtype=np.int64)
     try:
-        out[:, 0] = np.fromiter((e2i[h] for h, _, _ in raw), np.int64, n)
-        out[:, 1] = np.fromiter((r2i[r] for _, r, _ in raw), np.int64, n)
-        out[:, 2] = np.fromiter((e2i[t] for _, _, t in raw), np.int64, n)
+        for col, label2id in enumerate((e2i, r2i, e2i)):
+            out[:, col] = np.fromiter(map(label2id.__getitem__, fields[col::3]), np.int64, n)
     except KeyError:
         # report the first unknown label in row order, as a row-by-row scan would
-        for h, r, t in raw:
+        for h, r, t in zip(fields[0::3], fields[1::3], fields[2::3]):
             if h not in e2i:
                 raise UnknownEntity(h) from None
             if t not in e2i:
@@ -335,26 +409,29 @@ def _check_cross_split(observed, other, other_name, vocab: Vocab):
             f"observed graph, e.g. {tuple(np.asarray(other)[dups[0]].tolist())}")
 
 
+_RAW_FILES = {"train": ("train", "train.txt"), "valid": ("train", "valid.txt"),
+              "test": ("train", "test.txt"), "support": ("ind", "train.txt"),
+              "query": ("ind", "test.txt")}
+
+
 def load_raw_dataset(root) -> DatasetBundle:
     """Build a DatasetBundle from the on-disk TSV layout under ``root``.
 
-    An unknown relation raises UnknownRelation before any entity check; a
-    support, ind_valid or query triple that names a training entity raises
-    EntityOverlap with the labels of every such entity.
+    Each file becomes one flat field list (``_read_fields``), with no tuple
+    per triple; the vocabulary numbers entities across train, valid, test,
+    support, ind_valid and query in that order (``_vocab``). An empty
+    training split raises EmptyInput. An unknown relation raises
+    UnknownRelation before any entity check; a support, ind_valid or query
+    triple that names a training entity raises EntityOverlap with the
+    labels of every such entity.
     """
-    train_raw = load_triples(os.path.join(root, "train", "train.txt"))
-    valid_raw = load_triples(os.path.join(root, "train", "valid.txt"))
-    test_raw = load_triples(os.path.join(root, "train", "test.txt"))
-    support_raw = load_triples(os.path.join(root, "ind", "train.txt"))
-    query_raw = load_triples(os.path.join(root, "ind", "test.txt"))
+    raw = {name: _read_fields(os.path.join(root, sub, fname))
+           for name, (sub, fname) in _RAW_FILES.items()}
     ind_valid_path = os.path.join(root, "ind", "valid.txt")
-    ind_valid_raw = load_triples(ind_valid_path) if os.path.isfile(ind_valid_path) else []
-
-    vocab = build_vocab(train_raw, valid_raw, test_raw,
-                        support_raw + ind_valid_raw, query_raw)
-    raw = {"train": train_raw, "valid": valid_raw, "test": test_raw,
-           "support": support_raw, "query": query_raw, "ind_valid": ind_valid_raw}
-    enc = {name: encode_triples(triples, vocab) for name, triples in raw.items()}
+    raw["ind_valid"] = _read_fields(ind_valid_path) if os.path.isfile(ind_valid_path) else []
+    vocab = _vocab([raw[name] for name in
+                    ("train", "valid", "test", "support", "ind_valid", "query")])
+    enc = {name: _encode(fields, vocab) for name, fields in raw.items()}
     # training entities are numbered first, so they hold the ids up to train's largest
     ind_ends = np.concatenate([enc[name][:, [0, 2]].ravel()
                                for name in ("support", "ind_valid", "query")])

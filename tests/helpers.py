@@ -504,6 +504,69 @@ def build_vocab_loop_oracle(train, *later):
     return entity2id, relation2id
 
 
+def parse_triples_oracle(path):
+    """The label triples of a TSV file, one line at a time as the file
+    object yields them in universal-newline mode: a leading byte-order mark
+    is dropped, blank lines are skipped, fields past the third are ignored
+    and each field is stripped. A line with fewer than three non-blank
+    fields raises MalformedLine with its 1-based number."""
+    from indkg.errors import MalformedLine
+    triples = []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line_no == 1:
+                line = line.removeprefix("\ufeff")
+            line = line.removesuffix("\n")
+            if not line or line.isspace():
+                continue
+            triple = tuple(part.strip() for part in line.split("\t")[:3])
+            if len(triple) < 3 or "" in triple:
+                raise MalformedLine(path, line_no)
+            triples.append(triple)
+    return triples
+
+
+# formatting a line-by-line reader must undo; a file with only the first
+# four still parses in one pass
+ONE_PASS_NOISE = ("crlf", "bom", "no_final_newline", "pad")
+PER_LINE_NOISE = ("blank", "extra", "tabs")
+
+
+def write_noisy_tsv(path, rows, rng, kinds):
+    """Write label triples with each formatting kind in ``kinds`` at least
+    once: ``crlf`` line endings, a ``bom``, ``blank`` and whitespace-only
+    lines, ``extra`` fields, fields padded (``pad``) with spaces or
+    U+00A0, tab-only lines (``tabs``) and ``no_final_newline``. Returns the
+    kinds written (none for no rows)."""
+    if not rows:
+        kinds = ()
+    lines, ends = [], []
+    pick = lambda: set(rng.choice(len(rows), size=int(rng.integers(1, len(rows) + 1))).tolist())
+    padded = pick() if "pad" in kinds else set()
+    extra = pick() if "extra" in kinds else set()
+    crlf = pick() if "crlf" in kinds else set()
+    pads = (" ", "\u00a0", "  ", " \u00a0", "\u00a0 ")
+    for i, row in enumerate(rows):
+        fields = list(row)
+        if i in padded:
+            j = int(rng.integers(3))
+            fields[j] = pads[rng.integers(len(pads))] + fields[j] + pads[rng.integers(len(pads))]
+        if i in extra:
+            fields += ["x" * int(rng.integers(0, 3))] * int(rng.integers(1, 3))
+        for kind, filler in (("blank", ("", "  ", "\u00a0")), ("tabs", ("\t", "\t\t", "\t \t"))):
+            if kind in kinds and (i == 0 or rng.random() < 0.1):
+                lines.append(filler[rng.integers(len(filler))])
+                ends.append("\r\n" if i in crlf else "\n")
+        lines.append("\t".join(fields))
+        ends.append("\r\n" if i in crlf else "\n")
+    if "no_final_newline" in kinds:
+        ends[-1] = ""
+    text = "".join(line + end for line, end in zip(lines, ends))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(("\ufeff" if "bom" in kinds else "") + text)
+    return set(kinds)
+
+
 def write_tsv(path, rows):
     with open(path, "w", encoding="utf-8") as fh:
         for h, r, t in rows:

@@ -484,3 +484,16 @@ def test_nan_metrics_are_written_as_null(tmp_path, monkeypatch, caplog, task, na
     assert all(flat[key] is None for key in nan)
     assert [r.getMessage() for r in caplog.records if r.name == "indkg.cli"] == [
         f"report.json writes the NaN metrics {', '.join(nan)} as null"]
+
+
+def test_preprocess_without_training_triples_exits_2(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    make_raw_dataset_dir(str(raw), np.random.default_rng(1))
+    (raw / "train" / "train.txt").write_text("\n")
+    argv = ["preprocess", "--data_root", str(raw), "--output_dir", str(tmp_path / "out"),
+            "--seed", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: at least one training triple required" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "dataset.ikgd").exists()

@@ -5,6 +5,7 @@ from indkg import kgcore
 from indkg.errors import (
     BadMagic,
     DuplicateTriple,
+    EmptyInput,
     EntityOverlap,
     IdOutOfBounds,
     MalformedLine,
@@ -15,8 +16,9 @@ from indkg.errors import (
     VersionMismatch,
 )
 
-from helpers import (build_vocab_loop_oracle, graph_index_oracle, make_raw_dataset_dir,
-                     write_tsv)
+from helpers import (ONE_PASS_NOISE, PER_LINE_NOISE, build_vocab_loop_oracle,
+                     graph_index_oracle, make_raw_dataset_dir, parse_triples_oracle,
+                     write_noisy_tsv, write_tsv)
 
 
 def test_load_triples_single_line(tmp_path):
@@ -326,6 +328,87 @@ def test_load_triples_reports_first_malformed_line(tmp_path):
     assert exc.value.line_no == 5
     p.write_text("a\tr\tb\r\n\n c \t r\t d\textra")
     assert kgcore.load_triples(p) == [("a", "r", "b"), ("c", "r", "d")]
+    # blank, tab-only and CRLF lines after a byte-order mark count one line each
+    p.write_bytes("\ufeffa\tr\tb\r\n\r\n\t\t\r\n  \nc\tr\td\r\ne\tr\r\nf\tr\tg\n".encode())
+    for parse in (kgcore.load_triples, parse_triples_oracle):
+        with pytest.raises(MalformedLine) as exc:
+            parse(p)
+        assert exc.value.line_no == 6
+    # an unterminated last line is checked like any other, in either form
+    for text in ("a\tr\tb\nc", "a\tr\tb\nc\td", "a\tr\tb\r\nc\t\td"):
+        p.write_text(text)
+        with pytest.raises(MalformedLine) as exc:
+            kgcore.load_triples(p)
+        assert exc.value.line_no == 2
+    for text in ("a\tr\tb\n\t ", "a\tr\tb", "a\tr\tb\n\n"):
+        p.write_text(text)
+        assert kgcore.load_triples(p) == parse_triples_oracle(p) == [("a", "r", "b")]
+
+
+_RAW_FILES = {"train": ("train", "train.txt"), "valid": ("train", "valid.txt"),
+              "test": ("train", "test.txt"), "support": ("ind", "train.txt"),
+              "query": ("ind", "test.txt"), "ind_valid": ("ind", "valid.txt")}
+
+
+def test_parse_and_load_match_line_oracle(tmp_path, monkeypatch):
+    """Files mixing the formatting the parse rules undo load as the
+    line-by-line oracle reads them; a file with only CRLF endings, a BOM,
+    padded fields or no final newline takes the one-pass form, any other
+    noisy file the per-line form."""
+    per_line_calls, one_pass_files, per_line_files = [], set(), set()
+    fields_by_line = kgcore._fields_by_line
+
+    def spy(path, lines):
+        assert str(path) not in one_pass_files, f"{path} parsed line by line"
+        per_line_calls.append(str(path))
+        return fields_by_line(path, lines)
+    monkeypatch.setattr(kgcore, "_fields_by_line", spy)
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        root = make_raw_dataset_dir(tmp_path / f"raw{seed}", rng)
+        support = parse_triples_oracle(root / "ind" / "train.txt")
+        if seed % 2:    # a self-loop is never a support triple
+            write_tsv(root / "ind" / "valid.txt", [(support[0][0], support[0][1], support[0][0])])
+        for sub, name in _RAW_FILES.values():
+            path = root / sub / name
+            if not path.is_file():
+                continue
+            rows = parse_triples_oracle(path)
+            noise = ONE_PASS_NOISE + PER_LINE_NOISE
+            kinds = write_noisy_tsv(path, rows, rng,
+                                    [k for k in noise if rng.random() < 0.25])
+            (per_line_files if kinds & set(PER_LINE_NOISE) else one_pass_files).add(str(path))
+            assert kgcore.load_triples(path) == parse_triples_oracle(path) == rows
+        raw = {split: parse_triples_oracle(root.joinpath(*parts))
+               if root.joinpath(*parts).is_file() else []
+               for split, parts in _RAW_FILES.items()}
+        e2i, r2i = build_vocab_loop_oracle(raw["train"], raw["valid"], raw["test"],
+                                           raw["support"] + raw["ind_valid"], raw["query"])
+        bundle = kgcore.load_raw_dataset(root)
+        assert (bundle.vocab.entity2id, bundle.vocab.relation2id) == (e2i, r2i)
+        assert (bundle.vocab.id2entity, bundle.vocab.id2relation) == (list(e2i), list(r2i))
+        for split, triples in raw.items():
+            ids = np.array([(e2i[h], r2i[r], e2i[t]) for h, r, t in triples], np.int64)
+            expect = np.unique(ids.reshape(-1, 3), axis=0)
+            assert np.array_equal(bundle.splits()[split], expect), (seed, split)
+    assert set(per_line_calls) == per_line_files
+    assert len(one_pass_files) > 20 and len(per_line_files) > 20
+
+
+def test_byte_order_mark_is_not_part_of_a_label(tmp_path):
+    plain = make_raw_dataset_dir(tmp_path / "plain", np.random.default_rng(11))
+    bom = make_raw_dataset_dir(tmp_path / "bom", np.random.default_rng(11))
+    for path in bom.glob("*/*.txt"):
+        path.write_bytes("\ufeff".encode() + path.read_bytes())
+    for root in (plain, bom):
+        kgcore.persist_dataset(kgcore.load_raw_dataset(root), root / "dataset.ikgd")
+    assert (bom / "dataset.ikgd").read_bytes() == (plain / "dataset.ikgd").read_bytes()
+
+
+def test_no_training_triple_raises_empty_input():
+    for splits in ([[]], [[], [("a", "r", "b")]]):
+        with pytest.raises(EmptyInput):
+            kgcore.build_vocab(*splits)
 
 
 def test_encode_triples_reports_first_unknown_label_in_row_order():
