@@ -8,6 +8,7 @@ reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigTypeError, MissingFile, MissingRequired, UnknownKey
@@ -83,6 +84,12 @@ _POSITIVE_KEYS = ("k", "dim", "rel_dim", "num_bases", "num_layers", "lr",
 def validate(cfg: RunConfig) -> RunConfig:
     if cfg.seed is None:
         raise MissingRequired("seed")
+    # a NaN or an infinity passes the positive checks below, and a NaN
+    # min_delta would make every early-stopping check fail
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigTypeError(f.name, value, "finite number")
     for key in _POSITIVE_KEYS:
         if getattr(cfg, key) <= 0:
             raise ConfigTypeError(key, getattr(cfg, key), "positive number")

@@ -290,6 +290,12 @@ class IndexedGraph:
     def num_triples(self) -> int:
         return len(self.triples)
 
+    @cached_property
+    def edged(self) -> np.ndarray:
+        """Ascending ids of the entities with at least one edge, whose CSR
+        rows are not empty; built on first use."""
+        return np.flatnonzero(self.indptr[1:] > self.indptr[:-1])
+
     def contains(self, h: int, r: int, t: int) -> bool:
         return bool(self.contains_many([(h, r, t)])[0])
 

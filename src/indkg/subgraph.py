@@ -6,7 +6,9 @@ d(i,t) <= k and d(i,h) + d(i,t) <= k + 1, with both distances computed in
 the graph with the target edge removed. Node features are the concatenated
 one-hot encodings of the two distances, clamped into k + 2 buckets per side.
 ``extract_enclosing_subgraphs`` extracts a batch of targets with one
-level-synchronous BFS per chunk of rows.
+bit-parallel BFS per chunk of up to 64 sources: each entity's ``uint64``
+word holds one bit per source, and each level pushes or pulls by the
+frontier's adjacency count.
 """
 
 from __future__ import annotations
@@ -18,9 +20,11 @@ import numpy as np
 from .errors import IdOutOfBounds
 from .kgcore import IndexedGraph, find_sorted
 
-# bytes of one extraction chunk's (sources, E) distance array; it stays in a
-# core's cache, where each BFS level's frontier scan is cheap
-_CHUNK_BYTES = 1 << 17
+# sources per extraction chunk: one bit each of an entity's uint64 word
+_CHUNK_SOURCES = 64
+# a BFS level pushes while its frontier's adjacency entries, repeats
+# included, are fewer than this share of the graph's, and pulls otherwise
+_PUSH_SHARE = 0.15
 
 
 @dataclass
@@ -89,40 +93,97 @@ def _dist_dtype(k: int):
 
 def _bfs(graph: IndexedGraph, sources: np.ndarray, masks: np.ndarray,
          k: int, dtype) -> np.ndarray:
-    """(S, E) undirected hop distances from each source, -1 beyond ``k``.
+    """(S, E) undirected hop distances from each of up to 64 sources, -1
+    beyond ``k``.
 
-    One level-synchronous search over a flat ``S * E`` array: each level
-    gathers the adjacency runs of every source's frontier at once. Source
-    ``s`` skips the adjacency positions ``masks[s]`` (a row's two
-    ``_edge_positions``, or -1), so a reverse twin (t, r, h) still connects
-    the pair.
+    One bit-parallel search: entity ``e``'s ``uint64`` word in ``seen``
+    holds bit ``s`` once source ``s`` has reached it. The frontier is the
+    entities that gained bits at the level before, with those bits. A level
+    whose frontier has fewer adjacency entries than ``_PUSH_SHARE`` of the
+    graph's pushes: it ORs each frontier word along its entity's run, so
+    its work follows the entities it touches. Any other level pulls: one
+    gather of the frontier words over every run and one OR-reduction per
+    entity. Source ``s`` clears its bit on the adjacency positions
+    ``masks[s]`` (a row's two ``_edge_positions``, or -1), so a reverse
+    twin (t, r, h) still connects the pair. The levels keep only their
+    frontiers; the distances are unpacked from those words once, over the
+    span of entities reached.
     """
-    ne = graph.num_entities
-    dist = np.full(len(sources) * ne, -1, dtype=dtype)
-    frontier = np.arange(len(sources)) * ne + sources
-    dist[frontier] = 0
-    # each masked position, as (flat index of the source's node whose run
-    # holds it, offset in that run)
+    ne, n_src = graph.num_entities, len(sources)
+    indptr, nbr = graph.indptr, graph.nbr
+    # a source without edges reaches only itself: it gets its 0 at the
+    # end, and only the others take a bit
+    edged = np.flatnonzero(indptr[sources + 1] > indptr[sources])
+    ent, masks = sources[edged], masks[edged]
+    bit = np.left_shift(np.uint64(1), np.arange(len(ent), dtype=np.uint64))
+    seen = np.zeros(ne, dtype=np.uint64)
+    np.bitwise_or.at(seen, ent, bit)
     m_src, m_col = np.nonzero(masks >= 0)
-    m_pos = masks[m_src, m_col]
-    m_node = graph.indptr.searchsorted(m_pos, side="right") - 1
-    m_flat = m_src * ne + m_node
-    m_off = m_pos - graph.indptr[m_node]
+    crosses = None      # per adjacency entry, the sources that may cross it
+    if len(m_src):
+        crosses = np.full(len(nbr), ~np.uint64(0))
+        np.bitwise_and.at(crosses, masks[m_src, m_col], ~bit[m_src])
+    # an entity reached over several entries stays repeated in the
+    # frontier, each copy with all the bits it gained
+    word = seen[ent]
+    kept = []
     for d in range(1, k + 1):
-        owner, node = np.divmod(frontier, ne)
-        idx, lens = _csr_slices(graph.indptr[node], graph.indptr[node + 1])
-        reached = np.repeat(owner * ne, lens) + graph.nbr[idx]
-        if len(m_flat):
-            # a masked entry leads back to its own frontier node, reached already
-            j, at = find_sorted(frontier, m_flat)
-            reached[(np.cumsum(lens) - lens)[j[at]] + m_off[at]] = frontier[j[at]]
-        dist[reached[dist[reached] < 0]] = d
-        if d == k:
+        if not len(ent):
             break
-        frontier = np.flatnonzero(dist == d)
-        if not len(frontier):
-            break
-    return dist.reshape(len(sources), ne)
+        if d > 1:
+            kept.append((ent, word))
+        starts, stops = indptr[ent], indptr[ent + 1]
+        if (stops - starts).sum() < _PUSH_SHARE * len(nbr):
+            idx, lens = _csr_slices(starts, stops)
+            to, w = nbr[idx], np.repeat(word, lens)
+            if crosses is not None:
+                w &= crosses[idx]
+            if d == k:
+                np.bitwise_or.at(seen, to, w)
+                break
+            old = seen[to]
+            w &= ~old
+            hit = w != 0
+            ent, w, old = to[hit], w[hit], old[hit]
+            np.bitwise_or.at(seen, ent, w)
+            word = seen[ent] ^ old
+        else:
+            runs = graph.edged
+            front = np.zeros(ne, dtype=np.uint64)
+            front[ent] = word
+            w = front[nbr]
+            if crosses is not None:
+                w &= crosses
+            w = np.bitwise_or.reduceat(w, indptr[runs]) & ~seen[runs]
+            seen[runs] |= w
+            if d == k:
+                break
+            hit = w != 0
+            ent, word = runs[hit], w[hit]
+    # a bit first set at level t > 0 is in the running OR of the kept
+    # frontiers t..L, so L + 1 less that count is t (the bits of level
+    # L + 1 are in none); an unreached bit reads -1, and each source's own
+    # 0 is written last
+    reached = seen != 0
+    lo, hi = reached.argmax(), ne - reached[::-1].argmax()
+    if not reached[lo]:
+        hi = lo
+    wtype = np.dtype(f"<u{1 << max(0, (len(edged) - 1).bit_length() - 3)}")
+
+    def bits(words):
+        # entity-major 0/1 of dtype, 8 * wtype.itemsize per entity
+        return np.unpackbits(words.astype(wtype).view(np.uint8),
+                             bitorder="little").view(np.int8).astype(dtype, copy=False)
+
+    val = bits(seen[lo:hi]) * (len(kept) + 2) - 1
+    acc = np.zeros(hi - lo, dtype=np.uint64)
+    for ent, word in kept:
+        acc[ent - lo] |= word
+        val -= bits(acc)
+    dist = np.full((n_src, ne), -1, dtype=dtype)
+    dist[edged, lo:hi] = val.reshape(hi - lo, 8 * wtype.itemsize)[:, :len(edged)].T
+    dist[np.arange(n_src), sources] = 0
+    return dist
 
 
 def _check_query(graph: IndexedGraph, entities, k: int) -> None:
@@ -175,10 +236,10 @@ def extract_enclosing_subgraphs(graph: IndexedGraph, triples, k: int,
     two adjacency positions (``_edge_positions``), so it gets BFS sources of
     its own; every other row shares one source per endpoint entity with the
     rest of its chunk, so a ranking side's fixed endpoint is searched once.
-    Rows go in chunks whose ``(sources, E)`` distance array stays within
-    ``_CHUNK_BYTES``. ``max_nodes`` 0 means no cap; otherwise a row's
-    interior nodes are retained in ascending (d_h + d_t, id) order until
-    the cap is met.
+    Rows go in chunks of at most ``_CHUNK_SOURCES`` distinct sources, one
+    bit each in ``_bfs``'s words. ``max_nodes`` 0 means no cap; otherwise
+    a row's interior nodes are retained in ascending (d_h + d_t, id) order
+    until the cap is met.
     """
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     _check_query(graph, triples[:, [0, 2]], k)
@@ -190,9 +251,8 @@ def extract_enclosing_subgraphs(graph: IndexedGraph, triples, k: int,
     own = np.where(masks[:, 0] >= 0, ne * (np.arange(len(triples)) + 1), 0)
     keys = triples[:, [0, 2]] + own[:, None]
     dtype = _dist_dtype(k)
-    cap = max(1, _CHUNK_BYTES // (ne * np.dtype(dtype).itemsize))
     subs = []
-    for start, stop, src, row_src in _chunks(keys.tolist(), cap):
+    for start, stop, src, row_src in _chunks(keys.tolist(), _CHUNK_SOURCES):
         owner, sources = np.divmod(np.array(src, dtype=np.int64), ne)
         src_masks = np.where((owner > 0)[:, None], masks[owner - 1], -1)
         dist = _bfs(graph, sources, src_masks, k, dtype)

@@ -11,10 +11,11 @@ from indkg import cli, kgcore
 from indkg.autodiff import Tensor
 from indkg.cli import build_parser, extract_all, main
 from indkg.config import key_registry, parse_config
-from indkg.errors import ConfigTypeError, IdOutOfBounds, MissingRequired, UnknownKey
+from indkg.errors import (ConfigTypeError, CorruptHeader, IdOutOfBounds, MissingRequired,
+                          UnknownKey)
 from indkg.kgcore import build_graph
-from indkg.model import (EntityEncoderParams, ModelParams, build_model, load_checkpoint,
-                         model_settings, save_checkpoint)
+from indkg.model import (MODEL_KEYS, EntityEncoderParams, ModelParams, build_model,
+                         load_checkpoint, model_settings, save_checkpoint)
 from indkg.subgraph import extract_enclosing_subgraphs
 
 from helpers import make_raw_dataset_dir, random_triples
@@ -71,6 +72,21 @@ def test_max_nodes_below_two_rejected(value, capsys):
     assert capsys.readouterr().err.startswith("error: ")
     for ok in ("0", "2"):
         assert parse_config(None, {"seed": "7", "max_nodes": ok}).max_nodes == int(ok)
+
+
+FLOAT_KEYS = [key for key, typ in key_registry().items() if typ is float]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_rejected(key, value, capsys):
+    # a NaN passed the positive checks, and a NaN min_delta made every
+    # early-stopping check fail, so training kept its last epoch
+    for given in (value, float(value)):
+        with pytest.raises(ConfigTypeError, match=key):
+            parse_config(None, {"seed": "1", key: given})
+    assert main(["train", "--seed", "1", f"--{key}={value}"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_parse_config_bad_enum():
@@ -465,6 +481,19 @@ def test_eval_of_an_incomplete_checkpoint_exits_2(tmp_path, capsys, key, value, 
     assert main(["eval"] + base) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("key", [key for key in MODEL_KEYS if key in FLOAT_KEYS])
+def test_checkpoint_with_a_non_finite_float_is_corrupt(tmp_path, key, value):
+    # JSON carries NaN and Infinity, so a doctored record loads back with them
+    cfg = parse_config(None, {"seed": 1, "model_family": "entity", "dim": 4})
+    record = model_settings(cfg, "entity", 3)
+    tensors = build_model(record).tensors()
+    save_checkpoint(tmp_path / "model.ikgm", tensors, {**record, key: value})
+    loaded, _ = load_checkpoint(tmp_path / "model.ikgm")
+    with pytest.raises(CorruptHeader, match=key):
+        build_model(loaded)
 
 
 def reject_constant(name):

@@ -68,10 +68,9 @@ def test_package_modules_import_no_private_sibling_names():
 
 def test_searchsorted_only_in_find_sorted_and_two_range_searches():
     # an exact-match lookup of ids in a sorted array goes through
-    # kgcore.find_sorted; the other two searches find a key range and the
-    # CSR row that holds a position, not a matching element
-    homes = {("kgcore.py", "find_sorted"), ("sampling.py", "_corruption_pool"),
-             ("subgraph.py", "_bfs")}
+    # kgcore.find_sorted; the one other search finds a key range, not a
+    # matching element
+    homes = {("kgcore.py", "find_sorted"), ("sampling.py", "_corruption_pool")}
     calls = set()
     for path in sorted(Path(indkg.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))

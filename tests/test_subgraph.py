@@ -316,7 +316,7 @@ def test_batched_extraction_independent_of_chunking(monkeypatch):
         _, _, _, g, rows = _batch_fixture(rng)
         cases += [(g, rows, k, m) for k in (1, 3) for m in (0, 3)]
     whole = [extract_enclosing_subgraphs(g, rows, k, max_nodes=m) for g, rows, k, m in cases]
-    monkeypatch.setattr(subgraph, "_CHUNK_BYTES", 1)      # one row per chunk
+    monkeypatch.setattr(subgraph, "_CHUNK_SOURCES", 1)    # one row per chunk
     for (g, rows, k, m), want in zip(cases, whole):
         got = extract_enclosing_subgraphs(g, rows, k, max_nodes=m)
         assert len(got) == len(want)
@@ -358,6 +358,93 @@ def test_batched_extraction_deep_k_matches_oracle():
     expect = {i: int(d) for i, d in enumerate(oracle) if 0 <= d <= k}
     assert bfs_distances(g, 0, k, masked_edge=(0, 0, 1)) == expect
     assert expect[11] == 70 and 10 not in expect
+
+
+def _assert_rows_match_oracle(triples, n, g, rows, k):
+    for row, sub in zip(rows, extract_enclosing_subgraphs(g, rows, k)):
+        nodes, dist_pairs, edges, union_size = enclosing_subgraph_oracle(triples, n, row, k)
+        assert sub.target == row
+        assert sub.nodes.tolist() == nodes, (row, k)
+        assert sub.dist_pairs.tolist() == dist_pairs
+        assert sub.edges.tolist() == edges
+        assert sub.union_size == union_size
+
+
+def _assert_bfs_matches_oracle(g, n, source, k, masked_edge=None):
+    A = masked_adjacency(g.triples, n, masked_edge or (-1, -1, -1))
+    oracle = matrix_power_distances(A, source, k)
+    expect = {i: int(d) for i, d in enumerate(oracle) if 0 <= d <= k}
+    assert bfs_distances(g, source, k, masked_edge=masked_edge) == expect
+
+
+# share 0 pulls every level; a frontier never has twice the graph's entries,
+# so share 2 pushes every level
+DIRECTIONS = [pytest.param(0.0, id="all-pull"), pytest.param(2.0, id="all-push")]
+
+
+@pytest.mark.parametrize("share", DIRECTIONS)
+def test_bfs_each_direction_matches_oracles(monkeypatch, share):
+    # masked edge rows, reverse twins, parallel relations, self-loops and
+    # sources without edges, k from 1 to 4
+    monkeypatch.setattr(subgraph, "_PUSH_SHARE", share)
+    rng = np.random.default_rng(28)
+    for _ in range(5):
+        triples, n, n_rel, g, rows = _batch_fixture(rng)
+        for k in (1, 2, 3, 4):
+            _assert_rows_match_oracle(triples, n, g, rows, k)
+        for source in range(n):
+            for k in (1, 4):
+                _assert_bfs_matches_oracle(g, n, source, k)
+        for row in g.triples[:3].tolist():
+            _assert_bfs_matches_oracle(g, n, row[0], 3, masked_edge=tuple(row))
+
+
+@pytest.mark.parametrize("share", DIRECTIONS + [pytest.param(subgraph._PUSH_SHARE, id="mixed")])
+@pytest.mark.parametrize("n_src", [64, 65])
+def test_chunks_at_the_word_boundary_match_oracles(monkeypatch, share, n_src):
+    # 64 sources fill a word, bit 63 included; one more opens a second chunk.
+    # Graph-edge rows take two sources of their own; rows under relation 3,
+    # which no edge has, share their endpoints
+    monkeypatch.setattr(subgraph, "_PUSH_SHARE", share)
+    rng = np.random.default_rng(n_src)
+    n = 90
+    triples = np.vstack([random_triples(rng, n, 3, 0.03), [(5, 0, 5), (7, 1, 6), (6, 1, 7)]])
+    g = build_graph(triples, n, 4)
+    ends = rng.permutation(n)
+    shared = [(int(ends[2 * i]), 3, int(ends[2 * i + 1])) for i in range(32)]
+    edge_rows = [tuple(row) for row in g.triples.tolist() if row[0] != row[2]][:32]
+    cases = [(shared, [64]), (edge_rows, [64])]
+    if n_src == 65:
+        cases = [(shared + [(int(ends[0]), 3, int(ends[64]))], [64, 2]),
+                 (edge_rows[:31] + [(int(ends[3]), 3, int(ends[70]))] + edge_rows[31:32], [64, 2])]
+    calls = []
+    bfs = subgraph._bfs
+    monkeypatch.setattr(subgraph, "_bfs",
+                        lambda *args: calls.append(len(args[1])) or bfs(*args))
+    for rows, chunk_sources in cases:
+        calls.clear()
+        _assert_rows_match_oracle(triples, n, g, rows, 3)
+        assert calls == chunk_sources
+
+
+@pytest.mark.parametrize("share", DIRECTIONS + [pytest.param(subgraph._PUSH_SHARE, id="mixed")])
+def test_inductive_graph_shape_matches_oracles(monkeypatch, share):
+    # an inductive graph over the full vocabulary: 120 of its 1,500
+    # entities have edges, and candidate endpoints come from all of them
+    monkeypatch.setattr(subgraph, "_PUSH_SHARE", share)
+    rng = np.random.default_rng(1500)
+    n, lo = 1500, 1100
+    triples = random_triples(rng, 120, 3, 0.03) + [lo, 0, lo]
+    g = build_graph(triples, n, 3)
+    head = int(triples[0, 0])
+    rows = [(head, 1, int(e)) for e in rng.choice(n, 11, replace=False)]
+    rows += [tuple(row) for row in g.triples[:4].tolist()]
+    rows += [(int(rng.integers(lo)), 2, int(rng.integers(lo))), (3, 0, 3)]
+    for k in (1, 3):
+        _assert_rows_match_oracle(triples, n, g, rows, k)
+    for source in (0, head, lo + 119, n - 1):
+        _assert_bfs_matches_oracle(g, n, source, 4)
+    _assert_bfs_matches_oracle(g, n, head, 3, masked_edge=tuple(g.triples[0].tolist()))
 
 
 SUBGRAPH_FIELDS = dict(target=(0, 0, 1), nodes=np.array([0, 1, 2]),
