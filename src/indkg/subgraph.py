@@ -23,7 +23,10 @@ from .kgcore import IndexedGraph, find_sorted
 # sources per extraction chunk: one bit each of an entity's uint64 word
 _CHUNK_SOURCES = 64
 # a BFS level pushes while its frontier's adjacency entries, repeats
-# included, are fewer than this share of the graph's, and pulls otherwise
+# included, are fewer than this share of the graph's, and pulls otherwise.
+# A pushed entry costs about three pulled ones (np.bitwise_or.at against
+# one gather and a reduceat); 64-source chunks ran fastest from 0.05 to
+# 0.15 and 10-25 % slower at 0.3, and smaller calls moved less
 _PUSH_SHARE = 0.15
 
 
@@ -103,16 +106,15 @@ def _bfs(graph: IndexedGraph, sources: np.ndarray, masks: np.ndarray,
     graph's pushes: it ORs each frontier word along its entity's run, so
     its work follows the entities it touches. Any other level pulls: one
     gather of the frontier words over every run and one OR-reduction per
-    entity. Source ``s`` clears its bit on the adjacency positions
-    ``masks[s]`` (a row's two ``_edge_positions``, or -1), so a reverse
-    twin (t, r, h) still connects the pair. The levels keep only their
-    frontiers; the distances are unpacked from those words once, over the
-    span of entities reached.
+    entity with an edge. Source ``s`` clears its bit on the adjacency
+    positions ``masks[s]`` (a row's two ``_edge_positions``, or -1), so a
+    reverse twin (t, r, h) still connects the pair. A source without edges
+    takes no bit. The levels keep only their frontiers; the distances are
+    unpacked from those words once, over the id span of the entities
+    reached, in words as narrow as the sources with a bit allow.
     """
     ne, n_src = graph.num_entities, len(sources)
     indptr, nbr = graph.indptr, graph.nbr
-    # a source without edges reaches only itself: it gets its 0 at the
-    # end, and only the others take a bit
     edged = np.flatnonzero(indptr[sources + 1] > indptr[sources])
     ent, masks = sources[edged], masks[edged]
     bit = np.left_shift(np.uint64(1), np.arange(len(ent), dtype=np.uint64))
@@ -123,10 +125,9 @@ def _bfs(graph: IndexedGraph, sources: np.ndarray, masks: np.ndarray,
     if len(m_src):
         crosses = np.full(len(nbr), ~np.uint64(0))
         np.bitwise_and.at(crosses, masks[m_src, m_col], ~bit[m_src])
-    # an entity reached over several entries stays repeated in the
+    # a pushed entity reached over several entries stays repeated in the
     # frontier, each copy with all the bits it gained
-    word = seen[ent]
-    kept = []
+    word, kept = seen[ent], []
     for d in range(1, k + 1):
         if not len(ent):
             break
@@ -138,36 +139,28 @@ def _bfs(graph: IndexedGraph, sources: np.ndarray, masks: np.ndarray,
             to, w = nbr[idx], np.repeat(word, lens)
             if crosses is not None:
                 w &= crosses[idx]
-            if d == k:
-                np.bitwise_or.at(seen, to, w)
-                break
             old = seen[to]
-            w &= ~old
-            hit = w != 0
-            ent, w, old = to[hit], w[hit], old[hit]
-            np.bitwise_or.at(seen, ent, w)
-            word = seen[ent] ^ old
+            np.bitwise_or.at(seen, to, w)
         else:
-            runs = graph.edged
+            to = graph.edged
             front = np.zeros(ne, dtype=np.uint64)
             front[ent] = word
             w = front[nbr]
             if crosses is not None:
                 w &= crosses
-            w = np.bitwise_or.reduceat(w, indptr[runs]) & ~seen[runs]
-            seen[runs] |= w
-            if d == k:
-                break
-            hit = w != 0
-            ent, word = runs[hit], w[hit]
+            old = seen[to]
+            seen[to] = old | np.bitwise_or.reduceat(w, indptr[to])
+        if d == k:
+            break
+        word = seen[to] ^ old
+        hit = word != 0
+        ent, word = to[hit], word[hit]
     # a bit first set at level t > 0 is in the running OR of the kept
     # frontiers t..L, so L + 1 less that count is t (the bits of level
     # L + 1 are in none); an unreached bit reads -1, and each source's own
     # 0 is written last
     reached = seen != 0
     lo, hi = reached.argmax(), ne - reached[::-1].argmax()
-    if not reached[lo]:
-        hi = lo
     wtype = np.dtype(f"<u{1 << max(0, (len(edged) - 1).bit_length() - 3)}")
 
     def bits(words):
@@ -237,9 +230,11 @@ def extract_enclosing_subgraphs(graph: IndexedGraph, triples, k: int,
     its own; every other row shares one source per endpoint entity with the
     rest of its chunk, so a ranking side's fixed endpoint is searched once.
     Rows go in chunks of at most ``_CHUNK_SOURCES`` distinct sources, one
-    bit each in ``_bfs``'s words. ``max_nodes`` 0 means no cap; otherwise
-    a row's interior nodes are retained in ascending (d_h + d_t, id) order
-    until the cap is met.
+    bit each in ``_bfs``'s words; a chunk's (sources, E) distances and its
+    (rows, E) arrays in ``_split_rows`` take up to 64 * E * itemsize bytes
+    each, with itemsize 1 unless k > 62. ``max_nodes`` 0 means no cap;
+    otherwise a row's interior nodes are retained in ascending
+    (d_h + d_t, id) order until the cap is met.
     """
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     _check_query(graph, triples[:, [0, 2]], k)

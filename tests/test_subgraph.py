@@ -377,9 +377,10 @@ def _assert_bfs_matches_oracle(g, n, source, k, masked_edge=None):
     assert bfs_distances(g, source, k, masked_edge=masked_edge) == expect
 
 
-# share 0 pulls every level; a frontier never has twice the graph's entries,
-# so share 2 pushes every level
-DIRECTIONS = [pytest.param(0.0, id="all-pull"), pytest.param(2.0, id="all-push")]
+# share 0 pulls every level and share inf pushes every level: a pushed
+# frontier keeps one copy per reaching entry, so its entry count can exceed
+# the graph's
+DIRECTIONS = [pytest.param(0.0, id="all-pull"), pytest.param(float("inf"), id="all-push")]
 
 
 @pytest.mark.parametrize("share", DIRECTIONS)
