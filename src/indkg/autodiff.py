@@ -131,30 +131,51 @@ def tensor_fields(obj, prefix: str = "") -> dict[str, Tensor]:
             if isinstance(t := getattr(obj, f.name), Tensor)}
 
 
-def _node(out, a: Tensor, vjp_a, b: Tensor = None, vjp_b=None) -> Tensor:
-    """The tensor of ``out`` whose tape holds ``(a, vjp_a)`` and then
-    ``(b, vjp_b)``, each only when that operand requires a gradient."""
+def node(out, a: Tensor, vjp_a, b: Tensor = None, vjp_b=None, c: Tensor = None,
+         vjp_c=None) -> Tensor:
+    """The tensor of ``out`` whose tape holds ``(a, vjp_a)``, then ``(b,
+    vjp_b)`` and ``(c, vjp_c)``, each only when that operand requires a
+    gradient. One tensor may be several operands: ``backward`` then adds
+    its gradients in this order."""
     parents = ((a, vjp_a),) if a.requires_grad else ()
     if b is not None and b.requires_grad:
         parents += ((b, vjp_b),)
+    if c is not None and c.requires_grad:
+        parents += ((c, vjp_c),)
     return Tensor(out, _parents=parents)
+
+
+def shared_vjps(grads, keys):
+    """A dict of one VJP per key of ``keys``, each reading its key of one
+    ``grads(g)`` result. ``backward`` calls a node's parents one after
+    another with the same g, so the first call computes every gradient and
+    each call takes its own."""
+    last = [None, None]  # the g of the last backward and its gradients
+
+    def make(key):
+        def vjp(g):
+            if last[0] is not g:
+                last[:] = g, grads(g)
+            return last[1][key]
+        return vjp
+    return {key: make(key) for key in keys}
 
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return _node(a.data + b.data, a, lambda g: _unbroadcast(g, a.data.shape),
+    return node(a.data + b.data, a, lambda g: _unbroadcast(g, a.data.shape),
                  b, lambda g: _unbroadcast(g, b.data.shape))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return _node(a.data - b.data, a, lambda g: _unbroadcast(g, a.data.shape),
+    return node(a.data - b.data, a, lambda g: _unbroadcast(g, a.data.shape),
                  b, lambda g: -_unbroadcast(g, b.data.shape))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return _node(a.data * b.data, a, lambda g: _unbroadcast(g * b.data, a.data.shape),
+    return node(a.data * b.data, a, lambda g: _unbroadcast(g * b.data, a.data.shape),
                  b, lambda g: _unbroadcast(g * a.data, b.data.shape))
 
 
@@ -173,46 +194,46 @@ def matmul(a, b) -> Tensor:
         am, gm = a.data.reshape(-1, k), g.reshape(-1, b.data.size // k)
         return (am.T @ gm).reshape(b.data.shape)
 
-    return _node(a.data @ b.data, a, vjp_a, b, vjp_b)
+    return node(a.data @ b.data, a, vjp_a, b, vjp_b)
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
     mask = a.data > 0  # subgradient 0 at the kink
-    return _node(np.where(mask, a.data, 0.0), a, lambda g: g * mask)
+    return node(np.where(mask, a.data, 0.0), a, lambda g: g * mask)
 
 
 def absolute(a) -> Tensor:
     a = as_tensor(a)
     sign = np.sign(a.data)
-    return _node(np.abs(a.data), a, lambda g: g * sign)
+    return node(np.abs(a.data), a, lambda g: g * sign)
 
 
 def power(a, p: float) -> Tensor:
     a = as_tensor(a)
-    return _node(a.data ** p, a, lambda g: g * p * a.data ** (p - 1.0))
+    return node(a.data ** p, a, lambda g: g * p * a.data ** (p - 1.0))
 
 
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
     s = np.sqrt(a.data)
-    return _node(s, a, lambda g: g * 0.5 / s)
+    return node(s, a, lambda g: g * 0.5 / s)
 
 
 def sin(a) -> Tensor:
     a = as_tensor(a)
-    return _node(np.sin(a.data), a, lambda g: g * np.cos(a.data))
+    return node(np.sin(a.data), a, lambda g: g * np.cos(a.data))
 
 
 def cos(a) -> Tensor:
     a = as_tensor(a)
-    return _node(np.cos(a.data), a, lambda g: -g * np.sin(a.data))
+    return node(np.cos(a.data), a, lambda g: -g * np.sin(a.data))
 
 
 def tsum(a, axis=None) -> Tensor:
     a = as_tensor(a)
     # backward broadcasts the gradient to a's shape
-    return _node(a.data.sum(axis=axis), a,
+    return node(a.data.sum(axis=axis), a,
                  lambda g: g if axis is None else np.expand_dims(g, axis))
 
 
@@ -224,12 +245,12 @@ def tmean(a, axis=None) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    return _node(a.data.reshape(shape), a, lambda g: g.reshape(a.data.shape))
+    return node(a.data.reshape(shape), a, lambda g: g.reshape(a.data.shape))
 
 
 def transpose(a, axes) -> Tensor:
     a = as_tensor(a)
-    return _node(a.data.transpose(axes), a, lambda g: g.transpose(np.argsort(axes)))
+    return node(a.data.transpose(axes), a, lambda g: g.transpose(np.argsort(axes)))
 
 
 def concat(tensors, axis=0) -> Tensor:
@@ -252,7 +273,7 @@ def concat(tensors, axis=0) -> Tensor:
     return Tensor(out, _parents=tuple(parents))
 
 
-def _scatter_rows(rows: np.ndarray, idx: np.ndarray, num_rows: int) -> np.ndarray:
+def scatter_rows(rows: np.ndarray, idx: np.ndarray, num_rows: int) -> np.ndarray:
     """out[i] = sum of rows[j] over every j with idx[j] == i; other rows 0.
 
     One ``np.bincount`` over the flattened (row, column) index sums each
@@ -271,14 +292,14 @@ def gather_rows(a, idx) -> Tensor:
     """Select rows a[idx]; gradient scatter-adds back into the source."""
     a = as_tensor(a)
     idx = np.asarray(idx, dtype=np.int64)
-    return _node(a.data[idx], a, lambda g: _scatter_rows(g, idx, a.data.shape[0]))
+    return node(a.data[idx], a, lambda g: scatter_rows(g, idx, a.data.shape[0]))
 
 
 def segment_sum(a, idx, num_segments: int) -> Tensor:
     """Sum rows of a (m, ...) tensor into ``num_segments`` buckets by idx."""
     a = as_tensor(a)
     idx = np.asarray(idx, dtype=np.int64)
-    return _node(_scatter_rows(a.data, idx, num_segments), a, lambda g: g[idx])
+    return node(scatter_rows(a.data, idx, num_segments), a, lambda g: g[idx])
 
 
 def conv_pattern(src, dst, num_nodes: int, B: int):
@@ -386,20 +407,10 @@ def basis_conv(H, bases, coeffs, src, dst, slot, norm, num_nodes: int,
     A = sparse.csr_matrix(((w[:, None] * C)[order].ravel(), columns, indptr),
                           shape=(num_nodes, n * B))
     out = A @ HV
-    last = [None, None]  # the g of the last backward and its gradients
-
-    def make_vjp(name):
-        # backward calls a node's parents one after another with the same
-        # g: the first call computes every gradient, each call takes its own
-        def vjp(g):
-            if last[0] is not g:
-                last[:] = g, _basis_conv_grads(g, Hd, Vcat, HV, A, C, w, src, dst,
-                                               slot, coeffs.shape[0], norm, a, E,
-                                               tgt, alpha, us)
-            return last[1][name]
-        return vjp
-
-    return Tensor(out, _parents=tuple((t, make_vjp(name)) for name, t in leaves.items()
+    vjps = shared_vjps(lambda g: _basis_conv_grads(g, Hd, Vcat, HV, A, C, w, src, dst,
+                                                   slot, coeffs.shape[0], norm, a, E,
+                                                   tgt, alpha, us), leaves)
+    return Tensor(out, _parents=tuple((t, vjps[name]) for name, t in leaves.items()
                                       if t.requires_grad))
 
 
@@ -423,7 +434,7 @@ def _basis_conv_grads(g, H, Vcat, HV, A, C, w, src, dst, slot, num_slots,
         dmix = gl[:, None] * C
         # du[0] and du[1]: the gradients of the (n, B) scores HV . a_src and
         # HV . a_dst
-        du = _scatter_rows(np.concatenate([dmix, dmix]),
+        du = scatter_rows(np.concatenate([dmix, dmix]),
                            np.concatenate([src, dst + n]), 2 * n).reshape(2, n * B)
         dHV += du.T @ a_uv
         dC += gl[:, None] * us
@@ -434,7 +445,7 @@ def _basis_conv_grads(g, H, Vcat, HV, A, C, w, src, dst, slot, num_slots,
     dHV = dHV.reshape(n, B * d_out)
     out["H"] = dHV @ Vcat.T
     out["bases"] = (H.T @ dHV).reshape(d_in, B, d_out).transpose(1, 0, 2).reshape(B, -1)
-    out["coeffs"] = _scatter_rows(dC, slot, num_slots)
+    out["coeffs"] = scatter_rows(dC, slot, num_slots)
     return out
 
 
@@ -451,7 +462,7 @@ def circular_correlation(a, b) -> Tensor:
     fwd_idx = (i[None, :] + i[:, None]) % d    # fwd_idx[k, i] = (i + k) % d
     bwd_idx = (i[None, :] - i[:, None]) % d    # bwd_idx[k, j] = (j - k) % d
     out = np.einsum("mi,mki->mk", a.data, b.data[:, fwd_idx])
-    return _node(out, a, lambda g: np.einsum("mk,mki->mi", g, b.data[:, fwd_idx]),
+    return node(out, a, lambda g: np.einsum("mk,mki->mi", g, b.data[:, fwd_idx]),
                  b, lambda g: np.einsum("mk,mkj->mj", g, a.data[:, bwd_idx]))
 
 

@@ -261,8 +261,9 @@ class IndexedGraph:
     *all* triples the graph is meant to know about (used for filtered
     negative sampling), which may be a superset of the edges present in the
     adjacency; ``contains`` and ``contains_many`` look triples up in it with
-    ``find_sorted``, and ``sampling._corruption_pool`` reads a ranking side's
-    known triples from it by key range.
+    ``find_sorted``, and ``sampling._corruption_pool`` reads a tail side's
+    known triples from it by key range, and a head side's from
+    ``reversed_keys``.
     The extraction kernels in ``indkg.subgraph`` read the CSR arrays
     directly.
     """
@@ -295,6 +296,15 @@ class IndexedGraph:
         """Ascending ids of the entities with at least one edge, whose CSR
         rows are not empty; built on first use."""
         return np.flatnonzero(self.indptr[1:] > self.indptr[:-1])
+
+    @cached_property
+    def reversed_keys(self) -> np.ndarray:
+        """The sorted ``triple_keys`` of the known triples read as (t, r, h),
+        ``(t * R + r) * E + h``, so the known heads of ``(., r, t)`` are one
+        key range, as the known tails of ``(h, r, .)`` are in
+        ``known_keys``; built on first use."""
+        rows = _rows_of_keys(self.known_keys, self.num_entities, self.num_relations)
+        return np.sort(triple_keys(rows[:, ::-1], self.num_entities, self.num_relations))
 
     def contains(self, h: int, r: int, t: int) -> bool:
         return bool(self.contains_many([(h, r, t)])[0])

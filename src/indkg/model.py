@@ -17,21 +17,17 @@ import numpy as np
 from . import binio
 from .autodiff import (
     Tensor,
+    as_tensor,
     concat,
-    cos,
     gather_rows,
     matmul,
     mul,
-    norm,
-    relu,
+    node,
     reshape,
+    scatter_rows,
     segment_sum,
-    sin,
-    sqrt,
+    shared_vjps,
     tensor_fields,
-    tmean,
-    transpose,
-    tsum,
 )
 from .config import parse_config
 from .errors import (
@@ -73,39 +69,112 @@ class DecoderKind:
             raise ValueError(f"unknown decoder {self.name!r}")
 
 
-def _complex_parts(v: Tensor):
-    """Real and imaginary parts: the first and second half of the last axis."""
-    lead, d2, n = v.shape[:-1], v.shape[-1] // 2, v.data.ndim - 1
-    halves = transpose(reshape(v, lead + (2, d2)), (n,) + tuple(range(n)) + (n + 1,))
-    return tuple(reshape(gather_rows(halves, [i]), lead + (d2,)) for i in (0, 1))
+def _rows(v: Tensor, idx):
+    """The rows of ``v`` an op reads: ``v.data[idx]``, or all of it."""
+    return v.data if idx is None else v.data[idx]
 
 
-def kge_score(kind: DecoderKind, h_vec: Tensor, r_vec: Tensor, t_vec: Tensor) -> Tensor:
-    """Score (h, r, t) triples given their vectors, one score per row.
+def _rows_vjp(v: Tensor, idx, vjp):
+    """The VJP into ``v`` of an op that read ``_rows(v, idx)`` and sends
+    ``vjp(g)`` to those rows: scatter-added back by ``idx``, as
+    ``gather_rows`` does."""
+    if idx is None:
+        return vjp
+    idx = np.asarray(idx, dtype=np.int64)
+    return lambda g: scatter_rows(vjp(g), idx, len(v.data))
 
-    ``(m, d)`` inputs give ``(m,)`` scores and 1-D vectors give a scalar.
-    For RotatE, ``r_vec`` holds phases of width d/2 and entity vectors pair
-    the first and second halves of their last axis as real and imaginary
-    parts; the rotation therefore has unit modulus by construction.
+
+def _transe(p: float, H, R, T):
+    """``-norm(H + R - T, p)`` over the last axis and its ``(dH, dR, dT)``
+    VJP, each step the arithmetic of the composed autodiff ops."""
+    y = H + R - T
+    if p == 1.0:
+        sign = np.sign(y)
+        n = np.abs(y).sum(axis=-1)
+
+        def dy(gn):
+            return np.expand_dims(gn, -1) * sign
+    elif p == 2.0:
+        n = np.sqrt((y ** p).sum(axis=-1))
+
+        def dy(gn):
+            return np.expand_dims(gn * 0.5 / n, -1) * p * y ** (p - 1.0)
+    else:
+        a, sign, q = np.abs(y), np.sign(y), 1.0 / p
+        s = (a ** p).sum(axis=-1)
+        n = s ** q
+
+        def dy(gn):
+            return np.expand_dims(gn * q * s ** (q - 1.0), -1) * p * a ** (p - 1.0) * sign
+
+    def grads(g):
+        gy = dy(g * -1.0)
+        return gy, gy, -gy
+    return n * -1.0, grads
+
+
+def _distmult(H, R, T):
+    """``sum(H * R * T)`` over the last axis and its VJP, as ``_transe``."""
+    hr = H * R
+
+    def grads(g):
+        g3 = np.expand_dims(g, -1)
+        ghr = g3 * T
+        return ghr * R, ghr * H, g3 * hr
+    return (hr * T).sum(axis=-1), grads
+
+
+def _rotate(margin: float, H, R, T):
+    """``margin`` minus the summed moduli of ``H * exp(i R) - T``, halves as
+    real and imaginary parts, and its VJP, as ``_transe``."""
+    d2 = H.shape[-1] // 2
+    h_re, h_im, t_re, t_im = H[..., :d2], H[..., d2:], T[..., :d2], T[..., d2:]
+    c, s = np.cos(R), np.sin(R)
+    d_re = h_re * c - h_im * s - t_re
+    d_im = h_re * s + h_im * c - t_im
+    modulus = np.sqrt(d_re * d_re + d_im * d_im)
+
+    def grads(g):
+        gsq = np.expand_dims(-g, -1) * 0.5 / modulus
+        # each square adds g * d twice, once per operand
+        g_re, g_im = gsq * d_re, gsq * d_im
+        g_re, g_im = g_re + g_re, g_im + g_im
+        gH = np.concatenate([g_re * c + g_im * s, -g_re * s + g_im * c], axis=-1)
+        gc, gs = g_re * h_re + g_im * h_im, -g_re * h_im + g_im * h_re
+        gR = -gc * np.sin(R) + gs * np.cos(R)
+        return gH, gR, np.concatenate([-g_re, -g_im], axis=-1)
+    return margin - modulus.sum(axis=-1), grads
+
+
+def kge_score(kind: DecoderKind, h_vec: Tensor, r_vec: Tensor, t_vec: Tensor,
+              h_idx=None, r_idx=None, t_idx=None) -> Tensor:
+    """Score (h, r, t) triples, one score per row, as one tape node.
+
+    The h, r and t vectors are the rows ``h_idx``, ``r_idx`` and ``t_idx``
+    of ``h_vec``, ``r_vec`` and ``t_vec``, or the whole tensor where no
+    index is given; an indexed table gets its rows' gradients scatter-added
+    back, and a tensor passed twice gets both. ``(m, d)`` rows give ``(m,)``
+    scores and 1-D vectors give a scalar. For RotatE, the r rows hold phases
+    of width d/2 and entity vectors pair the first and second halves of
+    their last axis as real and imaginary parts; the rotation therefore has
+    unit modulus by construction. Scores and gradients are those of the
+    decoder composed from single autodiff ops, bit for bit, as every step
+    repeats that chain's arithmetic in its order.
     """
-    if kind.name in ("transe", "distmult"):
-        if h_vec.shape != r_vec.shape or h_vec.shape != t_vec.shape:
-            raise ShapeMismatch(f"{kind.name} requires equal h, r, t shapes")
-        if kind.name == "transe":
-            return -norm(h_vec + r_vec - t_vec, kind.p, axis=-1)
-        return tsum(mul(mul(h_vec, r_vec), t_vec), axis=-1)
-    # rotate
-    d = h_vec.shape[-1]
-    if (d % 2 != 0 or r_vec.shape != h_vec.shape[:-1] + (d // 2,)
-            or t_vec.shape != h_vec.shape):
-        raise ShapeMismatch("RotatE requires even entity dim and d/2 phases")
-    h_re, h_im = _complex_parts(h_vec)
-    t_re, t_im = _complex_parts(t_vec)
-    c, s = cos(r_vec), sin(r_vec)
-    d_re = mul(h_re, c) - mul(h_im, s) - t_re
-    d_im = mul(h_re, s) + mul(h_im, c) - t_im
-    modulus = sqrt(mul(d_re, d_re) + mul(d_im, d_im))
-    return kind.margin - tsum(modulus, axis=-1)
+    h_vec, r_vec, t_vec = as_tensor(h_vec), as_tensor(r_vec), as_tensor(t_vec)
+    H, R, T = _rows(h_vec, h_idx), _rows(r_vec, r_idx), _rows(t_vec, t_idx)
+    if kind.name == "rotate":
+        d = H.shape[-1]
+        if d % 2 != 0 or R.shape != H.shape[:-1] + (d // 2,) or T.shape != H.shape:
+            raise ShapeMismatch("RotatE requires even entity dim and d/2 phases")
+        out, grads = _rotate(kind.margin, H, R, T)
+    elif H.shape != R.shape or H.shape != T.shape:
+        raise ShapeMismatch(f"{kind.name} requires equal h, r, t shapes")
+    else:
+        out, grads = _transe(kind.p, H, R, T) if kind.name == "transe" else _distmult(H, R, T)
+    dh, dr, dt = shared_vjps(grads, range(3)).values()
+    return node(out, h_vec, _rows_vjp(h_vec, h_idx, dh), r_vec, _rows_vjp(r_vec, r_idx, dr),
+                t_vec, _rows_vjp(t_vec, t_idx, dt))
 
 
 # -- subgraph-predicting model ----------------------------------------------
@@ -216,13 +285,26 @@ def subgraph_score(model: ModelParams, sub: Subgraph, labels: np.ndarray,
     return reshape(score_subgraphs(model, [ScoredItem(sub, labels, int(rel))]), ())
 
 
-def margin_loss(pos: Tensor, neg: Tensor, gamma: float) -> Tensor:
+def margin_loss(pos: Tensor, neg: Tensor, gamma: float, pos_idx=None,
+                neg_idx=None) -> Tensor:
     """Mean hinge ``relu(neg - pos + gamma)`` over two equal-shape score
-    tensors, one pair per position."""
-    if pos.shape != neg.shape:
-        raise LengthMismatch(f"positive scores of shape {pos.shape} vs "
-                             f"negative scores of shape {neg.shape}")
-    return tmean(relu(neg - pos + gamma))
+    arrays, one pair per position, as one tape node: the entries ``pos_idx``
+    of ``pos`` and ``neg_idx`` of ``neg``, or the whole tensor where no index
+    is given, as ``kge_score`` reads its rows. Value and gradients are those
+    of ``tmean(relu(neg - pos + gamma))`` bit for bit."""
+    P, N = _rows(pos, pos_idx), _rows(neg, neg_idx)
+    if P.shape != N.shape:
+        raise LengthMismatch(f"positive scores of shape {P.shape} vs "
+                             f"negative scores of shape {N.shape}")
+    hinge = N - P + gamma
+    mask = hinge > 0
+    inv_n = 1.0 / hinge.size
+
+    def dneg(g):
+        return g * inv_n * mask
+    return node(np.where(mask, hinge, 0.0).sum() * inv_n,
+                pos, _rows_vjp(pos, pos_idx, lambda g: -dneg(g)),
+                neg, _rows_vjp(neg, neg_idx, dneg))
 
 
 # -- entity-encoding model --------------------------------------------------
@@ -280,8 +362,10 @@ def init_entity_embeddings(triples: np.ndarray, entity_ids: np.ndarray,
     if (counts == 0).any():
         missing = entity_ids[counts == 0][:5].tolist()
         raise IsolatedEntity(f"entities with no incident triple: {missing}")
-    summed = segment_sum(gather_rows(psi, psi_idx[hit]), seg_idx, len(entity_ids))
-    return mul(summed, (1.0 / counts)[:, None])
+    pidx, inv = psi_idx[hit], (1.0 / counts)[:, None]
+    # one node: gather, segment sum and scale, each backward step in order
+    return node(scatter_rows(psi.data[pidx], seg_idx, len(entity_ids)) * inv, psi,
+                lambda g: scatter_rows((g * inv)[seg_idx], pidx, len(psi.data)))
 
 
 # -- the model record -------------------------------------------------------

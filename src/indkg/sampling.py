@@ -110,26 +110,24 @@ def _corruption_pool(graph, triple, direction):
     """Ascending int64 ids of the entities that corrupt one side of
     ``triple`` into neither the truth nor a known triple.
 
-    Read from ``graph.known_keys``, keys ``(h * R + r) * E + t``: a tail
-    side ``(h, r, .)`` is the key range
-    ``[(h * R + r) * E, (h * R + r + 1) * E)``, and a head side ``(., r, t)``
-    the keys equal to ``r * E + t`` modulo ``R * E``, whose head is
-    ``key // (R * E)``. One boolean mask over the entities clears those and
-    the truth; an id outside the graph has no known triple and clears nothing.
+    A side's known triples are one key range: a tail side ``(h, r, .)``
+    holds the keys ``[(h * R + r) * E, (h * R + r + 1) * E)`` of
+    ``graph.known_keys``, keys ``(h * R + r) * E + t``, and a head side
+    ``(., r, t)`` the keys ``[(t * R + r) * E, (t * R + r + 1) * E)`` of
+    ``graph.reversed_keys``, keys ``(t * R + r) * E + h``. One boolean mask
+    over the entities clears the range's entities and the truth; an id
+    outside the graph has no known triple and clears nothing.
     """
     h, r, t = triple
     ne, nr = graph.num_entities, graph.num_relations
-    keys = graph.known_keys
+    fixed, keys, truth = ((h, graph.known_keys, t) if direction == "tail"
+                          else (t, graph.reversed_keys, h))
     keep = np.ones(ne, dtype=bool)
-    if direction == "tail" and 0 <= h < ne and 0 <= r < nr:
-        lo = (h * nr + r) * ne
+    if 0 <= fixed < ne and 0 <= r < nr:
+        lo = (fixed * nr + r) * ne
         # an inclusive upper bound: lo + ne may reach 2**63 (_check_key_space)
         hi = keys.searchsorted(lo + ne - 1, side="right")
         keep[keys[keys.searchsorted(lo):hi] - lo] = False
-    elif direction == "head" and 0 <= t < ne and 0 <= r < nr:
-        width = nr * ne
-        keep[keys[keys % width == r * ne + t] // width] = False
-    truth = t if direction == "tail" else h
     if 0 <= truth < ne:
         keep[truth] = False
     return np.flatnonzero(keep)
@@ -169,9 +167,15 @@ def make_ranking_batch(graph: IndexedGraph, triple, k: int, direction: str,
 @dataclass
 class MetaTask:
     """A sampled training-graph region split into support and query triples,
-    each an (n, 3) int64 array."""
+    each an (n, 3) int64 array, with what the sampler discarded on the way:
+    the regions it drew with fewer than ``region_size`` triples, the splits
+    it rejected for an empty query or support, and the query triples this
+    task moved into support."""
     support: np.ndarray
     query: np.ndarray
+    short_regions: int = 0
+    rejected_splits: int = 0
+    moved: int = 0
 
 
 def _grow_region(graph: IndexedGraph, start: int, region_size: int):
@@ -207,20 +211,24 @@ def sample_meta_task(graph: IndexedGraph, region_size: int, support_frac: float,
 
     Query triples whose entities are missing from the support set are moved
     into support; a task whose query would become empty is rejected and
-    resampled.
+    resampled. The task counts the short regions, rejected splits and moved
+    triples (``MetaTask``); counting draws nothing.
     """
     if region_size < 2:
         raise ValueError("region_size must be >= 2 triples")
     if not 0.0 < support_frac < 1.0:
         raise ValueError("support_frac must be in (0, 1)")
+    short = rejected = 0
     for _ in range(max_attempts):
         start = int(rng.integers(graph.num_entities))
         triples = _grow_region(graph, start, region_size)
         if len(triples) < region_size:
+            short += 1
             continue
         order = rng.permutation(len(triples))
         cut = int(round(support_frac * len(triples)))
         if cut == 0 or cut == len(triples):
+            rejected += 1
             continue
         support = [triples[i] for i in order[:cut]]
         query = [triples[i] for i in order[cut:]]
@@ -231,8 +239,10 @@ def sample_meta_task(graph: IndexedGraph, region_size: int, support_frac: float,
         support += [q for q, c in zip(query, covered) if not c]
         query = [q for q, c in zip(query, covered) if c]
         if not query:
+            rejected += 1
             continue
         return MetaTask(np.asarray(support, dtype=np.int64),
-                        np.asarray(query, dtype=np.int64))
+                        np.asarray(query, dtype=np.int64), short, rejected,
+                        len(covered) - len(query))
     raise ExhaustedRetries(
         f"no valid meta-task found in {max_attempts} attempts")

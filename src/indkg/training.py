@@ -34,7 +34,7 @@ from .model import (
     no_grad_view,
     score_subgraphs,
 )
-from .autodiff import Tensor, gather_rows, single_blas_thread
+from .autodiff import Tensor, single_blas_thread
 from .sampling import (
     RETRY_CAP,
     corrupt_triple,
@@ -117,8 +117,7 @@ def train_subgraph_model(bundle: DatasetBundle, cfg: RunConfig):
             pos_idx = np.repeat(np.arange(len(batch)) * width, cfg.num_neg)
             neg_idx = np.flatnonzero(np.arange(len(items)) % width)
             scores = score_subgraphs(model, items)
-            loss = margin_loss(gather_rows(scores, pos_idx),
-                               gather_rows(scores, neg_idx), cfg.margin)
+            loss = margin_loss(scores, scores, cfg.margin, pos_idx, neg_idx)
             _check_finite_loss(loss.item(), params, f"epoch {epoch}")
             epoch_losses.append(loss.item())
             loss.backward()
@@ -146,16 +145,14 @@ def train_subgraph_model(bundle: DatasetBundle, cfg: RunConfig):
 
 def episode_loss(enc: EntityEncoderParams, task, graph, cfg: RunConfig, rng):
     """Margin loss of one meta-task: support-derived embeddings score the
-    query triples against per-query corruptions. The nq queries and their
-    negatives are scored in one decoder call, queries first: score nq + j
-    is negative j, paired with its owner query's score. Negatives come from
-    ``corrupt_triple`` over the support entities, so each has an embedding;
-    one that raises ExhaustedRetries is dropped, and the drops are counted
-    in one warning per episode."""
-    # with the query entities in, one that has no support triple makes
-    # init_entity_embeddings raise IsolatedEntity
+    query triples against per-query corruptions. Negatives come from
+    ``corrupt_triple`` over the task's entities; one that raises
+    ExhaustedRetries is dropped, and the drops are counted in one warning
+    per episode. The loss is three tape nodes: the embeddings of the
+    entities the score rows read, one decoder call that scores the nq
+    queries and then the negatives (score nq + j is negative j, paired with
+    its owner query's score), and the hinge."""
     ents = np.unique(np.concatenate([task.support[:, [0, 2]], task.query[:, [0, 2]]]))
-    q_rows = find_sorted(ents, task.query[:, [0, 2]])[0]
     owner, negs = [], []
     for qi, triple in enumerate(task.query.tolist()):
         for _ in range(cfg.num_neg):
@@ -171,30 +168,38 @@ def episode_loss(enc: EntityEncoderParams, task, graph, cfg: RunConfig, rng):
                     RETRY_CAP)
     if not owner:
         return None
-    # corruptions keep one query entity and draw the other from ents
-    neg_rows = find_sorted(ents, np.array(negs, dtype=np.int64)[:, [0, 2]])[0]
-    rows = np.concatenate([q_rows, neg_rows])
+    ends = np.concatenate([task.query[:, [0, 2]], np.array(negs, dtype=np.int64)[:, [0, 2]]])
+    # a query entity with no support triple makes init_entity_embeddings
+    # raise IsolatedEntity
+    read, rows = np.unique(ends, return_inverse=True)
+    rows = rows.reshape(ends.shape)
     rels = np.concatenate([task.query[:, 1], task.query[owner, 1]])
-    emb = init_entity_embeddings(task.support, ents, enc.psi)
-    scores = kge_score(enc.decoder, gather_rows(emb, rows[:, 0]),
-                       gather_rows(enc.dec_rel, rels), gather_rows(emb, rows[:, 1]))
+    emb = init_entity_embeddings(task.support, read, enc.psi)
+    scores = kge_score(enc.decoder, emb, enc.dec_rel, emb, rows[:, 0], rels, rows[:, 1])
     nq = len(task.query)
-    return margin_loss(gather_rows(scores, owner),
-                       gather_rows(scores, nq + np.arange(len(owner))), cfg.margin)
+    return margin_loss(scores, scores, cfg.margin, owner, nq + np.arange(len(owner)))
 
 
 def train_entity_encoder_model(bundle: DatasetBundle, cfg: RunConfig):
-    """Episodic training of the relation-derived entity initializer."""
+    """Episodic training of the relation-derived entity initializer.
+
+    Every ``check_per_epoch``-th episode with a loss writes a record, whose
+    ``wall_ms`` spans the episodes since the previous record. What the
+    meta-task sampler discarded over the run (short regions, rejected splits
+    and query triples moved into support) is counted in one warning."""
     rng = np.random.default_rng((cfg.seed, 0x3317))
     enc = build_model(model_settings(cfg, "entity", bundle.vocab.num_relations), rng)
     params = enc.tensors()
     opt = Adam(params, lr=cfg.lr)
     graph = bundle.train_graph
     records = []
+    short = rejected = moved = drawn = 0
+    t0 = time.monotonic()
     for episode in range(cfg.episodes):
-        t0 = time.monotonic()
         ep_rng = np.random.default_rng((cfg.seed, 0xEA5, episode))
         task = sample_meta_task(graph, cfg.region_size, cfg.support_frac, ep_rng)
+        short, rejected = short + task.short_regions, rejected + task.rejected_splits
+        moved, drawn = moved + task.moved, drawn + task.moved + len(task.query)
         loss = episode_loss(enc, task, graph, cfg, ep_rng)
         if loss is None:
             continue
@@ -203,6 +208,12 @@ def train_entity_encoder_model(bundle: DatasetBundle, cfg: RunConfig):
         opt.step()
         if (episode + 1) % cfg.check_per_epoch == 0:
             records.append(_record(episode, "train", cfg.seed, t0, loss=loss.item()))
+            t0 = time.monotonic()
+    if short or rejected or moved:
+        log.warning("meta-task sampler over %d episodes: regions with fewer than %d "
+                    "triples %d, splits rejected for an empty query or support %d, "
+                    "query triples moved into support %d of %d", cfg.episodes,
+                    cfg.region_size, short, rejected, moved, drawn)
     return enc, records
 
 
@@ -234,9 +245,7 @@ def entity_triple_scorer(enc: EntityEncoderParams, support_triples,
         h, t = local(tri[:, 0]), local(tri[:, 2])
         ok = (h >= 0) & (t >= 0)
         out = np.full(len(tri), -np.inf)
-        out[ok] = kge_score(enc.decoder, gather_rows(emb, h[ok]),
-                            gather_rows(dec_rel, tri[ok, 1]),
-                            gather_rows(emb, t[ok])).data
+        out[ok] = kge_score(enc.decoder, emb, dec_rel, emb, h[ok], tri[ok, 1], t[ok]).data
         return out
 
     return score

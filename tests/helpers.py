@@ -213,6 +213,27 @@ def corruption_pool_oracle(known, num_entities, triple, direction):
     return pool
 
 
+def corruption_pool_scan_oracle(graph, triple, direction):
+    """``sampling._corruption_pool`` as a scan of ``graph.known_keys``: the
+    tail side ``(h, r, .)`` is the key range of ``(h, r)``, and the head side
+    ``(., r, t)`` every key equal to ``r * E + t`` modulo ``R * E``, whose
+    head is ``key // (R * E)``."""
+    h, r, t = triple
+    ne, nr = graph.num_entities, graph.num_relations
+    keys = graph.known_keys
+    keep = np.ones(ne, dtype=bool)
+    if direction == "tail" and 0 <= h < ne and 0 <= r < nr:
+        lo = (h * nr + r) * ne
+        keep[keys[(keys >= lo) & (keys < lo + ne)] - lo] = False
+    elif direction == "head" and 0 <= t < ne and 0 <= r < nr:
+        width = nr * ne
+        keep[keys[keys % width == r * ne + t] // width] = False
+    truth = t if direction == "tail" else h
+    if 0 <= truth < ne:
+        keep[truth] = False
+    return np.flatnonzero(keep)
+
+
 def ranking_candidates_oracle(known, num_entities, triple, direction, num_neg, rng):
     """Reference for ``make_ranking_candidates``: ``min(num_neg, len(pool))``
     draws without replacement from the per-entity filtered pool, then the
@@ -407,6 +428,69 @@ def entity_embeddings_loop_oracle(triples, entity_ids, psi):
     summed = segment_sum(gather_rows(psi, psi_idx), np.asarray(seg_idx, dtype=np.int64),
                          len(entity_ids))
     return mul(summed, (1.0 / counts)[:, None])
+
+
+# -- the composed entity episode ---------------------------------------------
+
+def composed_kge_score(kind, h_vec, r_vec, t_vec):
+    """The decoders as chains of single autodiff ops, one tape node each,
+    which ``model.kge_score`` fuses into one node."""
+    from indkg.autodiff import (cos, gather_rows, mul, norm, reshape, sin, sqrt,
+                                transpose, tsum)
+
+    def complex_parts(v):
+        lead, d2, n = v.shape[:-1], v.shape[-1] // 2, v.data.ndim - 1
+        halves = transpose(reshape(v, lead + (2, d2)), (n,) + tuple(range(n)) + (n + 1,))
+        return tuple(reshape(gather_rows(halves, [i]), lead + (d2,)) for i in (0, 1))
+
+    if kind.name == "transe":
+        return -norm(h_vec + r_vec - t_vec, kind.p, axis=-1)
+    if kind.name == "distmult":
+        return tsum(mul(mul(h_vec, r_vec), t_vec), axis=-1)
+    h_re, h_im = complex_parts(h_vec)
+    t_re, t_im = complex_parts(t_vec)
+    c, s = cos(r_vec), sin(r_vec)
+    d_re = mul(h_re, c) - mul(h_im, s) - t_re
+    d_im = mul(h_re, s) + mul(h_im, c) - t_im
+    return kind.margin - tsum(sqrt(mul(d_re, d_re) + mul(d_im, d_im)), axis=-1)
+
+
+def composed_margin_loss(pos, neg, gamma):
+    """``model.margin_loss`` as the chain ``tmean(relu(neg - pos + gamma))``."""
+    from indkg.autodiff import relu, tmean
+    return tmean(relu(neg - pos + gamma))
+
+
+def composed_episode_loss(enc, task, graph, cfg, rng):
+    """``training.episode_loss`` as the composed chain it fuses: every
+    region entity embedded by gather, segment sum and scale
+    (``entity_embeddings_loop_oracle``), one row gather per decoder operand,
+    ``composed_kge_score`` and the hinge over gathered scores. The
+    negatives are drawn as the library draws them."""
+    from indkg.autodiff import gather_rows
+    from indkg.errors import ExhaustedRetries
+    from indkg.sampling import corrupt_triple
+    ents = np.unique(np.concatenate([task.support[:, [0, 2]], task.query[:, [0, 2]]]))
+    local = {int(e): i for i, e in enumerate(ents)}
+    owner, negs = [], []
+    for qi, triple in enumerate(task.query.tolist()):
+        for _ in range(cfg.num_neg):
+            try:
+                negs.append(corrupt_triple(triple, graph, rng, entities=ents))
+            except ExhaustedRetries:
+                continue
+            owner.append(qi)
+    if not owner:
+        return None
+    rows = [(local[h], local[t]) for h, _, t in task.query.tolist() + negs]
+    h_rows, t_rows = (np.array([row[i] for row in rows]) for i in (0, 1))
+    rels = np.concatenate([task.query[:, 1], task.query[owner, 1]])
+    emb = entity_embeddings_loop_oracle(task.support, ents, enc.psi)
+    scores = composed_kge_score(enc.decoder, gather_rows(emb, h_rows),
+                                gather_rows(enc.dec_rel, rels), gather_rows(emb, t_rows))
+    nq = len(task.query)
+    return composed_margin_loss(gather_rows(scores, owner),
+                                gather_rows(scores, nq + np.arange(len(owner))), cfg.margin)
 
 
 # -- metric oracles ---------------------------------------------------------

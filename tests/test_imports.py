@@ -109,13 +109,17 @@ def test_models_are_built_from_a_record_only_in_model_py():
 
 
 def test_tape_nodes_are_built_only_in_node_concat_and_basis_conv():
-    # every op of one or two operands records its tape entries through
-    # autodiff._node; concat and basis_conv have a variable number of parents
-    tree = ast.parse((Path(indkg.__file__).parent / "autodiff.py").read_text(encoding="utf-8"))
-    homes = {getattr(top, "name", None) for top in tree.body for node in ast.walk(top)
-             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Tensor"
-             and any(kw.arg == "_parents" for kw in node.keywords)}
-    assert homes == {"_node", "concat", "basis_conv"}, homes
+    # every op of one to three operands, in any module, records its tape
+    # entries through autodiff.node; concat and basis_conv have a variable
+    # number of parents
+    homes = set()
+    for path in sorted(Path(indkg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        homes |= {(path.name, getattr(top, "name", None)) for top in tree.body
+                  for node in ast.walk(top)
+                  if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Tensor"
+                  and any(kw.arg == "_parents" for kw in node.keywords)}
+    assert homes == {("autodiff.py", name) for name in ("node", "concat", "basis_conv")}, homes
 
 
 def test_package_modules_start_no_process():

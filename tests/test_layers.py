@@ -265,6 +265,17 @@ def test_tape_size_independent_of_slot_count():
     assert len(sizes) == 1, sizes
 
 
+def closure_arrays(fn):
+    """Every array a function's closure keeps, directly or through the
+    closures of the functions it keeps."""
+    for cell in fn.__closure__ or ():
+        held = cell.cell_contents
+        if isinstance(held, (np.ndarray, Tensor)):
+            yield held.data if isinstance(held, Tensor) else held
+        elif callable(held) and getattr(held, "__closure__", None):
+            yield from closure_arrays(held)
+
+
 def tape_arrays(out):
     """Every array the tape of ``out`` holds: each node's data and each
     array a VJP closure keeps."""
@@ -277,10 +288,7 @@ def tape_arrays(out):
         yield node.data
         for parent, vjp in node._parents:
             stack.append(parent)
-            for cell in vjp.__closure__ or ():
-                held = cell.cell_contents
-                if isinstance(held, (np.ndarray, Tensor)):
-                    yield held.data if isinstance(held, Tensor) else held
+            yield from closure_arrays(vjp)
 
 
 def test_no_message_by_basis_array_on_the_tape():

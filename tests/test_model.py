@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from indkg.autodiff import Tensor, tsum
+from indkg.autodiff import Tensor, gather_rows, tsum
 from indkg.config import parse_config
 from indkg.errors import (
     IsolatedEntity,
@@ -35,6 +35,8 @@ from indkg.sampling import ScoredItem
 from indkg.subgraph import extract_enclosing_subgraph, label_nodes
 
 from helpers import (
+    composed_kge_score,
+    composed_margin_loss,
     dense_model_score,
     entity_embeddings_loop_oracle,
     mixed_scored_items,
@@ -143,6 +145,56 @@ def test_batched_decoder_gradients(kind):
                          lambda: tsum(kge_score(kind, h, r, t) * w),
                          sample_frac=1.0, rng=np.random.default_rng(0))
     assert err < 1e-6
+
+
+def fused_and_composed(fused, composed, leaves, w):
+    """Values and leaf gradients of ``tsum(out * w)`` for both builds."""
+    out = []
+    for build in (fused, composed):
+        for t in leaves:
+            t.grad = None
+        y = build()
+        tsum(y * w).backward()
+        out.append((y.data.copy(), [t.grad.copy() for t in leaves]))
+    return out
+
+
+@pytest.mark.parametrize("kind", DECODERS, ids=lambda k: f"{k.name}-{k.p}")
+def test_fused_decoder_equals_composed_chain(kind):
+    # one node reading rows by index (repeated rows, one table for h and t)
+    # or whole tensors, against the chain of single ops with row gathers
+    rng = np.random.default_rng(21)
+    rw = 3 if kind.name == "rotate" else 6
+    ent = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
+    rel = Tensor(rng.normal(size=(3, rw)), requires_grad=True)
+    hi, ri, ti = [0, 2, 2, 4, 1, 0, 3], [1, 0, 1, 2, 2, 0, 1], [2, 2, 0, 1, 1, 4, 3]
+    w = rng.normal(size=7)
+    (got, ggrads), (want, wgrads) = fused_and_composed(
+        lambda: kge_score(kind, ent, rel, ent, hi, ri, ti),
+        lambda: composed_kge_score(kind, gather_rows(ent, hi), gather_rows(rel, ri),
+                                   gather_rows(ent, ti)), [ent, rel], w)
+    assert got.tobytes() == want.tobytes()
+    for g, wg in zip(ggrads, wgrads):
+        assert g.tobytes() == wg.tobytes()
+    h, r, t = batch_vectors(rng, kind, m=7)
+    (got, ggrads), (want, wgrads) = fused_and_composed(
+        lambda: kge_score(kind, h, r, t), lambda: composed_kge_score(kind, h, r, t),
+        [h, r, t], w)
+    assert got.tobytes() == want.tobytes()
+    for g, wg in zip(ggrads, wgrads):       # equal up to the sign of a zero
+        assert np.array_equal(g, wg)
+
+
+def test_fused_margin_loss_equals_composed_chain():
+    rng = np.random.default_rng(22)
+    scores = Tensor(rng.normal(size=9), requires_grad=True)
+    pos_idx, neg_idx = [0, 0, 1, 2, 2, 2], [3, 4, 5, 6, 7, 8]
+    (got, ggrads), (want, wgrads) = fused_and_composed(
+        lambda: margin_loss(scores, scores, 0.7, pos_idx, neg_idx),
+        lambda: composed_margin_loss(gather_rows(scores, pos_idx),
+                                     gather_rows(scores, neg_idx), 0.7), [scores], 1.0)
+    assert 0 < (want > 0).sum() and got.tobytes() == want.tobytes()
+    assert ggrads[0].tobytes() == wgrads[0].tobytes()
 
 
 def test_margin_loss_values():
@@ -344,6 +396,21 @@ def test_entity_embeddings_match_loop_oracle():
         assert np.array_equal(got, entity_embeddings_loop_oracle(tri, ents, psi).data)
     empty = np.empty((0, 3), dtype=np.int64)
     assert init_entity_embeddings(empty, np.empty(0, dtype=np.int64), psi).shape == (0, 5)
+
+
+def test_entity_embeddings_gradient_equals_loop_oracle():
+    # the one fused node against gather, segment sum and scale
+    rng = np.random.default_rng(6)
+    psi = Tensor(rng.normal(size=(8, 5)), requires_grad=True)
+    tri = np.column_stack([rng.integers(12, size=30), rng.integers(4, size=30),
+                           rng.integers(12, size=30)])
+    ents = rng.permutation(np.unique(tri[:, [0, 2]]))[:9]
+    w = rng.normal(size=(9, 5))
+    (got, ggrads), (want, wgrads) = fused_and_composed(
+        lambda: init_entity_embeddings(tri, ents, psi),
+        lambda: entity_embeddings_loop_oracle(tri, ents, psi), [psi], w)
+    assert got.tobytes() == want.tobytes()
+    assert ggrads[0].tobytes() == wgrads[0].tobytes()
 
 
 def test_entity_encoder_gradient():

@@ -34,15 +34,74 @@ def _resolves(mod_name, qualname) -> bool:
     return True
 
 
-def test_every_trace_target_resolves():
+def _tracing():
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", os.path.join(PERFBENCH, "tracing.py"))
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_trace_target_resolves():
+    tracing = _tracing()
     assert tracing.TARGETS
     missing = [f"{mod}.{qual}" for mod, qual, *_ in tracing.TARGETS
                if not _resolves(mod, qual)]
     assert not missing
+
+
+ENTITY_PATH_SPANS = ("sampling.meta_task", "training.episode_loss", "model.entity_embed",
+                     "model.kge", "model.adam")
+
+
+def test_entity_path_trace_targets_run_every_episode(monkeypatch):
+    """A traced name that an entity episode stops calling still resolves,
+    and its metric reads 0 unseen. Each target on the entity path, patched
+    where the tracer patches it (the class for a method, else every
+    ``indkg`` module attribute bound to the function), runs at least once
+    per episode."""
+    import numpy as np
+
+    import indkg.cli  # noqa: F401  (load every module before patching)
+    from indkg.config import RunConfig
+    from indkg.kgcore import DatasetBundle, Vocab
+    from indkg.training import train_entity_encoder_model
+
+    from helpers import planted_type_cycle_kg
+
+    targets = [t for t in _tracing().TARGETS if t[2] in ENTITY_PATH_SPANS]
+    assert sorted(t[2] for t in targets) == sorted(ENTITY_PATH_SPANS)
+    calls = dict.fromkeys(ENTITY_PATH_SPANS, 0)
+    for mod_name, qual, span, _, _ in targets:
+        owner = importlib.import_module(mod_name)
+        *path, attr = qual.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        orig = getattr(owner, attr)
+
+        def counted(*args, _orig=orig, _span=span, **kwargs):
+            calls[_span] += 1
+            return _orig(*args, **kwargs)
+        if path:
+            monkeypatch.setattr(owner, attr, counted)
+            continue
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").split(".")[0] == "indkg":
+                for key, val in list(vars(mod).items()):
+                    if val is orig:
+                        monkeypatch.setattr(mod, key, counted)
+
+    train, support, query, ne, nr = planted_type_cycle_kg(
+        np.random.default_rng(6), n_types=4, per_type_train=4, per_type_ind=2)
+    empty = np.empty((0, 3), dtype=np.int64)
+    vocab = Vocab({f"e{i}": i for i in range(ne)}, {f"r{i}": i for i in range(nr)})
+    bundle = DatasetBundle(vocab, train, empty, empty, support, query, empty)
+    episodes = 12
+    cfg = RunConfig(seed=5, dim=6, episodes=episodes, region_size=30, support_frac=0.7,
+                    num_neg=2, model_family="entity", check_per_epoch=1)
+    _, records = train_entity_encoder_model(bundle, cfg)
+    assert len(records) == episodes          # every episode had a loss
+    assert all(count >= episodes for count in calls.values()), calls
 
 
 def test_every_recorded_name_exists():

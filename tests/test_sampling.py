@@ -23,6 +23,7 @@ from helpers import (
     corrupt_triple_oracle,
     corruptions_after_positives_oracle,
     corruption_pool_oracle,
+    corruption_pool_scan_oracle,
     grow_region_loop_oracle,
     masked_adjacency,
     matrix_power_distances,
@@ -315,6 +316,29 @@ def test_corruption_pool_at_key_range_edges():
     assert pool((0, nr, 0), "tail") == [1, 2, 3, 4]        # not (1, 0, .)'s range
     assert pool((0, 0, ne), "head") == [1, 2, 3, 4]        # not (., 1, 0)'s heads
     assert pool((0, -1, ne - 1), "head") == [1, 2, 3, 4]
+
+
+def test_corruption_pool_ranges_equal_the_key_scan():
+    # the head side reads one range of reversed_keys where the scan reads
+    # every known key; ids reach past both ends, and a graph may know nothing
+    rng = np.random.default_rng(31)
+    graphs = [build_graph(np.empty((0, 3), dtype=np.int64), 4, 2)]
+    for _ in range(8):
+        n, nr = int(rng.integers(2, 12)), int(rng.integers(1, 4))
+        triples = random_triples(rng, n, nr, float(rng.uniform(0.05, 0.5)))
+        known = np.vstack([triples, random_triples(rng, n, nr, 0.1)])
+        graphs.append(build_graph(triples, n, nr, known_triples=known))
+    for g in graphs:
+        ne, nr = g.num_entities, g.num_relations
+        assert g.reversed_keys.dtype == np.int64
+        assert len(g.reversed_keys) == len(g.known_keys)
+        for triple in itertools.product(range(-2, ne + 2), range(-1, nr + 1),
+                                        range(-2, ne + 2)):
+            for direction in ("head", "tail"):
+                got = _corruption_pool(g, triple, direction)
+                want = corruption_pool_scan_oracle(g, triple, direction)
+                assert got.dtype == np.int64
+                assert got.tolist() == want.tolist(), (triple, direction)
 
 
 def test_ranking_candidates_fallback_matches_loop(caplog):

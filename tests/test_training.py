@@ -7,14 +7,17 @@ from indkg.config import RunConfig
 from indkg.errors import IsolatedEntity
 from indkg.kgcore import DatasetBundle, Vocab, build_graph
 from indkg.model import (
+    Adam,
     DecoderKind,
+    build_model,
     gradient_check,
     init_entity_embeddings,
     init_entity_encoder,
     init_model,
+    model_settings,
     subgraph_score,
 )
-from indkg.sampling import RETRY_CAP, MetaTask, make_train_batch
+from indkg.sampling import RETRY_CAP, MetaTask, make_train_batch, sample_meta_task
 from indkg.training import (
     entity_triple_scorer,
     episode_loss,
@@ -24,6 +27,7 @@ from indkg.training import (
 )
 
 from helpers import (
+    composed_episode_loss,
     kge_numpy_oracle,
     mixed_scored_items,
     planted_type_cycle_kg,
@@ -379,9 +383,10 @@ def test_episode_loss_scores_in_one_decoder_call(monkeypatch):
     calls = []
     score = training.kge_score
 
-    def counted(kind, h, r, t):
-        calls.append(len(h.data))
-        return score(kind, h, r, t)
+    def counted(kind, h, r, t, *rows):
+        out = score(kind, h, r, t, *rows)
+        calls.append(len(out.data))
+        return out
 
     monkeypatch.setattr(training, "kge_score", counted)
     task, graph = region_task(3)
@@ -406,16 +411,18 @@ def test_episode_loss_gradient_check(decoder):
     assert err < 1e-6
 
 
-@pytest.mark.parametrize("decoder,nodes", [("transe", 21), ("distmult", 18),
-                                           ("rotate", 43)])
-def test_episode_loss_tape_size(decoder, nodes):
-    # one decoder call over queries and negatives, and one node per
-    # subtraction: 32, 24 and 82 nodes with two calls and add(mul(-1))
+@pytest.mark.parametrize("decoder,p", [("transe", 1.0), ("transe", 2.0),
+                                       ("transe", 3.0), ("distmult", 2.0),
+                                       ("rotate", 2.0)])
+def test_episode_loss_tape_size(decoder, p):
+    # psi and dec_rel, then one node each for the embeddings, the decoder
+    # call and the hinge: the composed ops took 21 (TransE p=2), 18
+    # (DistMult) and 43 (RotatE) nodes
     task, graph = region_task(3)
-    enc = init_entity_encoder(2, 6, DecoderKind(decoder), np.random.default_rng(0))
+    enc = init_entity_encoder(2, 6, DecoderKind(decoder, p=p), np.random.default_rng(0))
     loss = episode_loss(enc, task, graph, RunConfig(num_neg=2, margin=2.0),
                         np.random.default_rng(1))
-    assert tape_size(loss) == nodes
+    assert tape_size(loss) == 5
 
 
 def test_entity_scorer_records_no_tape(monkeypatch):
@@ -442,3 +449,105 @@ def test_episode_loss_query_entity_outside_support():
     with pytest.raises(IsolatedEntity, match=r"no incident triple: \[2\]"):
         episode_loss(enc, task, build_graph(triples, 3, 1), RunConfig(num_neg=1),
                      np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("decoder,p", [("transe", 1.0), ("transe", 2.0),
+                                       ("transe", 3.0), ("distmult", 2.0),
+                                       ("rotate", 2.0)])
+def test_fused_episodes_equal_the_composed_chain(decoder, p):
+    # 50 episodes of the three fused nodes against the chain of single ops
+    # they replace (gather, segment sum, scale, row gathers, the decoder's
+    # ops, the hinge's ops): psi, dec_rel and every recorded loss are equal
+    # bit for bit for every decoder
+    bundle = planted_bundle(np.random.default_rng(6))
+    cfg = RunConfig(seed=5, dim=8, lr=0.05, episodes=50, margin=2.0, region_size=30,
+                    support_frac=0.7, num_neg=2, model_family="entity",
+                    decoder=decoder, transe_p=p, check_per_epoch=1)
+    enc, records = train_entity_encoder_model(bundle, cfg)
+
+    oracle = build_model(model_settings(cfg, "entity", bundle.vocab.num_relations),
+                         np.random.default_rng((cfg.seed, 0x3317)))
+    opt = Adam(oracle.tensors(), lr=cfg.lr)
+    losses = []
+    for episode in range(cfg.episodes):
+        ep_rng = np.random.default_rng((cfg.seed, 0xEA5, episode))
+        task = sample_meta_task(bundle.train_graph, cfg.region_size, cfg.support_frac, ep_rng)
+        loss = composed_episode_loss(oracle, task, bundle.train_graph, cfg, ep_rng)
+        if loss is None:
+            continue
+        losses.append(loss.item())
+        loss.backward()
+        opt.step()
+    assert [r["loss"] for r in records] == losses and len(losses) > 40
+    assert enc.psi.data.tobytes() == oracle.psi.data.tobytes()
+    assert enc.dec_rel.data.tobytes() == oracle.dec_rel.data.tobytes()
+
+
+def test_entity_wall_ms_spans_every_episode_since_the_last_record(monkeypatch):
+    # a clock that advances one second per sampled task: a record taken every
+    # third episode spans three of them, not the last one alone
+    clock = [0.0]
+    sample = training.sample_meta_task
+
+    def ticking(*args, **kwargs):
+        clock[0] += 1.0
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(training, "sample_meta_task", ticking)
+    monkeypatch.setattr(training.time, "monotonic", lambda: clock[0])
+    cfg = RunConfig(seed=5, dim=6, episodes=9, region_size=30, support_frac=0.7,
+                    num_neg=2, model_family="entity", check_per_epoch=3)
+    _, records = train_entity_encoder_model(planted_bundle(np.random.default_rng(6)), cfg)
+    assert [r["epoch"] for r in records] == [2, 5, 8]
+    assert [r["wall_ms"] for r in records] == [3000.0, 3000.0, 3000.0]
+
+
+def discard_bundle():
+    """A training graph whose meta-tasks at region_size 13 and support_frac
+    0.5 have known fates, and the per-episode replay of the sampler's draws
+    that counts them: a start on the triangle 0-1-2 (four relations per
+    edge) or its pendant 3 gives a task that moves the pendant triple
+    (2, 0, 3) into support exactly when the permutation puts it in the
+    query; a start on the star 4 -> 5..17 gives a split whose every query
+    triple is moved, so it is rejected; the isolated 18 and 19 give empty
+    regions."""
+    triangle = sorted([(a, r, b) for a, b in ((0, 1), (1, 2), (2, 0)) for r in range(4)]
+                      + [(2, 0, 3)])
+    star = [(4, 0, leaf) for leaf in range(5, 18)]
+    train = np.array(triangle + star, dtype=np.int64)
+    empty = np.empty((0, 3), dtype=np.int64)
+    bundle = DatasetBundle(int_vocab(20, 4), train, empty, empty, train[:1], train[:1], empty)
+
+    def replay(rng):
+        short = rejected = moved = 0
+        while True:
+            start = int(rng.integers(20))
+            if start >= 18:
+                short += 1
+                continue
+            order = rng.permutation(13)
+            if start >= 4:
+                rejected += 1
+                continue
+            moved += triangle.index((2, 0, 3)) in order[6:].tolist()
+            return short, rejected, moved
+    return bundle, replay
+
+
+def test_meta_task_discards_are_counted_in_one_warning(caplog):
+    bundle, replay = discard_bundle()
+    cfg = RunConfig(seed=3, dim=6, episodes=12, region_size=13, support_frac=0.5,
+                    num_neg=1, model_family="entity")
+    with caplog.at_level("WARNING", logger="indkg.training"):
+        train_entity_encoder_model(bundle, cfg)
+    counts = np.sum([replay(np.random.default_rng((cfg.seed, 0xEA5, episode)))
+                     for episode in range(cfg.episodes)], axis=0)
+    short, rejected, moved = counts.tolist()
+    assert short > 0 and rejected > 0 and moved > 0
+    drawn = cfg.episodes * 7            # 13 - round(0.5 * 13) query triples per task
+    warnings = [r.getMessage() for r in caplog.records if r.name == "indkg.training"]
+    assert warnings == [
+        f"meta-task sampler over 12 episodes: regions with fewer than 13 triples "
+        f"{short}, splits rejected for an empty query or support {rejected}, "
+        f"query triples moved into support {moved} of {drawn}"]
+
