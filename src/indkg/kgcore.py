@@ -216,14 +216,13 @@ def triple_keys(triples, num_entities: int, num_relations: int) -> np.ndarray:
 
 
 def _check_ids(triples: np.ndarray, num_entities: int, num_relations: int) -> None:
-    """Raise IdOutOfBounds unless every id of an (n, 3) array is in range."""
-    if not len(triples):
-        return
-    h, r, t = triples.T
-    if min(h.min(), t.min()) < 0 or max(h.max(), t.max()) >= num_entities:
-        raise IdOutOfBounds("entity id outside [0, num_entities)")
-    if r.min() < 0 or r.max() >= num_relations:
-        raise IdOutOfBounds("relation id outside [0, num_relations)")
+    """Raise IdOutOfBounds, naming the first bad id, unless every id of an
+    (n, 3) array is in range."""
+    for cols, bound, name in (([0, 2], num_entities, "entity"), ([1], num_relations, "relation")):
+        ids = triples[:, cols]
+        if len(ids) and (ids.min() < 0 or ids.max() >= bound):
+            bad = ids[(ids < 0) | (ids >= bound)][0]
+            raise IdOutOfBounds(f"{name} id {bad} outside [0, {bound})")
 
 
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
@@ -256,7 +255,7 @@ class IndexedGraph:
 
     One CSR holds every edge twice: row ``e`` is entity ``e``'s out-run of
     (neighbor, relation) pairs, ending at ``out_end[e]``, then its in-run,
-    each run sorted by (neighbor, relation).
+    each run sorted by (neighbor, relation); ``csr_keys`` holds their sorted keys.
     ``known_keys`` is the sorted, duplicate-free ``triple_keys`` array of
     *all* triples the graph is meant to know about (used for filtered
     negative sampling), which may be a superset of the edges present in the
@@ -264,8 +263,8 @@ class IndexedGraph:
     ``find_sorted``, and ``sampling._corruption_pool`` reads a tail side's
     known triples from it by key range, and a head side's from
     ``reversed_keys``.
-    The extraction kernels in ``indkg.subgraph`` read the CSR arrays
-    directly.
+    The extraction kernels in ``indkg.subgraph`` read the CSR arrays and
+    ``edge_positions`` only, never the known triples.
     """
 
     def __init__(self, triples: np.ndarray, num_entities: int, num_relations: int,
@@ -284,7 +283,7 @@ class IndexedGraph:
                            _sorted_unique(triple_keys(known, num_entities, num_relations)))
         self.triples = _rows_of_keys(keys, num_entities, num_relations)
 
-        self.indptr, self.out_end, self.nbr, self.rel = _build_csr(
+        self.indptr, self.out_end, self.nbr, self.rel, self.csr_keys = _build_csr(
             self.triples, num_entities, num_relations)
 
     @property
@@ -318,6 +317,17 @@ class IndexedGraph:
         # keys of out-of-range rows may alias in-range ones; they are masked off
         return in_range & find_sorted(self.known_keys, triple_keys(triples, ne, nr))[1]
 
+    def edge_positions(self, triples) -> np.ndarray:
+        """(n, 2) CSR positions of each row's (t, r) in the out-run of h and
+        (h, r) in the in-run of t, or -1 where the row is not an edge. An id
+        out of range, whose key could alias an edge's, raises IdOutOfBounds."""
+        triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+        _check_ids(triples, self.num_entities, self.num_relations)
+        pos, found = find_sorted(self.csr_keys, _csr_keys(
+            triples[:, [0, 2]], np.array([0, 1]), triples[:, [2, 0]], triples[:, [1]],
+            self.num_entities, self.num_relations))
+        return np.where(found, pos, -1)
+
     def out_edges(self, e: int):
         """(neighbor, relation) pairs for edges e -> neighbor."""
         s, p = self.indptr[e], self.out_end[e]
@@ -329,23 +339,28 @@ class IndexedGraph:
         return self.nbr[s:p], self.rel[s:p]
 
 
+def _csr_keys(src, is_in, nbr, rel, n, num_relations) -> np.ndarray:
+    """The uint64 key ``((src * 2 + is_in) * n + nbr) * R + rel`` of src's
+    out- (is_in 0) or in-entry (is_in 1) (nbr, rel); it is below 2 * n^2 * R,
+    which uint64 holds wherever ``triple_keys`` fit int64."""
+    row = (np.asarray(src) * 2 + is_in).astype(np.uint64)
+    return row * np.uint64(max(n * num_relations, 1)) + (nbr * num_relations + rel).astype(np.uint64)
+
+
 def _build_csr(triples, n, num_relations):
-    """``(indptr, out_end, nbr, rel)``: row e holds e's out-entries (t, r),
-    then its in-entries (h, r), ordered by the key
-    ``((src * 2 + is_in) * n + nbr) * R + rel``. One ``np.sort`` of the keys
-    orders them, and ``nbr, rel`` are decoded from the sorted keys by
-    ``divmod``; equal keys carry equal entries, so the sort need not be
-    stable. The key reaches 2 * n^2 * R, so it is uint64, which holds it
-    wherever ``triple_keys`` fit int64."""
+    """``(indptr, out_end, nbr, rel, keys)``: row e holds e's out-entries
+    (t, r), then its in-entries (h, r), in ascending ``_csr_keys`` order.
+    One ``np.sort`` of the keys orders them, and ``nbr, rel`` are decoded
+    from the sorted keys by ``divmod``; equal keys carry equal entries, so
+    the sort need not be stable."""
     h, r, t = triples.T
-    src2 = np.concatenate([h * 2, t * 2 + 1]).astype(np.uint64)
-    entry = (np.concatenate([t, h]) * num_relations + np.concatenate([r, r])).astype(np.uint64)
-    width = np.uint64(max(n * num_relations, 1))
-    key = np.sort(src2 * width + entry)
-    nbr, rel = divmod((key % width).astype(np.int64), num_relations)
+    key = np.sort(_csr_keys(np.concatenate([h, t]), np.repeat(np.array([0, 1]), len(h)),
+                            np.concatenate([t, h]), np.concatenate([r, r]), n, num_relations))
+    nbr, rel = divmod((key % np.uint64(max(n * num_relations, 1))).astype(np.int64),
+                      num_relations)
     out_deg = np.bincount(h, minlength=n)
     indptr = np.concatenate([[0], np.cumsum(out_deg + np.bincount(t, minlength=n))])
-    return indptr, indptr[:-1] + out_deg, nbr, rel
+    return indptr, indptr[:-1] + out_deg, nbr, rel, key
 
 
 def build_graph(triples, num_entities: int, num_relations: int,

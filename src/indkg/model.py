@@ -244,7 +244,8 @@ def score_subgraphs(model: ModelParams, items) -> Tensor:
     the configured convolution stack; in ``att`` layers each node's messages
     are conditioned on its own item's relation. Item g reads out as
     w . [meanpool_g ++ h_head ++ h_tail ++ e_rel], the mean over its own
-    nodes.
+    nodes, summed within its own row, so copies of one item score
+    bit-identically wherever they sit in the union.
     """
     width = model.input_proj.shape[0]      # 2 * (k + 2) for the model's k
     for it in items:
@@ -275,7 +276,11 @@ def score_subgraphs(model: ModelParams, items) -> Tensor:
     tails = offsets + np.array([it.sub.tail_local for it in items], dtype=np.int64)
     g = concat([pooled, gather_rows(H, heads), gather_rows(H, tails),
                 gather_rows(E, rels)], axis=1)
-    return matmul(g, model.readout_w)
+    # a row-wise reduction, where a BLAS gemv rounds each row's dot product
+    # by the row's place in g: identical items score bit-identically
+    w = model.readout_w
+    return node((g.data * w.data).sum(axis=1), g, lambda gr: gr[:, None] * w.data,
+                w, lambda gr: gr @ g.data)
 
 
 def subgraph_score(model: ModelParams, sub: Subgraph, labels: np.ndarray,

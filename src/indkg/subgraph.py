@@ -65,30 +65,6 @@ def _csr_slices(starts: np.ndarray, stops: np.ndarray):
     return np.arange(ends[-1]) + np.repeat(starts - ends + lens, lens), lens
 
 
-def _edge_positions(graph: IndexedGraph, triples: np.ndarray) -> np.ndarray:
-    """(C, 2) adjacency positions of each row's two entries, (t, r) in the
-    out-run of h and (h, r) in the in-run of t; -1 for a row that is not an
-    edge of the graph.
-
-    ``contains_many`` picks the known rows; a known triple outside the
-    adjacency finds neither entry.
-    """
-    pos = np.full((len(triples), 2), -1, dtype=np.int64)
-    rows = np.flatnonzero(graph.contains_many(triples))
-    if not len(rows):
-        return pos
-    h, r, t = triples[rows].T
-    # the out-runs of the heads, then the in-runs of the tails
-    idx, lens = _csr_slices(np.concatenate([graph.indptr[h], graph.out_end[t]]),
-                            np.concatenate([graph.out_end[h], graph.indptr[t + 1]]))
-    run = np.repeat(np.arange(2 * len(rows)), lens)
-    hit = ((graph.nbr[idx] == np.concatenate([t, h])[run])
-           & (graph.rel[idx] == np.concatenate([r, r])[run]))
-    col, at = np.divmod(run[hit], len(rows))
-    pos[rows[at], col] = idx[hit]
-    return pos
-
-
 def _dist_dtype(k: int):
     """int8 while it holds d_h + d_t up to 2k + 2, else int64."""
     return np.int8 if 2 * k + 2 <= np.iinfo(np.int8).max else np.int64
@@ -107,7 +83,7 @@ def _bfs(graph: IndexedGraph, sources: np.ndarray, masks: np.ndarray,
     its work follows the entities it touches. Any other level pulls: one
     gather of the frontier words over every run and one OR-reduction per
     entity with an edge. Source ``s`` clears its bit on the adjacency
-    positions ``masks[s]`` (a row's two ``_edge_positions``, or -1), so a
+    positions ``masks[s]`` (a row's two ``edge_positions``, or -1), so a
     reverse twin (t, r, h) still connects the pair. A source without edges
     takes no bit. The levels keep only their frontiers; the distances are
     unpacked from those words once, over the id span of the entities
@@ -179,11 +155,7 @@ def _bfs(graph: IndexedGraph, sources: np.ndarray, masks: np.ndarray,
     return dist
 
 
-def _check_query(graph: IndexedGraph, entities, k: int) -> None:
-    ents = np.asarray(entities, dtype=np.int64).ravel()
-    bad = ents[(ents < 0) | (ents >= graph.num_entities)]
-    if len(bad):
-        raise IdOutOfBounds(f"entity {bad[0]} outside [0, {graph.num_entities})")
+def _check_k(k: int) -> None:
     if k < 1:
         raise ValueError("hop budget k must be >= 1")
 
@@ -193,12 +165,14 @@ def bfs_distances(graph: IndexedGraph, source: int, k: int,
     """Undirected hop distances from ``source``, truncated at ``k`` hops.
 
     Every triple acts as a bidirectional edge; ``masked_edge`` suppresses
-    that one triple in both traversal directions. The batched extraction's
-    search with one source.
+    that one triple in both traversal directions, and its ids are checked
+    like ``source``'s. The batched extraction's search with one source.
     """
-    _check_query(graph, (source,), k)
+    if not 0 <= source < graph.num_entities:
+        raise IdOutOfBounds(f"entity id {source} outside [0, {graph.num_entities})")
     masks = (np.full((1, 2), -1, dtype=np.int64) if masked_edge is None else
-             _edge_positions(graph, np.asarray(masked_edge, dtype=np.int64).reshape(1, 3)))
+             graph.edge_positions(masked_edge))
+    _check_k(k)
     dist = _bfs(graph, np.array([source], dtype=np.int64), masks, k, _dist_dtype(k))[0]
     reached = np.flatnonzero(dist >= 0)
     return dict(zip(reached.tolist(), dist[reached].tolist()))
@@ -225,8 +199,9 @@ def extract_enclosing_subgraphs(graph: IndexedGraph, triples, k: int,
     row order.
 
     Each row's node set, distances and edges are those of its own search in
-    the graph without that row's triple. A row that is a graph edge masks its
-    two adjacency positions (``_edge_positions``), so it gets BFS sources of
+    the graph without that row's triple; an id out of range raises
+    IdOutOfBounds. A row that is a graph edge masks its two adjacency
+    positions (``IndexedGraph.edge_positions``), so it gets BFS sources of
     its own; every other row shares one source per endpoint entity with the
     rest of its chunk, so a ranking side's fixed endpoint is searched once.
     Rows go in chunks of at most ``_CHUNK_SOURCES`` distinct sources, one
@@ -237,11 +212,11 @@ def extract_enclosing_subgraphs(graph: IndexedGraph, triples, k: int,
     (d_h + d_t, id) order until the cap is met.
     """
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-    _check_query(graph, triples[:, [0, 2]], k)
+    masks = graph.edge_positions(triples)
+    _check_k(k)
     if not len(triples):
         return []
     ne = graph.num_entities
-    masks = _edge_positions(graph, triples)
     # a source key is its entity, plus ne * (row + 1) for an edge row's own
     own = np.where(masks[:, 0] >= 0, ne * (np.arange(len(triples)) + 1), 0)
     keys = triples[:, [0, 2]] + own[:, None]

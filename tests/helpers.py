@@ -63,6 +63,22 @@ def graph_index_oracle(triples, num_entities, num_relations, known=None):
     return out, out_edges, in_edges
 
 
+def edge_positions_scan_oracle(graph, triples):
+    """``IndexedGraph.edge_positions`` as a scan of the CSR runs: each row's
+    one entry (t, r) in the out-run of h and (h, r) in the in-run of t, or
+    -1 where the run holds no such entry."""
+    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    pos = np.full((len(triples), 2), -1, dtype=np.int64)
+    for i, (h, r, t) in enumerate(triples.tolist()):
+        runs = ((graph.indptr[h], graph.out_end[h], t), (graph.out_end[t], graph.indptr[t + 1], h))
+        for col, (lo, hi, nbr) in enumerate(runs):
+            hit = np.flatnonzero((graph.nbr[lo:hi] == nbr) & (graph.rel[lo:hi] == r))
+            assert len(hit) <= 1, (h, r, t)
+            if len(hit):
+                pos[i, col] = lo + hit[0]
+    return pos
+
+
 def tape_size(out):
     """Number of distinct tensors reachable from ``out`` through the tape."""
     seen, stack = set(), [out]

@@ -171,6 +171,15 @@ def test_extract_all_raises_for_a_bad_id_in_a_later_span(monkeypatch):
         extract_all(g, bad, 2, threads=2)
 
 
+@pytest.mark.parametrize("bad", [(0, 3, 1), (0, -1, 1)])
+def test_extract_all_raises_for_a_bad_relation_id_in_either_span(monkeypatch, bad):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    g = build_graph(random_triples(np.random.default_rng(0), 40, 3, 0.12), 40, 3)
+    for rows in (np.vstack([[bad], g.triples]), np.vstack([g.triples, [bad]])):
+        with pytest.raises(IdOutOfBounds):
+            extract_all(g, rows, 2, threads=2)
+
+
 @pytest.mark.parametrize("threads, rows, cores, pools", [
     (1, 9, 8, []), (2, 9, 8, [1]), (3, 9, 2, [1]), (3, 9, None, []),
     (1000, 5, 64, [4]), (8, 1, 8, []), (4, 0, 8, [])])

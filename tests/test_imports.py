@@ -82,6 +82,18 @@ def test_searchsorted_only_in_find_sorted_and_two_range_searches():
     assert calls == homes, sorted(calls - homes, key=str)
 
 
+def test_extraction_reads_no_known_triple_state():
+    # subgraph.py reads the CSR arrays and IndexedGraph.edge_positions; the
+    # known triples serve the samplers only
+    banned = {"known_keys", "reversed_keys", "contains", "contains_many"}
+    tree = ast.parse((Path(indkg.__file__).parent / "subgraph.py").read_text(encoding="utf-8"))
+    found = sorted((node.lineno, name) for node in ast.walk(tree)
+                   for name in (getattr(node, "attr", None), getattr(node, "id", None),
+                                getattr(node, "name", None))
+                   if name in banned)
+    assert not found, found
+
+
 def test_autodiff_vjps_never_call_broadcast_to():
     # backward broadcasts a VJP result into the parent's fresh gradient, so
     # no VJP (a lambda or a function nested in an op) builds a broadcast copy

@@ -17,8 +17,8 @@ from indkg.errors import (
 )
 
 from helpers import (ONE_PASS_NOISE, PER_LINE_NOISE, build_vocab_loop_oracle,
-                     graph_index_oracle, make_raw_dataset_dir, parse_triples_oracle,
-                     write_noisy_tsv, write_tsv)
+                     edge_positions_scan_oracle, graph_index_oracle, make_raw_dataset_dir,
+                     parse_triples_oracle, write_noisy_tsv, write_tsv)
 
 
 def test_load_triples_single_line(tmp_path):
@@ -289,6 +289,55 @@ def test_graph_index_matches_oracle():
         seen["twin"] += any((t, r, h) in rows for h, r, t in rows if h != t)
         seen["isolated"] += len(np.unique(tri[:, [0, 2]])) < ne
     assert all(seen.values()), seen
+
+
+def test_edge_positions_match_run_scan_oracle():
+    # graph edges find both entries; known held-out triples, a reverse
+    # twin's absent side and an absent parallel relation find neither, on
+    # graphs with self-loops, duplicate rows, isolated ids and no edges
+    rng = np.random.default_rng(30)
+    cases = list(_oracle_graph_cases(rng))
+    # (0, 1) under relations 0 and 1 but not 2, a twin (1, 0, 0) of (0, 0, 1)
+    # only, a loop under relation 2 and a known non-edge (0, 2, 1)
+    cases.append((np.array([(0, 0, 1), (0, 1, 1), (1, 0, 0), (2, 2, 2), (3, 1, 2)]), 4, 3,
+                  [(0, 2, 1), (3, 0, 3), (0, 0, 1)]))
+    seen = {"edge": 0, "held_out": 0, "twin_absent": 0, "loop": 0, "edgeless": 0}
+    for tri, ne, nr, known in cases:
+        g = kgcore.build_graph(tri, ne, nr, known_triples=known)
+        corners = [(0, 0, 0), (ne - 1, nr - 1, ne - 1), (0, nr - 1, ne - 1), (ne - 1, 0, 0)]
+        probes = np.vstack([g.triples, g.triples[:, ::-1], np.reshape(tri, (-1, 3)),
+                            np.reshape(known if known is not None else [], (-1, 3)),
+                            corners, rng.integers(0, [ne, nr, ne], size=(20, 3))])
+        got = g.edge_positions(probes)
+        assert got.dtype == np.int64 and got.shape == (len(probes), 2)
+        assert np.array_equal(got, edge_positions_scan_oracle(g, probes))
+        edges = set(map(tuple, g.triples.tolist()))
+        is_edge = np.array([tuple(p) in edges for p in probes.tolist()], dtype=bool)
+        assert np.array_equal(got >= 0, np.column_stack([is_edge, is_edge]))
+        assert np.all(g.csr_keys[1:] > g.csr_keys[:-1])
+        assert g.edge_positions(np.empty((0, 3), np.int64)).shape == (0, 2)
+        seen["edge"] += bool(is_edge.any())
+        seen["held_out"] += any(tuple(p) not in edges for p in np.reshape(
+            known if known is not None else [], (-1, 3)).tolist())
+        seen["twin_absent"] += any((t, r, h) not in edges for h, r, t in edges if h != t)
+        seen["loop"] += any(h == t for h, _, t in edges)
+        seen["edgeless"] += not edges
+    assert all(seen.values()), seen
+    # rows 0: out (1, 0) (1, 1), in (1, 0); 1: out (0, 0), in (0, 0) (0, 1);
+    # 2: out (2, 2), in (2, 2) (3, 1); 3: out (2, 1)
+    assert kgcore.build_graph(*cases[-1][:3]).edge_positions(
+        [(0, 0, 1), (0, 1, 1), (0, 2, 1), (1, 0, 0), (1, 1, 0), (2, 2, 2)]).tolist() == [
+            [0, 4], [1, 5], [-1, -1], [3, 2], [-1, -1], [6, 7]]
+
+
+@pytest.mark.parametrize("bad", [(2, 0, 1), (0, 0, 2), (-1, 0, 1), (0, 0, -1),
+                                 (0, 2, 1), (0, -1, 1)])
+def test_edge_positions_reject_ids_out_of_range(bad):
+    # a bad row's keys may equal an edge's: (0, -1, 1)'s out-key is that of
+    # (0, 1, 0), so no id out of range reaches the lookup
+    g = kgcore.build_graph([(0, 0, 1), (0, 1, 1), (1, 1, 0)], 2, 2)
+    with pytest.raises(IdOutOfBounds):
+        g.edge_positions([(0, 0, 1), bad])
 
 
 def test_check_duplicates_matches_oracle():

@@ -281,6 +281,23 @@ def test_batched_scores_match_per_item(layer_kind, comp_op):
     assert np.abs(single - dense).max() <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("layer_kind", ["rgcn", "att", "comp"])
+def test_copies_of_one_subgraph_score_bit_identically_in_a_union(layer_kind):
+    # a BLAS gemv readout rounds each row by its place in the union, so
+    # copies scored apart in the last bits and exact ties broke by noise
+    items = mixed_scored_items(np.random.default_rng(21))
+    for seed in range(3):
+        model = mixed_model(layer_kind, seed=seed)
+        for scorer in (model, no_grad_view(model)):
+            for n in (2, 5, 8, 13):
+                for it in items:
+                    scores = score_subgraphs(scorer, [it] * n).data
+                    assert len(set(scores.tolist())) == 1, (seed, n, it.sub.target)
+            # every item at three places of a mixed union
+            scores = score_subgraphs(scorer, items * 3).data.reshape(3, len(items))
+            assert np.array_equal(scores, np.broadcast_to(scores[0], scores.shape))
+
+
 def test_att_union_gradients_match_per_item():
     # each item of a union scored against its own relation gets the score
     # and the parameter gradients it gets when scored alone

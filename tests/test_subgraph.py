@@ -336,6 +336,19 @@ def test_batched_extraction_empty_and_invalid():
         extract_enclosing_subgraphs(g, [(0, 0, 1)], 0)
 
 
+@pytest.mark.parametrize("bad", [(0, -1, 1), (0, 2, 1), (0, 0, 3), (-1, 0, 1)])
+def test_extraction_and_bfs_reject_ids_out_of_range(bad):
+    # relation ids too: (0, -1, 1) would key next to (0, 1, 1) and (0, 2, 1)
+    # next to (1, 0, 1), and a model would score relation -1 as R - 1
+    g = build_graph([(0, 0, 1), (0, 1, 1), (1, 1, 2)], 3, 2)
+    with pytest.raises(IdOutOfBounds):
+        extract_enclosing_subgraphs(g, [(0, 0, 1), bad], 2)
+    with pytest.raises(IdOutOfBounds):
+        extract_enclosing_subgraph(g, bad, 2)
+    with pytest.raises(IdOutOfBounds):
+        bfs_distances(g, 0, 2, masked_edge=bad)
+
+
 def test_batched_extraction_deep_k_matches_oracle():
     # a 150-node path with a chord: near its end, d_h + d_t of the pair
     # (0, 1) passes the int8 range while both distances stay within k
