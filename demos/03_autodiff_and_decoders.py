@@ -5,23 +5,29 @@ Run: python3 demos/03_autodiff_and_decoders.py
 
 import numpy as np
 
-from indkg.autodiff import Tensor, matmul, relu, tsum
+from indkg.autodiff import Tensor, matmul, relu, reshape
 from indkg.model import DecoderKind, gradient_check, kge_score
 
-# a two-layer toy network; backward() fills .grad on every leaf
+# a two-layer toy network with one output, reshaped to a scalar loss;
+# backward() fills .grad on every leaf
 rng = np.random.default_rng(0)
 x = Tensor(rng.normal(size=4))
 W1 = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
 W2 = Tensor(rng.normal(size=(8, 1)), requires_grad=True)
-loss = tsum(matmul(relu(matmul(x, W1)), W2))
+
+
+def toy_loss():
+    return reshape(matmul(relu(matmul(x, W1)), W2), ())
+
+
+loss = toy_loss()
 loss.backward()
 print(f"toy loss = {loss.item():.4f}")
 print(f"dL/dW1 norm = {np.linalg.norm(W1.grad):.4f}, "
       f"dL/dW2 norm = {np.linalg.norm(W2.grad):.4f}")
 
-err = gradient_check({"W1": W1, "W2": W2},
-                     lambda: tsum(matmul(relu(matmul(x, W1)), W2)),
-                     sample_frac=1.0, rng=np.random.default_rng(1))
+err = gradient_check({"W1": W1, "W2": W2}, toy_loss, sample_frac=1.0,
+                     rng=np.random.default_rng(1))
 print(f"central-difference check, max relative error: {err:.2e}")
 
 # decoders score (h, r, t) vectors; higher = more plausible

@@ -203,54 +203,9 @@ def relu(a) -> Tensor:
     return node(np.where(mask, a.data, 0.0), a, lambda g: g * mask)
 
 
-def absolute(a) -> Tensor:
-    a = as_tensor(a)
-    sign = np.sign(a.data)
-    return node(np.abs(a.data), a, lambda g: g * sign)
-
-
-def power(a, p: float) -> Tensor:
-    a = as_tensor(a)
-    return node(a.data ** p, a, lambda g: g * p * a.data ** (p - 1.0))
-
-
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    s = np.sqrt(a.data)
-    return node(s, a, lambda g: g * 0.5 / s)
-
-
-def sin(a) -> Tensor:
-    a = as_tensor(a)
-    return node(np.sin(a.data), a, lambda g: g * np.cos(a.data))
-
-
-def cos(a) -> Tensor:
-    a = as_tensor(a)
-    return node(np.cos(a.data), a, lambda g: -g * np.sin(a.data))
-
-
-def tsum(a, axis=None) -> Tensor:
-    a = as_tensor(a)
-    # backward broadcasts the gradient to a's shape
-    return node(a.data.sum(axis=axis), a,
-                 lambda g: g if axis is None else np.expand_dims(g, axis))
-
-
-def tmean(a, axis=None) -> Tensor:
-    a = as_tensor(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis=axis), 1.0 / n)
-
-
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     return node(a.data.reshape(shape), a, lambda g: g.reshape(a.data.shape))
-
-
-def transpose(a, axes) -> Tensor:
-    a = as_tensor(a)
-    return node(a.data.transpose(axes), a, lambda g: g.transpose(np.argsort(axes)))
 
 
 def concat(tensors, axis=0) -> Tensor:
@@ -449,30 +404,28 @@ def _basis_conv_grads(g, H, Vcat, HV, A, C, w, src, dst, slot, num_slots,
     return out
 
 
+def _correlate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """out[e, k] = sum_i a[e, i] * b[e, (i + k) mod d], through the real FFT
+    of each row."""
+    return np.fft.irfft(np.conj(np.fft.rfft(a)) * np.fft.rfft(b), n=a.shape[1])
+
+
 def circular_correlation(a, b) -> Tensor:
     """Row-wise circular correlation of two (m, d) tensors.
 
-    out[e, k] = sum_i a[e, i] * b[e, (i + k) mod d].
+    out[e, k] = sum_i a[e, i] * b[e, (i + k) mod d],
+
+    computed as ``irfft(conj(rfft(a)) * rfft(b))`` row by row, so no
+    ``(m, d, d)`` array is built and a row's result does not depend on the
+    other rows. Given g, a's VJP is the correlation of g with b, and b's
+    the circular convolution ``irfft(rfft(a) * rfft(g))``.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.data.shape != b.data.shape or a.data.ndim != 2:
         raise ShapeMismatch("circular_correlation expects matching (m, d) inputs")
     d = a.data.shape[1]
-    i = np.arange(d)
-    fwd_idx = (i[None, :] + i[:, None]) % d    # fwd_idx[k, i] = (i + k) % d
-    bwd_idx = (i[None, :] - i[:, None]) % d    # bwd_idx[k, j] = (j - k) % d
-    out = np.einsum("mi,mki->mk", a.data, b.data[:, fwd_idx])
-    return node(out, a, lambda g: np.einsum("mk,mki->mi", g, b.data[:, fwd_idx]),
-                 b, lambda g: np.einsum("mk,mkj->mj", g, a.data[:, bwd_idx]))
-
-
-def norm(a, p: float = 2.0, axis=None) -> Tensor:
-    """p-norm of a flattened tensor, or of each slice along ``axis``."""
-    if p == 1.0:
-        return tsum(absolute(a), axis=axis)
-    if p == 2.0:
-        return sqrt(tsum(power(a, 2.0), axis=axis))
-    return power(tsum(power(absolute(a), p), axis=axis), 1.0 / p)
+    return node(_correlate(a.data, b.data), a, lambda g: _correlate(g, b.data),
+                 b, lambda g: np.fft.irfft(np.fft.rfft(a.data) * np.fft.rfft(g), n=d))
 
 
 # -- BLAS threads ------------------------------------------------------------

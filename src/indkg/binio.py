@@ -47,6 +47,13 @@ class Reader:
         raw = self.read_bytes(dtype.itemsize * count)
         return np.frombuffer(raw, dtype).astype(dtype.newbyteorder("="))
 
+    def expect_end(self) -> None:
+        """Fail unless every byte has been read: a file ends with its last
+        block."""
+        if self.pos != len(self.data):
+            raise CorruptHeader(f"{len(self.data) - self.pos} bytes after the last block "
+                                f"at offset {self.pos}")
+
     def read_u32(self) -> int:
         return struct.unpack("<I", self.read_bytes(4))[0]
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kgcore, store
 from .config import RunConfig, key_registry, parse_config
-from .errors import ConfigError, IndkgError, MissingFile
+from .errors import ConfigError, EmptyInput, IndkgError, MissingFile
 from .evaluate import run_link_prediction, run_link_prediction_triples, run_triple_classification
 from .model import (build_model, load_checkpoint, model_settings, restore_model,
                     save_checkpoint)
@@ -85,6 +85,8 @@ def cmd_extract(cfg: RunConfig) -> int:
     splits = bundle.splits()
     if cfg.split not in splits:
         raise ConfigError(f"unknown split {cfg.split!r}; choose from {sorted(splits)}")
+    if not len(splits[cfg.split]):
+        raise EmptyInput(f"split {cfg.split!r} holds no triples; nothing to extract")
     # built here, before extract_all starts its threads, so they share one build
     graph = bundle.train_graph if _SPLIT_GRAPH[cfg.split] == "train" else bundle.ind_graph
     subs = extract_all(graph, splits[cfg.split], cfg.k,

@@ -75,6 +75,7 @@ def key_registry() -> dict[str, type]:
     return out
 
 
+_NON_NEGATIVE_KEYS = ("seed", "epochs", "episodes", "min_delta")
 _POSITIVE_KEYS = ("k", "dim", "rel_dim", "num_bases", "num_layers", "lr",
                   "batch_size", "num_neg", "num_neg_eval", "check_per_epoch",
                   "patience", "support_frac", "region_size", "threads",
@@ -90,6 +91,9 @@ def validate(cfg: RunConfig) -> RunConfig:
         value = getattr(cfg, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigTypeError(f.name, value, "finite number")
+    for key in _NON_NEGATIVE_KEYS:
+        if getattr(cfg, key) < 0:
+            raise ConfigTypeError(key, getattr(cfg, key), "number >= 0")
     for key in _POSITIVE_KEYS:
         if getattr(cfg, key) <= 0:
             raise ConfigTypeError(key, getattr(cfg, key), "positive number")

@@ -63,7 +63,8 @@ class VersionMismatch(IndkgError):
 
 class CorruptHeader(IndkgError):
     """A file header whose lengths are consistent but whose content does
-    not decode: label bytes that are not UTF-8, a config that is not JSON."""
+    not decode: label bytes that are not UTF-8, a config that is not JSON,
+    bytes after the last block."""
 
 
 class CorruptRecord(IndkgError):

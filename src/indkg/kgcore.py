@@ -514,6 +514,7 @@ def deserialize_dataset(data: bytes) -> DatasetBundle:
                   {s: i for i, s in enumerate(id2relation)},
                   id2entity, id2relation)
     blocks = [_read_triple_block(rd) for _ in range(6)]
+    rd.expect_end()
     return DatasetBundle(vocab, *blocks)
 
 

@@ -518,6 +518,7 @@ def load_checkpoint(path):
         shape = tuple(rd.read_array(rd.read_u64(), "<u8").tolist())
         # math.prod cannot wrap around, so a corrupt shape fails as truncation
         tensors[name] = rd.read_array(math.prod(shape), "<f8").reshape(shape)
+    rd.expect_end()
     try:
         config = json.loads(header[0])
     except json.JSONDecodeError as exc:

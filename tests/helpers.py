@@ -7,6 +7,7 @@ explicit pair counting) so agreement is meaningful.
 
 import numpy as np
 
+from indkg.autodiff import Tensor, as_tensor, mul, node
 from indkg.kgcore import build_graph
 
 
@@ -429,7 +430,7 @@ def entity_embeddings_loop_oracle(triples, entity_ids, psi):
     """``model.init_entity_embeddings`` as the per-triple loop it replaced:
     the head entry, then the tail entry, of each triple in turn, summed by
     the same segment sum."""
-    from indkg.autodiff import gather_rows, mul, segment_sum
+    from indkg.autodiff import gather_rows, segment_sum
     local = {int(e): i for i, e in enumerate(entity_ids)}
     seg_idx, psi_idx = [], []
     for h, r, t in np.asarray(triples, dtype=np.int64).reshape(-1, 3).tolist():
@@ -446,13 +447,103 @@ def entity_embeddings_loop_oracle(triples, entity_ids, psi):
     return mul(summed, (1.0 / counts)[:, None])
 
 
+# -- central differences -----------------------------------------------------
+
+def numeric_grad(f, x, eps=1e-6):
+    """The central-difference gradient of the scalar ``f()`` in ``x``."""
+    g = np.zeros_like(x.data)
+    flat, gflat = x.data.reshape(-1), g.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        up = f().item()
+        flat[i] = orig - eps
+        down = f().item()
+        flat[i] = orig
+        gflat[i] = (up - down) / (2 * eps)
+    return g
+
+
+def check(f, *leaves, tol=1e-7):
+    """Backward's gradient of the scalar ``f()`` into each leaf equals
+    ``numeric_grad`` within ``tol``."""
+    for leaf in leaves:
+        leaf.grad = None
+    out = f()
+    out.backward()
+    for leaf in leaves:
+        analytic = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
+        numeric = numeric_grad(f, leaf)
+        assert np.allclose(analytic, numeric, atol=tol), (analytic, numeric)
+
+
+# -- single ops of the composed chain ----------------------------------------
+#
+# Elementwise ops and reductions, one tape node each through
+# ``autodiff.node``, that the package's fused decoders and loss no longer
+# need. The composed oracles below are written in them, and the tests sum
+# an output to a scalar loss with ``tsum``.
+
+def absolute(a) -> Tensor:
+    a = as_tensor(a)
+    sign = np.sign(a.data)
+    return node(np.abs(a.data), a, lambda g: g * sign)
+
+
+def power(a, p: float) -> Tensor:
+    a = as_tensor(a)
+    return node(a.data ** p, a, lambda g: g * p * a.data ** (p - 1.0))
+
+
+def sqrt(a) -> Tensor:
+    a = as_tensor(a)
+    s = np.sqrt(a.data)
+    return node(s, a, lambda g: g * 0.5 / s)
+
+
+def sin(a) -> Tensor:
+    a = as_tensor(a)
+    return node(np.sin(a.data), a, lambda g: g * np.cos(a.data))
+
+
+def cos(a) -> Tensor:
+    a = as_tensor(a)
+    return node(np.cos(a.data), a, lambda g: -g * np.sin(a.data))
+
+
+def tsum(a, axis=None) -> Tensor:
+    a = as_tensor(a)
+    # backward broadcasts the gradient to a's shape
+    return node(a.data.sum(axis=axis), a,
+                 lambda g: g if axis is None else np.expand_dims(g, axis))
+
+
+def tmean(a, axis=None) -> Tensor:
+    a = as_tensor(a)
+    n = a.data.size if axis is None else a.data.shape[axis]
+    return mul(tsum(a, axis=axis), 1.0 / n)
+
+
+def transpose(a, axes) -> Tensor:
+    a = as_tensor(a)
+    return node(a.data.transpose(axes), a, lambda g: g.transpose(np.argsort(axes)))
+
+
+def norm(a, p: float = 2.0, axis=None) -> Tensor:
+    """p-norm of a flattened tensor, or of each slice along ``axis``."""
+    if p == 1.0:
+        return tsum(absolute(a), axis=axis)
+    if p == 2.0:
+        return sqrt(tsum(power(a, 2.0), axis=axis))
+    return power(tsum(power(absolute(a), p), axis=axis), 1.0 / p)
+
+
 # -- the composed entity episode ---------------------------------------------
 
 def composed_kge_score(kind, h_vec, r_vec, t_vec):
     """The decoders as chains of single autodiff ops, one tape node each,
     which ``model.kge_score`` fuses into one node."""
-    from indkg.autodiff import (cos, gather_rows, mul, norm, reshape, sin, sqrt,
-                                transpose, tsum)
+    from indkg.autodiff import gather_rows, reshape
 
     def complex_parts(v):
         lead, d2, n = v.shape[:-1], v.shape[-1] // 2, v.data.ndim - 1
@@ -473,7 +564,7 @@ def composed_kge_score(kind, h_vec, r_vec, t_vec):
 
 def composed_margin_loss(pos, neg, gamma):
     """``model.margin_loss`` as the chain ``tmean(relu(neg - pos + gamma))``."""
-    from indkg.autodiff import relu, tmean
+    from indkg.autodiff import relu
     return tmean(relu(neg - pos + gamma))
 
 

@@ -142,6 +142,22 @@ def test_every_truncation_raises_package_error(tmp_path):
                 read(cut_path)
 
 
+def test_trailing_bytes_are_corrupt_header(tmp_path):
+    # a bundle and a checkpoint end with their last block; a file with bytes
+    # appended used to load
+    bundle_path, ckpt_path = tmp_path / "dataset.ikgd", tmp_path / "model.ikgm"
+    bundle_path.write_bytes(_small_bundle_bytes())
+    save_checkpoint(ckpt_path, {"w": Tensor(np.ones((2, 3)))}, {"dim": 3})
+    for path, read, extra in ((bundle_path, kgcore.load_dataset, 8),
+                              (ckpt_path, load_checkpoint, 7)):
+        data = path.read_bytes()
+        read(path)
+        for tail in (b"\0", bytes(range(extra))):
+            path.write_bytes(data + tail)
+            with pytest.raises(CorruptHeader, match=f"^{len(tail)} bytes after the last"):
+                read(path)
+
+
 def test_non_utf8_label_is_corrupt_header(tmp_path, capsys):
     # an IKGD3 bundle whose lengths are consistent: one entity label, the
     # single byte 0xff, one relation label and six empty triple blocks

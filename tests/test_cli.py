@@ -74,6 +74,24 @@ def test_max_nodes_below_two_rejected(value, capsys):
         assert parse_config(None, {"seed": "7", "max_nodes": ok}).max_nodes == int(ok)
 
 
+@pytest.mark.parametrize("key, value", [("seed", "-1"), ("epochs", "-1"),
+                                        ("episodes", "-3"), ("min_delta", "-5")])
+def test_negative_counts_and_min_delta_rejected(key, value, tmp_path, capsys):
+    # a negative seed escaped as numpy's ValueError at the first RNG (and
+    # preprocess, which draws none, exited 0); negative epochs or episodes
+    # wrote an untrained model; a negative min_delta was accepted
+    raw = tmp_path / "raw"
+    make_raw_dataset_dir(str(raw), np.random.default_rng(1))
+    base = ["--data_root", str(raw), "--output_dir", str(tmp_path / "out"), "--seed", "1"]
+    with pytest.raises(ConfigTypeError, match=key):
+        parse_config(None, {"seed": "1", key: value})
+    for command in ("preprocess", "train"):
+        assert main([command] + base + [f"--{key}", value]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+    assert getattr(parse_config(None, {"seed": "1", key: "0"}), key) == 0
+
+
 FLOAT_KEYS = [key for key, typ in key_registry().items() if typ is float]
 
 
@@ -535,3 +553,17 @@ def test_preprocess_without_training_triples_exits_2(tmp_path, capsys):
     assert "error: at least one training triple required" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "dataset.ikgd").exists()
+
+
+def test_extract_of_an_empty_split_exits_2_and_writes_no_store(tmp_path, capsys):
+    # without ind/valid.txt the ind_valid split is empty; extract used to
+    # write its store, then fail to aggregate over it
+    raw, out = tmp_path / "raw", tmp_path / "out"
+    make_raw_dataset_dir(str(raw), np.random.default_rng(1))
+    assert not (raw / "ind" / "valid.txt").exists()
+    base = ["--data_root", str(raw), "--output_dir", str(out), "--seed", "1"]
+    assert main(["preprocess"] + base) == 0
+    capsys.readouterr()
+    assert main(["extract", "--split", "ind_valid"] + base) == 2
+    assert "error: split 'ind_valid' holds no triples" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["dataset.ikgd"]

@@ -107,6 +107,35 @@ def test_autodiff_vjps_never_call_broadcast_to():
     assert vjps and not calls, sorted(calls)
 
 
+def test_every_public_autodiff_function_serves_the_package():
+    # autodiff holds the ops the package runs: each public top-level function
+    # is imported by a sibling module, or called by a top-level definition
+    # that is, as single_blas_thread calls loaded_openblas. A re-export in
+    # __init__.py is no use; an op only the tests need lives in helpers.py
+    pkg = Path(indkg.__file__).parent
+    tree = ast.parse((pkg / "autodiff.py").read_text(encoding="utf-8"))
+    defs = {top.name: top for top in tree.body
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef))}
+    reached = set()
+    for path in sorted(pkg.glob("*.py")):
+        if path.name in ("__init__.py", "autodiff.py"):
+            continue
+        reached |= {alias.name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                    if isinstance(node, ast.ImportFrom)
+                    and node.module in ("autodiff", "indkg.autodiff")
+                    for alias in node.names}
+    stack = sorted(reached & defs.keys())
+    while stack:
+        for node in ast.walk(defs[stack.pop()]):
+            name = getattr(node.func, "id", None) if isinstance(node, ast.Call) else None
+            if name in defs.keys() - reached:
+                reached.add(name)
+                stack.append(name)
+    unused = sorted(name for name, top in defs.items() if isinstance(top, ast.FunctionDef)
+                    and not name.startswith("_") and name not in reached)
+    assert not unused, unused
+
+
 def test_models_are_built_from_a_record_only_in_model_py():
     # the trainers and the checkpoint reader go through model.build_model, so
     # a model setting is read from the record in one place

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from indkg import autodiff, layers
-from indkg.autodiff import Tensor, tsum
+from indkg.autodiff import Tensor
 from indkg.errors import ShapeMismatch, UnknownCompositionOp
 from indkg.kgcore import build_graph
 from indkg.model import gradient_check, init_model, score_subgraphs
@@ -23,6 +23,7 @@ from helpers import (
     mixed_scored_items,
     random_triples,
     tape_size,
+    tsum,
 )
 
 R = 3  # relations in the fixture graphs

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from indkg.autodiff import Tensor, gather_rows, tsum
+from indkg.autodiff import Tensor, gather_rows
 from indkg.config import parse_config
 from indkg.errors import (
     IsolatedEntity,
@@ -41,6 +41,7 @@ from helpers import (
     entity_embeddings_loop_oracle,
     mixed_scored_items,
     random_triples,
+    tsum,
 )
 
 
@@ -281,13 +282,16 @@ def test_batched_scores_match_per_item(layer_kind, comp_op):
     assert np.abs(single - dense).max() <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("layer_kind", ["rgcn", "att", "comp"])
-def test_copies_of_one_subgraph_score_bit_identically_in_a_union(layer_kind):
+@pytest.mark.parametrize("layer_kind,comp_op", [
+    pytest.param("rgcn", "sub", id="rgcn"), pytest.param("att", "sub", id="att"),
+    pytest.param("comp", "sub", id="comp"), pytest.param("comp", "corr", id="comp-corr"),
+])
+def test_copies_of_one_subgraph_score_bit_identically_in_a_union(layer_kind, comp_op):
     # a BLAS gemv readout rounds each row by its place in the union, so
     # copies scored apart in the last bits and exact ties broke by noise
     items = mixed_scored_items(np.random.default_rng(21))
     for seed in range(3):
-        model = mixed_model(layer_kind, seed=seed)
+        model = mixed_model(layer_kind, comp_op, seed=seed)
         for scorer in (model, no_grad_view(model)):
             for n in (2, 5, 8, 13):
                 for it in items:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from indkg import training
-from indkg.autodiff import concat, relu, tmean
+from indkg.autodiff import concat, relu
 from indkg.config import RunConfig
 from indkg.errors import IsolatedEntity
 from indkg.kgcore import DatasetBundle, Vocab, build_graph
@@ -33,6 +33,7 @@ from helpers import (
     planted_type_cycle_kg,
     random_triples,
     tape_size,
+    tmean,
 )
 
 
