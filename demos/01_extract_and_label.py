@@ -5,7 +5,7 @@ Run: python3 demos/01_extract_and_label.py
 
 import numpy as np
 
-from indkg.kgcore import build_graph
+from indkg.kgcore import IndexedGraph
 from indkg.subgraph import bfs_distances, extract_enclosing_subgraph, label_nodes
 
 # a small citation-style graph: 8 entities, 2 relations
@@ -13,7 +13,7 @@ triples = [
     (0, 0, 1), (1, 0, 2), (2, 0, 3), (0, 1, 3),
     (3, 0, 4), (4, 1, 5), (2, 1, 6), (6, 0, 3),
 ]
-graph = build_graph(triples, num_entities=8, num_relations=2)
+graph = IndexedGraph(triples, num_entities=8, num_relations=2)
 target = (0, 1, 3)  # the link we want to reason about
 k = 2
 

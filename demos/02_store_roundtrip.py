@@ -9,7 +9,7 @@ import tempfile
 
 import numpy as np
 
-from indkg.kgcore import build_graph
+from indkg.kgcore import IndexedGraph
 from indkg.store import StoreReader, StoreWriter, collect_stats
 from indkg.subgraph import extract_enclosing_subgraph
 
@@ -20,7 +20,7 @@ for h in range(n):
     for t in range(n):
         if h != t and rng.random() < 0.08:
             triples.append((h, int(rng.integers(3)), t))
-graph = build_graph(triples, n, 3)
+graph = IndexedGraph(triples, n, 3)
 
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "subgraphs-train.ikgs")

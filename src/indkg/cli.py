@@ -183,30 +183,21 @@ _COMMANDS = {"preprocess": cmd_preprocess, "extract": cmd_extract,
              "train": cmd_train, "eval": cmd_eval, "stats": cmd_stats}
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``indkg`` parser with all five subcommands.
-
-    Only ``command``'s subparser gets its flags (every subparser when None):
-    32 flags each, so building all five costs more than a short stage
-    such as ``stats`` runs.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The ``indkg`` parser: the stage to run, then every stage's flags,
+    which may stand before or after it."""
     parser = argparse.ArgumentParser(
         prog="indkg",
         description="Inductive knowledge-graph representation learning pipeline")
-    sub = parser.add_subparsers(dest="command", required=True)
-    registry = key_registry()
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} stage")
-        if command is not None and name != command:
-            continue
-        p.add_argument("--config", default=None,
-                       help="path to a flat 'key = value' config file")
-        for key, typ in registry.items():
-            text = f"config key {key} ({typ.__name__})"
-            if key == "threads":
-                text += "; extract stage only: threads, at most one per row and core"
-            p.add_argument(f"--{key}", dest=f"cfg_{key}", default=None,
-                           metavar=typ.__name__.upper(), help=text)
+    parser.add_argument("command", choices=SUBCOMMANDS, help="the stage to run")
+    parser.add_argument("--config", default=None,
+                        help="path to a flat 'key = value' config file")
+    for key, typ in key_registry().items():
+        text = f"config key {key} ({typ.__name__})"
+        if key == "threads":
+            text += "; extract stage only: threads, at most one per row and core"
+        parser.add_argument(f"--{key}", dest=f"cfg_{key}", default=None,
+                            metavar=typ.__name__.upper(), help=text)
     return parser
 
 
@@ -220,13 +211,9 @@ def _setup_logging():
 
 def main(argv=None) -> int:
     _setup_logging()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # the top-level parser takes no values, so its first positional names the stage
-    command = next((a for a in argv if not a.startswith("-")), None)
-    args = build_parser(command).parse_args(argv)
-    overrides = {key: getattr(args, f"cfg_{key}")
-                 for key in key_registry()
-                 if getattr(args, f"cfg_{key}", None) is not None}
+    args = build_parser().parse_args(argv)
+    overrides = {key: getattr(args, f"cfg_{key}") for key in key_registry()
+                 if getattr(args, f"cfg_{key}") is not None}
     try:
         return _COMMANDS[args.command](parse_config(args.config, overrides))
     except (ConfigError, MissingFile) as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import ConfigTypeError, MissingFile, MissingRequired, UnknownKey
+from .errors import ConfigError, ConfigTypeError, MissingFile, MissingRequired, UnknownKey
 
 
 def _parse_bool(s: str) -> bool:
@@ -110,6 +110,12 @@ def validate(cfg: RunConfig) -> RunConfig:
         raise ConfigTypeError("region_size", cfg.region_size, "integer >= 2")
     if cfg.max_nodes < 0 or cfg.max_nodes == 1:     # a subgraph keeps its target pair
         raise ConfigTypeError("max_nodes", cfg.max_nodes, "0 (no cap) or integer >= 2")
+    # settings the model builder would reject, checked for the family that uses them
+    if cfg.model_family == "subgraph" and cfg.layer_kind == "comp" and cfg.rel_dim != cfg.dim:
+        raise ConfigError(f"layer_kind 'comp' requires rel_dim == dim, "
+                          f"got rel_dim {cfg.rel_dim} and dim {cfg.dim}")
+    if cfg.model_family == "entity" and cfg.decoder == "rotate" and cfg.dim % 2:
+        raise ConfigError(f"decoder 'rotate' requires an even dim, got {cfg.dim}")
     return cfg
 
 

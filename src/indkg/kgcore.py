@@ -363,12 +363,6 @@ def _build_csr(triples, n, num_relations):
     return indptr, indptr[:-1] + out_deg, nbr, rel, key
 
 
-def build_graph(triples, num_entities: int, num_relations: int,
-                known_triples=None) -> IndexedGraph:
-    return IndexedGraph(np.asarray(triples, dtype=np.int64).reshape(-1, 3),
-                        num_entities, num_relations, known_triples)
-
-
 class DatasetBundle:
     """The six encoded splits of a dataset and the two graphs over them.
 
@@ -403,13 +397,13 @@ class DatasetBundle:
 
     @cached_property
     def train_graph(self) -> IndexedGraph:
-        return build_graph(self.train, self.vocab.num_entities, self.vocab.num_relations,
-                           known_triples=np.vstack([self.train, self.valid, self.test]))
+        return IndexedGraph(self.train, self.vocab.num_entities, self.vocab.num_relations,
+                            known_triples=np.vstack([self.train, self.valid, self.test]))
 
     @cached_property
     def ind_graph(self) -> IndexedGraph:
-        return build_graph(self.support, self.vocab.num_entities, self.vocab.num_relations,
-                           known_triples=np.vstack([self.support, self.ind_valid, self.query]))
+        return IndexedGraph(self.support, self.vocab.num_entities, self.vocab.num_relations,
+                            known_triples=np.vstack([self.support, self.ind_valid, self.query]))
 
     def splits(self):
         return {"train": self.train, "valid": self.valid, "test": self.test,

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff
 from .autodiff import (
     Tensor,
     basis_conv,
@@ -178,17 +179,7 @@ def rel_att_layer(sub, H: Tensor, P: LayerParams, rel_emb: Tensor,
                         target=target_rel)
 
 
-COMP_OPS = ("sub", "mult", "corr")
-
-
-def _compose(h: Tensor, e: Tensor, op: str) -> Tensor:
-    if op == "sub":
-        return h - e
-    if op == "mult":
-        return mul(h, e)
-    if op == "corr":
-        return circular_correlation(h, e)
-    raise UnknownCompositionOp(op)
+COMP_OPS = {"sub": autodiff.sub, "mult": mul, "corr": circular_correlation}
 
 
 def rel_comp_layer(sub, H: Tensor, E_rel: Tensor, P: LayerParams,
@@ -205,7 +196,7 @@ def rel_comp_layer(sub, H: Tensor, E_rel: Tensor, P: LayerParams,
         raise ShapeMismatch("composition layer requires d_rel == d_in")
     if op not in COMP_OPS:
         raise UnknownCompositionOp(op)
-    phi = _compose(gather_rows(H, ms.src), gather_rows(E_rel, ms.slot // 2), op)
+    phi = COMP_OPS[op](gather_rows(H, ms.src), gather_rows(E_rel, ms.slot // 2))
     # the projection is linear, so it runs per node: the normed messages are
     # summed per (dst, direction), row 2 * dst + direction, which reshapes
     # to (n, 2 * d_in) rows [fwd sum, bwd sum] for the stacked [w_fwd; w_bwd]

@@ -22,7 +22,7 @@ import zlib
 import numpy as np
 
 from . import binio
-from .errors import CorruptRecord, EmptyStore, IndexOutOfRange, MissingFile
+from .errors import CorruptHeader, CorruptRecord, EmptyStore, IndexOutOfRange, MissingFile
 from .subgraph import CorpusStats, Subgraph
 
 MAGIC = b"IKGS2"
@@ -107,8 +107,17 @@ class StoreReader:
         rd = binio.Reader(self._data)
         binio.check_magic(rd, MAGIC)
         self.count = rd.read_u64()
-        self._offsets = rd.read_array(self.count, "<u8").tolist()
+        offsets = rd.read_array(self.count, "<u8")
         self._end = len(self._data)
+        # records follow the table in order, each at least one byte long;
+        # a store without records ends with its table
+        if not self.count:
+            rd.expect_end()
+        elif (offsets[0] != rd.pos or offsets[-1] >= self._end
+              or np.any(offsets[1:] <= offsets[:-1])):
+            raise CorruptHeader(f"the offsets of {self.count} records do not rise from "
+                                f"byte {rd.pos} to before byte {self._end}")
+        self._offsets = offsets.tolist()
 
     def read(self, index: int) -> Subgraph:
         if not (0 <= index < self.count):

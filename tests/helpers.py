@@ -8,7 +8,7 @@ explicit pair counting) so agreement is meaningful.
 import numpy as np
 
 from indkg.autodiff import Tensor, as_tensor, mul, node
-from indkg.kgcore import build_graph
+from indkg.kgcore import IndexedGraph
 
 
 # -- random graphs ----------------------------------------------------------
@@ -27,7 +27,7 @@ def random_triples(rng, n_entities, n_relations, density):
 
 def random_graph(rng, n_entities=20, n_relations=3, density=0.15):
     triples = random_triples(rng, n_entities, n_relations, density)
-    return build_graph(triples, n_entities, n_relations), triples
+    return IndexedGraph(triples, n_entities, n_relations), triples
 
 
 # -- graph index oracle -----------------------------------------------------
@@ -416,7 +416,7 @@ def mixed_scored_items(rng, num_relations=3):
     from indkg.sampling import ScoredItem
     from indkg.subgraph import Subgraph, extract_enclosing_subgraph, label_nodes
     triples = random_triples(rng, 18, num_relations, 0.2)
-    g = build_graph(triples, 18, num_relations)
+    g = IndexedGraph(triples, 18, num_relations)
     subs = [extract_enclosing_subgraph(g, tuple(g.triples[i]), 2)
             for i in rng.choice(g.num_triples, size=5, replace=False)]
     subs.append(Subgraph((0, 0, 1), np.array([0, 1]), np.array([[0, 3], [3, 0]]),

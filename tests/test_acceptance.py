@@ -19,7 +19,7 @@ from indkg.evaluate import (
     compute_rank,
     run_link_prediction_triples,
 )
-from indkg.kgcore import DatasetBundle, Vocab, build_graph
+from indkg.kgcore import DatasetBundle, IndexedGraph, Vocab
 from indkg.model import (
     DecoderKind,
     gradient_check,
@@ -60,7 +60,7 @@ def test_criterion_1_extraction_oracle():
         if len(triples) == 0:
             continue
         graphs += 1
-        g = build_graph(triples, n, 4)
+        g = IndexedGraph(triples, n, 4)
         target = tuple(g.triples[rng.integers(g.num_triples)])
         for k in (1, 2, 3):
             sub = extract_enclosing_subgraph(g, target, k)
@@ -81,7 +81,7 @@ def test_criterion_2_label_invariants():
         triples = random_triples(rng, n, 3, 0.15)
         if len(triples) == 0:
             continue
-        g = build_graph(triples, n, 3)
+        g = IndexedGraph(triples, n, 3)
         target = tuple(g.triples[rng.integers(g.num_triples)])
         k = int(rng.integers(1, 4))
         sub = extract_enclosing_subgraph(g, target, k)
@@ -123,7 +123,7 @@ def test_criterion_3_gradient_checks():
         worst = max(worst, err)
 
     triples = random_triples(rng, 16, 3, 0.25)
-    g = build_graph(triples, 16, 3)
+    g = IndexedGraph(triples, 16, 3)
     target = tuple(g.triples[0])
     sub = extract_enclosing_subgraph(g, target, 2)
     labels = label_nodes(sub)
@@ -171,7 +171,7 @@ def test_criterion_5_ranking_statistics():
     """Constant scorer: every rank over 51 candidates is exactly 26, so
     MRR = 1/26. Random scorer, 10000 queries: MRR within 0.005 of
     H(51)/51."""
-    g = build_graph([(0, 0, 1)], 500, 1)
+    g = IndexedGraph([(0, 0, 1)], 500, 1)
     rep = run_link_prediction_triples(lambda c: np.zeros(len(c)), g,
                                       [(0, 0, 1)] * 100, 50, seed=105)
     assert abs(rep.mrr - 1.0 / 26.0) < 1e-15  # one ulp from the mean

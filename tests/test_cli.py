@@ -13,7 +13,7 @@ from indkg.cli import build_parser, extract_all, main
 from indkg.config import key_registry, parse_config
 from indkg.errors import (ConfigTypeError, CorruptHeader, IdOutOfBounds, MissingRequired,
                           UnknownKey)
-from indkg.kgcore import build_graph
+from indkg.kgcore import IndexedGraph
 from indkg.model import (MODEL_KEYS, EntityEncoderParams, ModelParams, build_model,
                          load_checkpoint, model_settings, save_checkpoint)
 from indkg.subgraph import extract_enclosing_subgraphs
@@ -127,11 +127,14 @@ def test_flag_values_reach_config():
     args = parser.parse_args(["train", "--seed", "3", "--epochs", "2",
                               "--layer_kind", "rgcn"])
     assert args.cfg_seed == "3" and args.cfg_epochs == "2"
+    # one parser: flags may also stand before the stage name
+    args = parser.parse_args(["--seed", "1", "train", "--epochs", "2"])
+    assert (args.command, args.cfg_seed, args.cfg_epochs) == ("train", "1", "2")
 
 
 @pytest.mark.parametrize("command", ["preprocess", "extract", "train", "eval", "stats"])
 def test_subcommand_help_lists_every_config_key(command, capsys):
-    # main builds only the invoked subcommand's flags; its help lists them all
+    # one parser serves every stage, so each stage's help lists every flag
     with pytest.raises(SystemExit) as exc:
         main([command, "--help"])
     assert exc.value.code == 0
@@ -147,10 +150,15 @@ def test_top_level_help_and_unknown_subcommand(capsys):
     text = capsys.readouterr().out
     for name in ("preprocess", "extract", "train", "eval", "stats"):
         assert name in text
+    for argv in (["bogus", "--seed", "1"], ["--seed", "1", "bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
-        main(["bogus", "--seed", "1"])
+        main(["--seed", "1"])
     assert exc.value.code == 2
-    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    assert "required: command" in capsys.readouterr().err
 
 
 def test_bad_task_is_a_validation_error(capsys):
@@ -168,7 +176,7 @@ def test_extract_all_threads_identical(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     rng = np.random.default_rng(0)
     triples = random_triples(rng, 40, 3, 0.12)
-    g = build_graph(triples, 40, 3)
+    g = IndexedGraph(triples, 40, 3)
     seq = extract_all(g, g.triples, 2, threads=1)
     par = extract_all(g, g.triples, 2, threads=2)
     assert seq == par
@@ -182,7 +190,7 @@ def test_extract_all_threads_identical(monkeypatch):
 
 def test_extract_all_raises_for_a_bad_id_in_a_later_span(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    g = build_graph(random_triples(np.random.default_rng(0), 40, 3, 0.12), 40, 3)
+    g = IndexedGraph(random_triples(np.random.default_rng(0), 40, 3, 0.12), 40, 3)
     # the last row, in the second of two spans, names entity 40 of 40
     bad = np.vstack([g.triples, [[0, 0, 40]]])
     with pytest.raises(IdOutOfBounds):
@@ -192,7 +200,7 @@ def test_extract_all_raises_for_a_bad_id_in_a_later_span(monkeypatch):
 @pytest.mark.parametrize("bad", [(0, 3, 1), (0, -1, 1)])
 def test_extract_all_raises_for_a_bad_relation_id_in_either_span(monkeypatch, bad):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    g = build_graph(random_triples(np.random.default_rng(0), 40, 3, 0.12), 40, 3)
+    g = IndexedGraph(random_triples(np.random.default_rng(0), 40, 3, 0.12), 40, 3)
     for rows in (np.vstack([[bad], g.triples]), np.vstack([g.triples, [bad]])):
         with pytest.raises(IdOutOfBounds):
             extract_all(g, rows, 2, threads=2)
@@ -228,7 +236,7 @@ def test_extract_all_asks_for_one_thread_fewer_than_spans(monkeypatch, threads, 
     monkeypatch.setattr(cli, "ThreadPoolExecutor", InlinePool)
     monkeypatch.setattr(cli, "extract_enclosing_subgraphs", extract)
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
-    g = build_graph(random_triples(np.random.default_rng(0), 40, 3, 0.12), 40, 3)
+    g = IndexedGraph(random_triples(np.random.default_rng(0), 40, 3, 0.12), 40, 3)
     got = extract_all(g, g.triples[:rows], 2, threads=threads)
     assert got == extract_enclosing_subgraphs(g, g.triples[:rows], 2)
     # one span per pool thread plus the caller's, each of at least one row
@@ -458,6 +466,40 @@ def test_train_checkpoint_round_trips_the_model_record(tmp_path, family, flags):
     assert records and {r["split"] for r in records} <= {"train", "valid"}
     assert all(set(r) == {"epoch", "split", "loss", "auc", "auc_pr", "wall_ms", "seed"}
                for r in records)
+
+
+UNBUILDABLE = [
+    pytest.param({"layer_kind": "comp", "rel_dim": 16}, "rel_dim == dim", id="comp-rel_dim"),
+    pytest.param({"model_family": "entity", "decoder": "rotate", "dim": 7}, "even dim",
+                 id="rotate-odd-dim"),
+]
+
+
+@pytest.mark.parametrize("flags, message", UNBUILDABLE)
+def test_unbuildable_model_settings_exit_1_before_the_dataset_loads(tmp_path, capsys,
+                                                                   flags, message):
+    # both exited 2 once the model was built, after the dataset had loaded
+    raw = tmp_path / "raw"
+    make_raw_dataset_dir(str(raw), np.random.default_rng(1))
+    out = tmp_path / "out"
+    base = ["--data_root", str(raw), "--output_dir", str(out), "--seed", "1"]
+    assert main(["preprocess"] + base) == 0
+    capsys.readouterr()
+    argv = [arg for key, value in flags.items() for arg in (f"--{key}", str(value))]
+    assert main(["train"] + base + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert sorted(os.listdir(out)) == ["dataset.ikgd"]
+    # each setting binds only the family that uses it
+    other = "subgraph" if flags.get("model_family") == "entity" else "entity"
+    assert parse_config(None, {"seed": 1, **flags, "model_family": other}).model_family == other
+
+
+@pytest.mark.parametrize("flags, message", UNBUILDABLE)
+def test_build_model_rejects_unbuildable_records(flags, message):
+    record = {**model_settings(parse_config(None, {"seed": 1}), "subgraph", 3), **flags}
+    with pytest.raises(CorruptHeader, match=re.escape(message)):
+        build_model(record)
 
 
 def trained_entity_run(tmp_path):

@@ -14,6 +14,7 @@ from indkg import kgcore
 bundle = kgcore.load_dataset(sys.argv[1])
 assert bundle.train_graph.num_triples == 1
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "indkg"))
 """
 
 
@@ -28,15 +29,24 @@ def test_import_and_load_do_not_import_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", SCRIPT, str(path)], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    # the package root re-exports nothing, so kgcore loads only its own imports
+    assert out.stdout.splitlines() == [
+        "[]", str(["indkg", "indkg.binio", "indkg.errors", "indkg.kgcore"])]
+
+
+def test_package_root_binds_only_its_version():
+    # names are imported from the module that defines them
+    tree = ast.parse(Path(indkg.__file__).read_text(encoding="utf-8"))
+    body = [node for node in tree.body if not (
+        isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant))]
+    bound = [(type(node).__name__, [ast.unparse(t) for t in getattr(node, "targets", [])])
+             for node in body]
+    assert bound == [("Assign", ["__version__"])], bound
 
 
 def test_package_modules_use_every_import():
-    # __init__.py imports names only to re-export them
     unused = []
     for path in sorted(Path(indkg.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         imported = {}
         for node in ast.walk(tree):

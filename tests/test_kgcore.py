@@ -122,8 +122,8 @@ def test_encode_triples_frozen_vocab():
         kgcore.encode_triples([("a", "r", "c")], v)
 
 
-def test_build_graph_single_edge():
-    g = kgcore.build_graph([(0, 0, 1)], 2, 1)
+def test_indexed_graph_single_edge():
+    g = kgcore.IndexedGraph([(0, 0, 1)], 2, 1)
     nbrs, rels = g.out_edges(0)
     assert nbrs.tolist() == [1] and rels.tolist() == [0]
     nbrs, rels = g.in_edges(1)
@@ -131,31 +131,31 @@ def test_build_graph_single_edge():
     assert g.contains(0, 0, 1) and not g.contains(1, 0, 0)
 
 
-def test_build_graph_dedup():
-    g1 = kgcore.build_graph([(0, 0, 1), (0, 0, 1)], 2, 1)
-    g2 = kgcore.build_graph([(0, 0, 1)], 2, 1)
+def test_indexed_graph_dedup():
+    g1 = kgcore.IndexedGraph([(0, 0, 1), (0, 0, 1)], 2, 1)
+    g2 = kgcore.IndexedGraph([(0, 0, 1)], 2, 1)
     assert np.array_equal(g1.triples, g2.triples)
 
 
-def test_build_graph_chain_degrees():
-    g = kgcore.build_graph([(0, 0, 1), (1, 0, 2), (2, 0, 0)], 3, 1)
+def test_indexed_graph_chain_degrees():
+    g = kgcore.IndexedGraph([(0, 0, 1), (1, 0, 2), (2, 0, 0)], 3, 1)
     for e in range(3):
         assert len(g.out_edges(e)[0]) == 1
         assert len(g.in_edges(e)[0]) == 1
 
 
-def test_build_graph_bounds():
+def test_indexed_graph_bounds():
     with pytest.raises(IdOutOfBounds):
-        kgcore.build_graph([(0, 0, 5)], 2, 1)
+        kgcore.IndexedGraph([(0, 0, 5)], 2, 1)
     with pytest.raises(IdOutOfBounds):
-        kgcore.build_graph([(0, 3, 1)], 2, 1)
+        kgcore.IndexedGraph([(0, 3, 1)], 2, 1)
 
 
-def test_build_graph_order_invariant():
+def test_indexed_graph_order_invariant():
     rng = np.random.default_rng(0)
     triples = np.array([(0, 0, 1), (1, 1, 2), (2, 0, 3), (3, 1, 0), (0, 1, 2)])
-    g1 = kgcore.build_graph(triples, 4, 2)
-    g2 = kgcore.build_graph(triples[rng.permutation(len(triples))], 4, 2)
+    g1 = kgcore.IndexedGraph(triples, 4, 2)
+    g2 = kgcore.IndexedGraph(triples[rng.permutation(len(triples))], 4, 2)
     for e in range(4):
         assert np.array_equal(g1.out_edges(e)[0], g2.out_edges(e)[0])
         assert np.array_equal(g1.out_edges(e)[1], g2.out_edges(e)[1])
@@ -166,7 +166,7 @@ def test_edge_count_invariant():
     rng = np.random.default_rng(1)
     from helpers import random_triples
     triples = random_triples(rng, 15, 3, 0.1)
-    g = kgcore.build_graph(triples, 15, 3)
+    g = kgcore.IndexedGraph(triples, 15, 3)
     total = sum(len(g.out_edges(e)[0]) + len(g.in_edges(e)[0]) for e in range(15))
     assert total == 2 * g.num_triples
 
@@ -180,7 +180,7 @@ def test_contains_equals_contains_many(seed):
     from helpers import random_triples
     n, n_rel = int(rng.integers(2, 12)), int(rng.integers(2, 4))
     triples = np.vstack([random_triples(rng, n, n_rel, 0.3), [(1, 0, 0), (0, 1, 0)]])
-    g = kgcore.build_graph(np.unique(triples, axis=0), n, n_rel)
+    g = kgcore.IndexedGraph(np.unique(triples, axis=0), n, n_rel)
     aliases = [(h - 1, n_rel, t) for h, r, t in triples.tolist() if r == 0 and h > 0]
     aliases += [(h, r - 1, n) for h, r, t in triples.tolist() if r > 0 and t == 0]
     assert np.isin(kgcore.triple_keys(aliases, n, n_rel), g.known_keys).all()
@@ -191,7 +191,7 @@ def test_contains_equals_contains_many(seed):
     assert any(want)
     assert [g.contains(*p) for p in probes] == want
     assert [g.contains(*p) for p in np.array(probes)] == want
-    empty = kgcore.build_graph(np.empty((0, 3), np.int64), n, n_rel)
+    empty = kgcore.IndexedGraph(np.empty((0, 3), np.int64), n, n_rel)
     assert not any(empty.contains(*p) for p in probes)
 
 
@@ -205,8 +205,8 @@ def test_contains_matches_python_set():
     corners = [(0, 0, 0), (n - 1, n_rel - 1, n - 1), (0, n_rel - 1, n - 1),
                (0, 1, 0), (1, 0, 0)]
     known = np.vstack([triples, random_triples(rng, n, n_rel, 0.05), corners])
-    for g, members in ((kgcore.build_graph(triples, n, n_rel, known_triples=known), known),
-                       (kgcore.build_graph(triples, n, n_rel), triples)):
+    for g, members in ((kgcore.IndexedGraph(triples, n, n_rel, known_triples=known), known),
+                       (kgcore.IndexedGraph(triples, n, n_rel), triples)):
         known_set = set(map(tuple, members.tolist()))
         probes = np.vstack([
             members[rng.choice(len(members), 40)],
@@ -274,7 +274,7 @@ def test_graph_index_matches_oracle():
     rng = np.random.default_rng(21)
     seen = {"dup": 0, "loop": 0, "twin": 0, "isolated": 0}
     for tri, ne, nr, known in _oracle_graph_cases(rng):
-        g = kgcore.build_graph(tri, ne, nr, known_triples=known)
+        g = kgcore.IndexedGraph(tri, ne, nr, known_triples=known)
         arrays, out_edges, in_edges = graph_index_oracle(tri, ne, nr, known)
         for name, expect in arrays.items():
             got = getattr(g, name)
@@ -303,7 +303,7 @@ def test_edge_positions_match_run_scan_oracle():
                   [(0, 2, 1), (3, 0, 3), (0, 0, 1)]))
     seen = {"edge": 0, "held_out": 0, "twin_absent": 0, "loop": 0, "edgeless": 0}
     for tri, ne, nr, known in cases:
-        g = kgcore.build_graph(tri, ne, nr, known_triples=known)
+        g = kgcore.IndexedGraph(tri, ne, nr, known_triples=known)
         corners = [(0, 0, 0), (ne - 1, nr - 1, ne - 1), (0, nr - 1, ne - 1), (ne - 1, 0, 0)]
         probes = np.vstack([g.triples, g.triples[:, ::-1], np.reshape(tri, (-1, 3)),
                             np.reshape(known if known is not None else [], (-1, 3)),
@@ -325,7 +325,7 @@ def test_edge_positions_match_run_scan_oracle():
     assert all(seen.values()), seen
     # rows 0: out (1, 0) (1, 1), in (1, 0); 1: out (0, 0), in (0, 0) (0, 1);
     # 2: out (2, 2), in (2, 2) (3, 1); 3: out (2, 1)
-    assert kgcore.build_graph(*cases[-1][:3]).edge_positions(
+    assert kgcore.IndexedGraph(*cases[-1][:3]).edge_positions(
         [(0, 0, 1), (0, 1, 1), (0, 2, 1), (1, 0, 0), (1, 1, 0), (2, 2, 2)]).tolist() == [
             [0, 4], [1, 5], [-1, -1], [3, 2], [-1, -1], [6, 7]]
 
@@ -335,7 +335,7 @@ def test_edge_positions_match_run_scan_oracle():
 def test_edge_positions_reject_ids_out_of_range(bad):
     # a bad row's keys may equal an edge's: (0, -1, 1)'s out-key is that of
     # (0, 1, 0), so no id out of range reaches the lookup
-    g = kgcore.build_graph([(0, 0, 1), (0, 1, 1), (1, 1, 0)], 2, 2)
+    g = kgcore.IndexedGraph([(0, 0, 1), (0, 1, 1), (1, 1, 0)], 2, 2)
     with pytest.raises(IdOutOfBounds):
         g.edge_positions([(0, 0, 1), bad])
 
@@ -480,7 +480,7 @@ def test_triple_key_overflow_raises_before_allocating(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="int64"):
-            kgcore.build_graph([(0, 0, 1)], 2 ** 31, 4)
+            kgcore.IndexedGraph([(0, 0, 1)], 2 ** 31, 4)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

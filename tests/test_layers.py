@@ -4,7 +4,7 @@ import pytest
 from indkg import autodiff, layers
 from indkg.autodiff import Tensor
 from indkg.errors import ShapeMismatch, UnknownCompositionOp
-from indkg.kgcore import build_graph
+from indkg.kgcore import IndexedGraph
 from indkg.model import gradient_check, init_model, score_subgraphs
 from indkg.layers import (
     Messages,
@@ -33,7 +33,7 @@ D_IN, D_OUT = 5, 4
 def fixture_subgraph(seed, n=20, density=0.2):
     rng = np.random.default_rng(seed)
     triples = random_triples(rng, n, R, density)
-    g = build_graph(triples, n, R)
+    g = IndexedGraph(triples, n, R)
     target = tuple(g.triples[rng.integers(g.num_triples)])
     return extract_enclosing_subgraph(g, target, 2)
 

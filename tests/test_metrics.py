@@ -21,7 +21,7 @@ from indkg.evaluate import (
     run_link_prediction,
     run_link_prediction_triples,
 )
-from indkg.kgcore import build_graph
+from indkg.kgcore import IndexedGraph
 from indkg.model import init_model
 from indkg.sampling import make_ranking_batch, make_ranking_candidates
 from indkg.training import subgraph_item_scorer
@@ -86,7 +86,7 @@ def test_nan_rank_makes_mrr_and_every_hit_nan():
 
 
 def test_link_prediction_with_one_nan_score_reports_nan():
-    g = build_graph([(0, 0, 1), (1, 0, 2), (2, 0, 3)], 8, 1)
+    g = IndexedGraph([(0, 0, 1), (1, 0, 2), (2, 0, 3)], 8, 1)
     calls = []
 
     def score(cands):
@@ -213,7 +213,7 @@ def test_report_serialization_keys():
 def test_link_prediction_triples_random_scorer_mrr():
     # iid candidate scores are exchangeable with respect to the truth
     # position, so the expected reciprocal rank over 51 candidates is H(51)/51
-    g = build_graph([(0, 0, 1)], 400, 1)
+    g = IndexedGraph([(0, 0, 1)], 400, 1)
     rng = np.random.default_rng(3)
 
     def score(triples):
@@ -230,7 +230,7 @@ def test_full_filtered_ranking_logs_one_warning(caplog):
     # num_neg above the entity count: every side is short, and the run
     # says so once, not once per side
     rng = np.random.default_rng(4)
-    g = build_graph(random_triples(rng, 12, 2, 0.2), 12, 2)
+    g = IndexedGraph(random_triples(rng, 12, 2, 0.2), 12, 2)
     queries = g.triples[:5]
     with caplog.at_level("WARNING", logger="indkg"):
         run_link_prediction_triples(lambda c: np.zeros(len(c)), g, queries, 50,
@@ -380,7 +380,7 @@ def test_group_of_one_candidate_gives_the_same_report(monkeypatch, entry):
 
 
 def test_scorer_returning_the_wrong_count_is_rejected():
-    g = build_graph([(0, 0, 1), (1, 0, 2)], 5, 1)
+    g = IndexedGraph([(0, 0, 1), (1, 0, 2)], 5, 1)
     with pytest.raises(ShapeMismatch):
         run_link_prediction_triples(lambda c: np.zeros(len(c) - 1), g,
                                     [(0, 0, 1)], 3, seed=0)

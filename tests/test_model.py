@@ -11,7 +11,7 @@ from indkg.errors import (
     ShapeMismatch,
     TruncatedFile,
 )
-from indkg.kgcore import build_graph
+from indkg.kgcore import IndexedGraph
 from indkg.model import (
     MODEL_KEYS,
     Adam,
@@ -210,7 +210,7 @@ def test_margin_loss_values():
 def scoring_fixture(layer_kind="att", comp_op="sub", seed=0):
     rng = np.random.default_rng(seed)
     triples = random_triples(rng, 18, 3, 0.2)
-    g = build_graph(triples, 18, 3)
+    g = IndexedGraph(triples, 18, 3)
     target = tuple(g.triples[0])
     sub = extract_enclosing_subgraph(g, target, 2)
     rel_dim = 8 if layer_kind == "comp" else 6
@@ -250,7 +250,7 @@ def test_score_rejects_labels_of_another_k():
     # subgraph and labels agree on k = 3, but the model was built for k = 2
     model = scoring_fixture("rgcn")[0]
     rng = np.random.default_rng(0)
-    g = build_graph(random_triples(rng, 18, 3, 0.2), 18, 3)
+    g = IndexedGraph(random_triples(rng, 18, 3, 0.2), 18, 3)
     sub = extract_enclosing_subgraph(g, tuple(g.triples[0]), 3)
     with pytest.raises(ShapeMismatch, match="model's width 8"):
         score_subgraphs(model, [ScoredItem(sub, label_nodes(sub), 0)])

@@ -154,7 +154,7 @@ def test_one_recorded_call_per_ranking_side(monkeypatch, family):
     import numpy as np
 
     from indkg import evaluate
-    from indkg.kgcore import build_graph
+    from indkg.kgcore import IndexedGraph
 
     drawn, ranked = [], []
 
@@ -174,7 +174,7 @@ def test_one_recorded_call_per_ranking_side(monkeypatch, family):
     rng = np.random.default_rng(0)
     triples = [(h, int(rng.integers(2)), t) for h in range(12) for t in range(12)
                if h != t and rng.random() < 0.2]
-    graph = build_graph(triples, 12, 2)
+    graph = IndexedGraph(triples, 12, 2)
     score = lambda cands: np.arange(len(cands), dtype=np.float64)
     if family == "subgraph":
         evaluate.run_link_prediction(score, graph, triples[:3], 2, 5, seed=1)

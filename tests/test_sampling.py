@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import chisquare
 
 from indkg.errors import EmptyInput, ExhaustedRetries
-from indkg.kgcore import build_graph
+from indkg.kgcore import IndexedGraph
 from indkg.sampling import (
     RETRY_CAP,
     _corruption_pool,
@@ -34,7 +34,7 @@ from helpers import (
 
 def test_corrupt_only_option():
     # over entities {0, 1}, (0, 0, 1) has one head and one tail corruption
-    g = build_graph([(0, 0, 1)], 2, 1)
+    g = IndexedGraph([(0, 0, 1)], 2, 1)
     drawn = {corrupt_triple((0, 0, 1), g, np.random.default_rng(s))
              for s in range(50)}
     assert drawn == {(1, 0, 1), (0, 0, 0)}
@@ -45,7 +45,7 @@ def test_corrupt_only_option():
 
 
 def test_corrupt_exhausted():
-    g = build_graph([(0, 0, 0)], 1, 1)
+    g = IndexedGraph([(0, 0, 0)], 1, 1)
     rng = np.random.default_rng(0)
     with pytest.raises(ExhaustedRetries):
         corrupt_triple((0, 0, 0), g, rng)
@@ -55,7 +55,7 @@ def test_corrupt_exhausted():
 
 def test_corrupt_uniform_chi_square():
     n = 100
-    g = build_graph([(0, 0, 1)], n, 1)
+    g = IndexedGraph([(0, 0, 1)], n, 1)
     rng = np.random.default_rng(1)
     counts = {"head": np.zeros(n), "tail": np.zeros(n)}
     for _ in range(10_000):
@@ -76,7 +76,7 @@ def test_corrupt_uniform_chi_square():
 
 def test_corrupt_filtered_avoids_known():
     triples = [(0, 0, t) for t in range(1, 50)]
-    g = build_graph(triples, 60, 1)
+    g = IndexedGraph(triples, 60, 1)
     rng = np.random.default_rng(2)
     sides = set()
     for _ in range(200):
@@ -96,7 +96,7 @@ def test_corrupt_triple_matches_oracle():
         known = np.vstack([triples, random_triples(rng, n, nr, 0.1)]).reshape(-1, 3)
         if len(triples) == 0:
             continue
-        g = build_graph(triples, n, nr, known_triples=known)
+        g = IndexedGraph(triples, n, nr, known_triples=known)
         known_set = set(map(tuple, known.tolist()))
         ents = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
         triple = tuple(triples[int(rng.integers(len(triples)))].tolist())
@@ -122,7 +122,7 @@ def test_corrupt_triple_matches_oracle():
 def test_train_instance():
     rng = np.random.default_rng(3)
     triples = random_triples(rng, 20, 3, 0.15)
-    g = build_graph(triples, 20, 3)
+    g = IndexedGraph(triples, 20, 3)
     pos, neg = make_train_batch(g, [g.triples[0]], 2, 1, [np.random.default_rng(7)])
     assert pos.sub.target == tuple(g.triples[0])
     assert neg.sub.target != pos.sub.target
@@ -131,7 +131,7 @@ def test_train_instance():
 def test_train_instance_deterministic():
     rng = np.random.default_rng(4)
     triples = random_triples(rng, 20, 3, 0.15)
-    g = build_graph(triples, 20, 3)
+    g = IndexedGraph(triples, 20, 3)
     a = make_train_batch(g, [g.triples[1]], 2, 2, [np.random.default_rng(7)])
     b = make_train_batch(g, [g.triples[1]], 2, 2, [np.random.default_rng(7)])
     assert len(a) == 3
@@ -145,7 +145,7 @@ def test_train_batch_matches_one_positive_at_a_time():
     # its own stream, whatever else the batch holds
     rng = np.random.default_rng(6)
     triples = random_triples(rng, 25, 3, 0.2)
-    g = build_graph(triples, 25, 3)
+    g = IndexedGraph(triples, 25, 3)
     positives = g.triples[:5]
     for num_neg in (1, 3):
         batch = make_train_batch(g, positives, 2, num_neg,
@@ -167,7 +167,7 @@ def test_train_batch_matches_one_positive_at_a_time():
 def test_classification_batch_layout():
     rng = np.random.default_rng(5)
     triples = random_triples(rng, 15, 2, 0.2)
-    g = build_graph(triples, 15, 2)
+    g = IndexedGraph(triples, 15, 2)
     batch = make_classification_batch(g, g.triples[:2], 2,
                                       np.random.default_rng(0))
     assert len(batch.items) == 4
@@ -175,7 +175,7 @@ def test_classification_batch_layout():
 
 
 def test_classification_batch_empty():
-    g = build_graph([(0, 0, 1)], 2, 1)
+    g = IndexedGraph([(0, 0, 1)], 2, 1)
     with pytest.raises(EmptyInput):
         make_classification_batch(g, [], 2, np.random.default_rng(0))
 
@@ -183,7 +183,7 @@ def test_classification_batch_empty():
 def test_classification_batch_deterministic():
     rng = np.random.default_rng(6)
     triples = random_triples(rng, 15, 2, 0.2)
-    g = build_graph(triples, 15, 2)
+    g = IndexedGraph(triples, 15, 2)
     a = make_classification_batch(g, g.triples[:5], 2, np.random.default_rng(3))
     b = make_classification_batch(g, g.triples[:5], 2, np.random.default_rng(3))
     for x, y in zip(a.items, b.items):
@@ -193,7 +193,7 @@ def test_classification_batch_deterministic():
 def test_ranking_batch_default_size():
     rng = np.random.default_rng(7)
     triples = random_triples(rng, 80, 2, 0.05)
-    g = build_graph(triples, 80, 2)
+    g = IndexedGraph(triples, 80, 2)
     batch = make_ranking_batch(g, tuple(g.triples[0]), 2, "tail", 50,
                                np.random.default_rng(0))
     assert len(batch.candidates) == 51
@@ -206,7 +206,7 @@ def test_ranking_batch_default_size():
 
 
 def test_ranking_batch_tiny_graph():
-    g = build_graph([(0, 0, 1)], 2, 1)
+    g = IndexedGraph([(0, 0, 1)], 2, 1)
     batch = make_ranking_batch(g, (0, 0, 1), 2, "tail", 1,
                                np.random.default_rng(0))
     assert len(batch.candidates) == 2
@@ -215,7 +215,7 @@ def test_ranking_batch_tiny_graph():
 def test_ranking_truth_recoverable():
     rng = np.random.default_rng(8)
     triples = random_triples(rng, 30, 2, 0.1)
-    g = build_graph(triples, 30, 2)
+    g = IndexedGraph(triples, 30, 2)
     truth = tuple(g.triples[0])
     batch = make_ranking_batch(g, truth, 2, "head", 10, np.random.default_rng(1))
     scores = [1.0 if c.sub.target == truth else 0.0 for c in batch.candidates]
@@ -225,7 +225,7 @@ def test_ranking_truth_recoverable():
 def test_ranking_batch_matches_candidates():
     rng = np.random.default_rng(12)
     triples = random_triples(rng, 30, 2, 0.1)
-    g = build_graph(triples, 30, 2)
+    g = IndexedGraph(triples, 30, 2)
     for i, triple in enumerate(g.triples[:4].tolist()):
         for direction in ("head", "tail"):
             for num_neg in (3, 50):
@@ -238,7 +238,7 @@ def test_ranking_batch_matches_candidates():
 
 
 def test_ranking_mean_rank_random_scorer():
-    g = build_graph([(0, 0, 1)], 60, 1)
+    g = IndexedGraph([(0, 0, 1)], 60, 1)
     rng = np.random.default_rng(9)
     ranks = []
     for i in range(2000):
@@ -257,7 +257,7 @@ def test_ranking_candidates_match_per_entity_loop():
         known = np.vstack([triples, random_triples(rng, n, 3, 0.05)])
         if len(triples) == 0:
             continue
-        g = build_graph(triples, n, 3, known_triples=known)
+        g = IndexedGraph(triples, n, 3, known_triples=known)
         known_set = set(map(tuple, known.tolist()))
         targets = [tuple(x) for x in triples[rng.choice(len(triples), 3)].tolist()]
         targets.append((int(rng.integers(n)), int(rng.integers(3)), int(rng.integers(n))))
@@ -284,7 +284,7 @@ def test_corruption_pool_at_key_range_edges():
     adjacency = [(0, 0, 0), (0, 0, 4), (4, 2, 4), (1, 0, 2)]
     known = adjacency + [(4, 2, e) for e in range(ne)] + [(2, 0, 0), (3, 0, 0),
                                                           (3, 1, 0), (1, 2, 3)]
-    g = build_graph(adjacency, ne, nr, known_triples=known)
+    g = IndexedGraph(adjacency, ne, nr, known_triples=known)
     known_set = set(known)
 
     def pool(triple, direction):
@@ -322,12 +322,12 @@ def test_corruption_pool_ranges_equal_the_key_scan():
     # the head side reads one range of reversed_keys where the scan reads
     # every known key; ids reach past both ends, and a graph may know nothing
     rng = np.random.default_rng(31)
-    graphs = [build_graph(np.empty((0, 3), dtype=np.int64), 4, 2)]
+    graphs = [IndexedGraph(np.empty((0, 3), dtype=np.int64), 4, 2)]
     for _ in range(8):
         n, nr = int(rng.integers(2, 12)), int(rng.integers(1, 4))
         triples = random_triples(rng, n, nr, float(rng.uniform(0.05, 0.5)))
         known = np.vstack([triples, random_triples(rng, n, nr, 0.1)])
-        graphs.append(build_graph(triples, n, nr, known_triples=known))
+        graphs.append(IndexedGraph(triples, n, nr, known_triples=known))
     for g in graphs:
         ne, nr = g.num_entities, g.num_relations
         assert g.reversed_keys.dtype == np.int64
@@ -345,7 +345,7 @@ def test_ranking_candidates_fallback_matches_loop(caplog):
     # every tail corruption of (0, 0, 1) but (0, 0, 0) is a known triple;
     # the head side has five filtered corruptions
     triples = [(0, 0, t) for t in range(1, 6)]
-    g = build_graph(triples, 6, 1)
+    g = IndexedGraph(triples, 6, 1)
     known_set = set(triples)
     for num_neg in (3, 6, 50):           # 6 and 50 reach the entity count
         short_pools = []
@@ -375,7 +375,7 @@ def test_ranking_candidates_fallback_matches_loop(caplog):
         assert warnings[0].startswith(f"{len(short_pools)} of 2 ranking sides")
         assert f"smallest pool held {min(short_pools)}" in warnings[0]
     # every tail corruption known: the truth is ranked alone
-    full = build_graph([(0, 0, t) for t in range(6)], 6, 1)
+    full = IndexedGraph([(0, 0, t) for t in range(6)], 6, 1)
     assert make_ranking_candidates(full, (0, 0, 1), "tail", 5,
                                    np.random.default_rng(0)) == ([(0, 0, 1)], 0)
 
@@ -383,7 +383,7 @@ def test_ranking_candidates_fallback_matches_loop(caplog):
 def test_meta_task_split_arithmetic():
     rng = np.random.default_rng(10)
     triples = random_triples(rng, 30, 3, 0.3)
-    g = build_graph(triples, 30, 3)
+    g = IndexedGraph(triples, 30, 3)
     task = sample_meta_task(g, 10, 0.8, np.random.default_rng(0))
     assert len(task.support) + len(task.query) >= 10
     # partition: support and query disjoint, union = region triples
@@ -396,7 +396,7 @@ def test_meta_task_forced_support():
     # star: entity 3 appears in exactly one triple; that triple can never be
     # a query triple because 3 would be missing from support
     triples = [(0, 0, 1), (0, 0, 2), (0, 0, 3), (1, 0, 2), (2, 0, 1)]
-    g = build_graph(triples, 4, 1)
+    g = IndexedGraph(triples, 4, 1)
     for seed in range(30):
         task = sample_meta_task(g, 5, 0.6, np.random.default_rng(seed))
         que = set(map(tuple, task.query.tolist()))
@@ -406,7 +406,7 @@ def test_meta_task_forced_support():
 def test_meta_task_query_entities_in_support():
     rng = np.random.default_rng(11)
     triples = random_triples(rng, 40, 3, 0.15)
-    g = build_graph(triples, 40, 3)
+    g = IndexedGraph(triples, 40, 3)
     for seed in range(200):
         task = sample_meta_task(g, 20, 0.8, np.random.default_rng(seed))
         sup_ents = set(task.support[:, [0, 2]].ravel().tolist())
@@ -415,7 +415,7 @@ def test_meta_task_query_entities_in_support():
 
 
 def test_meta_task_exhausted():
-    g = build_graph([(0, 0, 1)], 2, 1)
+    g = IndexedGraph([(0, 0, 1)], 2, 1)
     with pytest.raises(ExhaustedRetries):
         sample_meta_task(g, 50, 0.8, np.random.default_rng(0), max_attempts=5)
 
@@ -443,7 +443,7 @@ def test_meta_task_matches_region_loop_oracle(monkeypatch):
         tri = np.vstack([tri, tri[: m // 3, ::-1],
                          np.column_stack([tri[: m // 4, [0]], (tri[: m // 4, [1]] + 1) % nr,
                                           tri[: m // 4, [2]]])])
-        g = build_graph(tri, ne, nr)
+        g = IndexedGraph(tri, ne, nr)
         rows = set(map(tuple, g.triples.tolist()))
         seen["loop"] += any(h == t for h, _, t in rows)
         seen["twin"] += any((t, r, h) in rows for h, r, t in rows if h != t)
@@ -484,7 +484,7 @@ def test_batch_triples_match_draw_order_oracle():
         if len(triples) < 2:
             continue
         known = np.vstack([triples, random_triples(rng, n, nr, 0.05)]).reshape(-1, 3)
-        g = build_graph(triples, n, nr, known_triples=known)
+        g = IndexedGraph(triples, n, nr, known_triples=known)
         known_set = set(map(tuple, known.tolist()))
         positives = triples[rng.choice(len(triples), size=min(5, len(triples)),
                                        replace=False)]

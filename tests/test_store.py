@@ -6,12 +6,13 @@ import pytest
 from indkg.binio import write_u32
 from indkg.errors import (
     BadMagic,
+    CorruptHeader,
     CorruptRecord,
     EmptyStore,
     IndexOutOfRange,
     VersionMismatch,
 )
-from indkg.kgcore import build_graph
+from indkg.kgcore import IndexedGraph
 from indkg.store import StoreReader, StoreWriter, collect_stats, decode_record, encode_record
 from indkg.subgraph import Subgraph, extract_enclosing_subgraph
 
@@ -97,6 +98,57 @@ def test_bad_magic_and_version(tmp_path):
             StoreReader(p)
 
 
+def _store_of(tmp_path, subs):
+    path = tmp_path / "s.ikgs"
+    with StoreWriter(path) as w:
+        for sub in subs:
+            w.write(sub)
+    return path
+
+
+def test_empty_store_with_trailing_bytes_is_corrupt_header(tmp_path):
+    # it used to open with len() == 0
+    path = _store_of(tmp_path, [])
+    assert len(StoreReader(path)) == 0
+    path.write_bytes(path.read_bytes() + bytes(8))
+    with pytest.raises(CorruptHeader, match="8 bytes after the last block"):
+        StoreReader(path)
+
+
+TABLE = len(b"IKGS2") + 8     # the offset table's first byte
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda t: t[[0, 2, 1]], id="swapped"),
+    pytest.param(lambda t: t[[0, 1, 1]], id="repeated"),
+    pytest.param(lambda t: np.append(t[:2], 10 ** 6), id="past-the-end"),
+    pytest.param(lambda t: t + [1, 0, 0], id="gap-after-table"),
+    pytest.param(lambda t: t - [8, 0, 0], id="inside-table"),
+])
+def test_offsets_out_of_order_are_corrupt_header_at_open(tmp_path, edit):
+    # they used to open and fail only when a record was read, as CorruptRecord
+    rng = np.random.default_rng(7)
+    path = _store_of(tmp_path, [random_subgraph(rng) for _ in range(3)])
+    data = bytearray(path.read_bytes())
+    table = np.frombuffer(data, "<u8", 3, offset=TABLE)
+    data[TABLE:TABLE + 24] = edit(table).astype("<u8").tobytes()
+    path.write_bytes(bytes(data))
+    with pytest.raises(CorruptHeader, match="offsets of 3 records"):
+        StoreReader(path)
+
+
+def test_bytes_after_the_last_record_fail_as_it_is_read(tmp_path):
+    rng = np.random.default_rng(8)
+    subs = [random_subgraph(rng) for _ in range(3)]
+    path = _store_of(tmp_path, subs)
+    path.write_bytes(path.read_bytes() + bytes(8))
+    r = StoreReader(path)
+    assert [r.read(0), r.read(1)] == subs[:2]
+    with pytest.raises(CorruptRecord) as info:
+        r.read(2)
+    assert info.value.index == 2
+
+
 def test_sequential_indices_and_random_order_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     subs = [random_subgraph(rng) for _ in range(200)]
@@ -158,7 +210,7 @@ def test_stats_empty_store(tmp_path):
 
 def test_stats_of_written_subgraphs_equal_stats_of_store(tmp_path):
     rng = np.random.default_rng(4)
-    g = build_graph(random_triples(rng, 30, 3, 0.1), 30, 3)
+    g = IndexedGraph(random_triples(rng, 30, 3, 0.1), 30, 3)
     subs = [extract_enclosing_subgraph(g, tuple(t), 2, max_nodes=cap)
             for t in g.triples[:30].tolist() for cap in (0, 3)]
     path = tmp_path / "s.ikgs"
@@ -178,7 +230,7 @@ def test_pruning_ratio_matches_recomputation(tmp_path):
     from helpers import random_triples
     from indkg.subgraph import bfs_distances
     triples = random_triples(rng, 30, 3, 0.1)
-    g = build_graph(triples, 30, 3)
+    g = IndexedGraph(triples, 30, 3)
     path = tmp_path / "s.ikgs"
     ratios = []
     with StoreWriter(path) as w:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from indkg.errors import IdOutOfBounds
-from indkg.kgcore import build_graph
+from indkg.kgcore import IndexedGraph
 from indkg import subgraph
 from indkg.subgraph import Subgraph, bfs_distances, extract_enclosing_subgraph, \
     extract_enclosing_subgraphs, label_nodes
@@ -14,31 +14,31 @@ from helpers import enclosing_nodes_oracle, enclosing_subgraph_oracle, \
 
 
 def test_bfs_chain():
-    g = build_graph([(0, 0, 1), (1, 0, 2)], 3, 1)
+    g = IndexedGraph([(0, 0, 1), (1, 0, 2)], 3, 1)
     assert bfs_distances(g, 0, 1) == {0: 0, 1: 1}
     assert bfs_distances(g, 0, 2) == {0: 0, 1: 1, 2: 2}
 
 
 def test_bfs_isolated():
-    g = build_graph([(0, 0, 1)], 3, 1)
+    g = IndexedGraph([(0, 0, 1)], 3, 1)
     assert bfs_distances(g, 2, 3) == {2: 0}
 
 
 def test_bfs_triangle_masked():
-    g = build_graph([(0, 0, 1), (1, 0, 2), (2, 0, 0)], 3, 1)
+    g = IndexedGraph([(0, 0, 1), (1, 0, 2), (2, 0, 0)], 3, 1)
     d = bfs_distances(g, 0, 2, masked_edge=(0, 0, 1))
     assert d == {0: 0, 2: 1, 1: 2}
 
 
 def test_bfs_mask_only_that_relation():
     # parallel edge under a different relation keeps 0 and 1 adjacent
-    g = build_graph([(0, 0, 1), (0, 1, 1)], 2, 2)
+    g = IndexedGraph([(0, 0, 1), (0, 1, 1)], 2, 2)
     d = bfs_distances(g, 0, 2, masked_edge=(0, 0, 1))
     assert d == {0: 0, 1: 1}
 
 
 def test_bfs_bounds():
-    g = build_graph([(0, 0, 1)], 2, 1)
+    g = IndexedGraph([(0, 0, 1)], 2, 1)
     with pytest.raises(IdOutOfBounds):
         bfs_distances(g, 5, 1)
 
@@ -48,7 +48,7 @@ def test_bfs_matches_matrix_power_oracle():
     for _ in range(30):
         n = int(rng.integers(5, 30))
         triples = random_triples(rng, n, 3, 0.15)
-        g = build_graph(triples, n, 3)
+        g = IndexedGraph(triples, n, 3)
         src = int(rng.integers(n))
         k = int(rng.integers(1, 4))
         tgt = tuple(triples[rng.integers(len(triples))]) if len(triples) else None
@@ -62,13 +62,13 @@ def test_bfs_matches_matrix_power_oracle():
 def test_extraction_pendant_excluded():
     # path h-a-t plus pendant a-x; x has d_h = d_t = 2, sum 4 > 3
     h, a, t, x = 0, 1, 2, 3
-    g = build_graph([(h, 0, a), (a, 0, t), (a, 0, x), (h, 0, t)], 4, 1)
+    g = IndexedGraph([(h, 0, a), (a, 0, t), (a, 0, x), (h, 0, t)], 4, 1)
     sub = extract_enclosing_subgraph(g, (h, 0, t), 2)
     assert set(sub.nodes.tolist()) == {h, t, a}
 
 
 def test_extraction_disconnected_pair():
-    g = build_graph([(0, 0, 1)], 4, 1)
+    g = IndexedGraph([(0, 0, 1)], 4, 1)
     sub = extract_enclosing_subgraph(g, (0, 0, 1), 2)
     assert sub.nodes.tolist() == [0, 1]
     assert len(sub.edges) == 0
@@ -83,7 +83,7 @@ def test_extraction_oracle_random_graphs():
         triples = random_triples(rng, n, 4, float(rng.uniform(0.1, 0.3)))
         if len(triples) == 0:
             continue
-        g = build_graph(triples, n, 4)
+        g = IndexedGraph(triples, n, 4)
         target = tuple(g.triples[rng.integers(g.num_triples)])
         for k in (1, 2, 3):
             sub = extract_enclosing_subgraph(g, target, k)
@@ -98,7 +98,7 @@ def test_target_edge_never_in_edges():
         triples = random_triples(rng, n, 3, 0.2)
         if len(triples) == 0:
             continue
-        g = build_graph(triples, n, 3)
+        g = IndexedGraph(triples, n, 3)
         target = tuple(g.triples[rng.integers(g.num_triples)])
         sub = extract_enclosing_subgraph(g, target, 2)
         h_loc, t_loc = sub.head_local, sub.tail_local
@@ -113,7 +113,7 @@ def test_stored_distances_exact_and_subgraph_distances_not_shorter():
         triples = random_triples(rng, n, 3, 0.15)
         if len(triples) == 0:
             continue
-        g = build_graph(triples, n, 3)
+        g = IndexedGraph(triples, n, 3)
         target = tuple(g.triples[rng.integers(g.num_triples)])
         k = 2
         sub = extract_enclosing_subgraph(g, target, k)
@@ -126,7 +126,7 @@ def test_stored_distances_exact_and_subgraph_distances_not_shorter():
             assert sub.dist_pairs[li, 1] == min(d_t.get(gid, cap), cap)
         # distances inside the extracted subgraph can only grow
         if len(sub.edges):
-            sub_graph = build_graph(sub.edges[:, [0, 2, 1]], sub.num_nodes, 3)
+            sub_graph = IndexedGraph(sub.edges[:, [0, 2, 1]], sub.num_nodes, 3)
             inner = bfs_distances(sub_graph, sub.head_local, k)
             for li in range(sub.num_nodes):
                 if li in inner and sub.dist_pairs[li, 0] <= k:
@@ -136,7 +136,7 @@ def test_stored_distances_exact_and_subgraph_distances_not_shorter():
 def test_max_nodes_cap_deterministic():
     rng = np.random.default_rng(4)
     triples = random_triples(rng, 25, 3, 0.25)
-    g = build_graph(triples, 25, 3)
+    g = IndexedGraph(triples, 25, 3)
     target = tuple(g.triples[0])
     full = extract_enclosing_subgraph(g, target, 3)
     if full.num_nodes <= 5:
@@ -154,7 +154,7 @@ def test_max_nodes_cap_deterministic():
 
 
 def _assert_extraction_matches_oracle(triples, n, n_rel, target, k, max_nodes=None):
-    g = build_graph(triples, n, n_rel)
+    g = IndexedGraph(triples, n, n_rel)
     sub = extract_enclosing_subgraph(g, target, k, max_nodes=max_nodes)
     nodes, dist_pairs, edges, union_size = enclosing_subgraph_oracle(
         triples, n, target, k, max_nodes)
@@ -178,7 +178,7 @@ def test_extraction_full_oracle_random_graphs():
             h, r, t = triples[rng.integers(len(triples))].tolist()
             extra += [(t, r, h), (h, (r + 1) % 3, t)]   # reverse twin, parallel edge
         triples = np.vstack([triples.reshape(-1, 3), np.asarray(extra, dtype=np.int64)])
-        g = build_graph(triples, n, 3)
+        g = IndexedGraph(triples, n, 3)
         targets = [tuple(x) for x in g.triples[rng.choice(g.num_triples, 3)].tolist()]
         targets.append((int(rng.integers(n)), int(rng.integers(3)), int(rng.integers(n))))
         for target in targets:
@@ -228,7 +228,7 @@ def test_extraction_cap_breaks_sum_ties_by_id():
 
 
 def test_label_shapes_and_anchors():
-    g = build_graph([(0, 0, 1), (1, 0, 2), (2, 0, 3), (0, 0, 3)], 4, 1)
+    g = IndexedGraph([(0, 0, 1), (1, 0, 2), (2, 0, 3), (0, 0, 3)], 4, 1)
     sub = extract_enclosing_subgraph(g, (0, 0, 3), 2)
     labels = label_nodes(sub)
     width = 2 * (sub.k + 2)
@@ -240,7 +240,7 @@ def test_label_shapes_and_anchors():
 
 def test_label_head_example():
     # k = 2, head node with d_t = 1 -> [1,0,0,0, 0,1,0,0]
-    g = build_graph([(0, 0, 1)], 2, 1)
+    g = IndexedGraph([(0, 0, 1)], 2, 1)
     sub = extract_enclosing_subgraph(g, (0, 1 - 1, 1), 2)
     sub.dist_pairs[0] = (0, 1)
     labels = label_nodes(sub)
@@ -248,7 +248,7 @@ def test_label_head_example():
 
 
 def test_label_unreachable_clamp():
-    g = build_graph([(0, 0, 1)], 2, 1)
+    g = IndexedGraph([(0, 0, 1)], 2, 1)
     sub = extract_enclosing_subgraph(g, (0, 0, 1), 2)
     labels = label_nodes(sub)
     # head disconnected from tail: (0, CAP) -> [1,0,0,0, 0,0,0,1]
@@ -269,7 +269,7 @@ def _batch_fixture(rng):
         extra += [(t, r, h), (h, (r + 1) % n_rel, t)]
     triples = np.vstack([triples.reshape(-1, 3), np.asarray(extra, dtype=np.int64)])
     held_out = rng.integers(0, [n, n_rel, n], size=(3, 3))
-    g = build_graph(triples, n, n_rel, known_triples=np.vstack([triples, held_out]))
+    g = IndexedGraph(triples, n, n_rel, known_triples=np.vstack([triples, held_out]))
     rows = [tuple(x) for x in g.triples[rng.choice(g.num_triples, 4)].tolist()]
     rows += [tuple(x) for x in held_out.tolist()]
     anchor = int(rng.integers(n))
@@ -325,7 +325,7 @@ def test_batched_extraction_independent_of_chunking(monkeypatch):
 
 
 def test_batched_extraction_empty_and_invalid():
-    g = build_graph([(0, 0, 1), (1, 0, 2)], 3, 1)
+    g = IndexedGraph([(0, 0, 1), (1, 0, 2)], 3, 1)
     assert extract_enclosing_subgraphs(g, [], 2) == []
     assert extract_enclosing_subgraphs(g, np.empty((0, 3), dtype=np.int64), 2) == []
     with pytest.raises(IdOutOfBounds):
@@ -340,7 +340,7 @@ def test_batched_extraction_empty_and_invalid():
 def test_extraction_and_bfs_reject_ids_out_of_range(bad):
     # relation ids too: (0, -1, 1) would key next to (0, 1, 1) and (0, 2, 1)
     # next to (1, 0, 1), and a model would score relation -1 as R - 1
-    g = build_graph([(0, 0, 1), (0, 1, 1), (1, 1, 2)], 3, 2)
+    g = IndexedGraph([(0, 0, 1), (0, 1, 1), (1, 1, 2)], 3, 2)
     with pytest.raises(IdOutOfBounds):
         extract_enclosing_subgraphs(g, [(0, 0, 1), bad], 2)
     with pytest.raises(IdOutOfBounds):
@@ -354,7 +354,7 @@ def test_batched_extraction_deep_k_matches_oracle():
     # (0, 1) passes the int8 range while both distances stay within k
     n = 150
     triples = [(i, 0, i + 1) for i in range(n - 1)] + [(0, 1, 80), (85, 0, 85)]
-    g = build_graph(triples, n, 2)
+    g = IndexedGraph(triples, n, 2)
     rows = [(0, 0, 1), (0, 1, 1), (0, 1, 80), (0, 0, 75), (10, 0, 89), (85, 0, 85),
             (3, 1, 3)]
     k = 70
@@ -423,7 +423,7 @@ def test_chunks_at_the_word_boundary_match_oracles(monkeypatch, share, n_src):
     rng = np.random.default_rng(n_src)
     n = 90
     triples = np.vstack([random_triples(rng, n, 3, 0.03), [(5, 0, 5), (7, 1, 6), (6, 1, 7)]])
-    g = build_graph(triples, n, 4)
+    g = IndexedGraph(triples, n, 4)
     ends = rng.permutation(n)
     shared = [(int(ends[2 * i]), 3, int(ends[2 * i + 1])) for i in range(32)]
     edge_rows = [tuple(row) for row in g.triples.tolist() if row[0] != row[2]][:32]
@@ -449,7 +449,7 @@ def test_inductive_graph_shape_matches_oracles(monkeypatch, share):
     rng = np.random.default_rng(1500)
     n, lo = 1500, 1100
     triples = random_triples(rng, 120, 3, 0.03) + [lo, 0, lo]
-    g = build_graph(triples, n, 3)
+    g = IndexedGraph(triples, n, 3)
     head = int(triples[0, 0])
     rows = [(head, 1, int(e)) for e in rng.choice(n, 11, replace=False)]
     rows += [tuple(row) for row in g.triples[:4].tolist()]

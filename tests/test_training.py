@@ -5,7 +5,7 @@ from indkg import training
 from indkg.autodiff import concat, relu
 from indkg.config import RunConfig
 from indkg.errors import IsolatedEntity
-from indkg.kgcore import DatasetBundle, Vocab, build_graph
+from indkg.kgcore import DatasetBundle, IndexedGraph, Vocab
 from indkg.model import (
     Adam,
     DecoderKind,
@@ -319,7 +319,7 @@ def region_task(n_query):
     triples = np.array([(i, i % 2, (i + 1) % 8) for i in range(8)]
                        + [(i, 1, (i + 3) % 8) for i in range(8)], dtype=np.int64)
     task = MetaTask(triples[n_query:], triples[:n_query])
-    return task, build_graph(triples, 8, 2)
+    return task, IndexedGraph(triples, 8, 2)
 
 
 def test_episode_loss_tape_independent_of_query_count():
@@ -341,7 +341,7 @@ def test_episode_loss_counts_dropped_negatives(caplog):
     task = MetaTask(known[1:], known[:1])
     enc = init_entity_encoder(1, 4, DecoderKind("transe"), np.random.default_rng(0))
     with caplog.at_level("WARNING", logger="indkg.training"):
-        loss = episode_loss(enc, task, build_graph(known, 2, 1),
+        loss = episode_loss(enc, task, IndexedGraph(known, 2, 1),
                             RunConfig(num_neg=3), np.random.default_rng(2))
     assert loss is None
     warnings = [r.getMessage() for r in caplog.records if r.name == "indkg.training"]
@@ -448,7 +448,7 @@ def test_episode_loss_query_entity_outside_support():
     task = MetaTask(triples[:1], triples[1:])
     enc = init_entity_encoder(1, 4, DecoderKind("transe"), np.random.default_rng(0))
     with pytest.raises(IsolatedEntity, match=r"no incident triple: \[2\]"):
-        episode_loss(enc, task, build_graph(triples, 3, 1), RunConfig(num_neg=1),
+        episode_loss(enc, task, IndexedGraph(triples, 3, 1), RunConfig(num_neg=1),
                      np.random.default_rng(0))
 
 
